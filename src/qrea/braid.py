@@ -9,8 +9,8 @@ is fixed once and used everywhere.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -96,11 +96,6 @@ class QMat:
     def transpose(self) -> "QMat":
         return QMat(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
 
-    def conj_transpose(self) -> "QMat":
-        return QMat(
-            self.cols, self.rows, {(j, i): v.conjugate() for (i, j), v in self.entries.items()}
-        )
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -121,12 +116,35 @@ class QMat:
         return f"QMat({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _eps_interval(eps, lo: int, hi: int) -> Fraction:
-    """Product eps_{lo+1} * ... * eps_{hi} (1-based, empty product = 1)."""
-    p = Fraction(1)
+# Combinatorial helpers shared by the exact and the numeric modules.  Sign
+# vectors may hold ints or Fractions; their products keep the entries' type.
+
+
+def _eps_interval(eps, lo: int, hi: int):
+    """Product eps_(lo, hi] = eps_{lo+1} * ... * eps_{hi} (1-based, empty product = 1)."""
+    p = 1
     for t in range(lo + 1, hi + 1):
-        p *= Fraction(eps[t - 1])
+        p *= eps[t - 1]
     return p
+
+
+def _leading_signs(eps) -> tuple:
+    """The leading products eps_[m] = eps_(0, m] for m = 1, ..., len(eps)."""
+    return tuple(itertools.accumulate(eps, operator.mul))
+
+
+def _word_index(word, N: int) -> int:
+    """Row-major 0-based index of a 1-based index word in (C^N)^{otimes len(word)}."""
+    out = 0
+    for a in word:
+        out = out * N + (a - 1)
+    return out
+
+
+def _inversions(word) -> int:
+    return sum(
+        1 for p in range(len(word)) for r in range(p + 1, len(word)) if word[p] > word[r]
+    )
 
 
 def build_rhat(N: int, eps=None):
@@ -155,7 +173,7 @@ def build_rhat(N: int, eps=None):
             R[(idx(l, k), idx(k, l))] = qpow(-1) if k == l else ONE
             Rinv[(idx(l, k), idx(k, l))] = qpow(1) if k == l else ONE
             if l < k:
-                e = _eps_interval(eps, l, k) if eps is not None else Fraction(1)
+                e = _eps_interval(eps, l, k) if eps is not None else 1
                 if e:
                     R[(idx(k, l), idx(k, l))] = laurent(e, -1) - laurent(e, 1)
                     Rinv[(idx(l, k), idx(l, k))] = laurent(e, 1) - laurent(e, -1)
@@ -190,19 +208,6 @@ class ExtBasis:
 
     def index(self, subset) -> int:
         return self.basis.index(tuple(subset))
-
-
-def _word_index(word, N: int) -> int:
-    out = 0
-    for a in word:
-        out = out * N + (a - 1)
-    return out
-
-
-def _inversions(word) -> int:
-    return sum(
-        1 for p in range(len(word)) for r in range(p + 1, len(word)) if word[p] > word[r]
-    )
 
 
 def exterior_power(N: int, k: int) -> ExtBasis:

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .braid import QMat, _leading_signs, build_rhat
 from .errors import DomainError, NotAdmissible, SignMismatch
 from .scalars import GaussRational, laurent
 
@@ -134,11 +135,7 @@ def canonical_weight(roots, eps, q0: float, tol: float = 1e-9):
     M = len(eps)
     if M != len(dec.ms) + len(dec.ns):
         raise SignMismatch("eps length must match the number of nonzero roots")
-    lead = []
-    p = 1
-    for e in eps:
-        p *= e
-        lead.append(p)
+    lead = _leading_signs(eps)
     if sum(1 for x in lead if x > 0) != len(dec.ms):
         raise SignMismatch("positive-root count does not match eps leading products")
     pos_vals = sorted((dec.alpha + m for m in dec.ms))        # increasing a-value
@@ -208,8 +205,6 @@ def star_character(p: CharacterParams, N: int) -> np.ndarray:
 
 def star_character_exact(p: CharacterParams, N: int):
     """Exact-mode character matrix over Gaussian-rational Laurent scalars."""
-    from .braid import QMat
-
     p.validate(N)
     a = Fraction(p.a)
     c = Fraction(p.c)
@@ -229,8 +224,6 @@ def star_character_exact(p: CharacterParams, N: int):
 
 def reflection_defect_exact(Zmat, N: int):
     """R Z2 R Z2 - Z2 R Z2 R for a scalar-entry matrix, exactly."""
-    from .braid import QMat, build_rhat
-
     R, _ = build_rhat(N)
     Z2 = QMat(N * N, N * N)
     for a in range(N):

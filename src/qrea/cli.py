@@ -57,10 +57,12 @@ from .ncalg import identity_suite
 from .scalars import unimodular_point
 
 
-def _parse_q(text):
-    if "/" in text:
-        return Fraction(text)
-    return float(text)
+def _real(text):
+    """A decimal or rational such as 0.5 or 1/2, as the nearest float."""
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a decimal or rational: {text!r}") from None
 
 
 def _parse_eps(text):
@@ -141,7 +143,7 @@ def cmd_verify_algebra(args):
 
 
 def _spec_from_args(args):
-    return HWModuleSpec(N=args.n, eps=args.eps, r=args.r, D=args.depth, q0=float(args.q))
+    return HWModuleSpec(N=args.n, eps=args.eps, r=args.r, D=args.depth, q0=args.q)
 
 
 def cmd_rep_build(args):
@@ -192,7 +194,7 @@ def cmd_rep_verify(args):
 
 def cmd_classify_roots(args):
     roots = [float(Fraction(t)) if "/" in t else float(t) for t in args.roots.split(",")]
-    q0 = float(args.q)
+    q0 = args.q
     dec = admissible_roots(roots, q0)
     findings = [{"name": "admissible", "ok": dec is not None, "residual": None}]
     inputs = {"command": "classify-roots", "roots": roots}
@@ -244,7 +246,7 @@ def cmd_transport(args):
     rep = build_bigcell_rep(spec, margin=args.margin)
     roots0, sig0, ext0, rank0 = spectral_data(rep)
     findings = []
-    q0 = float(args.q)
+    q0 = args.q
     mode = args.by
     if mode.startswith("scale:"):
         out = adjoint_transport_T(rep, scaling_trep(args.n, float(mode[6:])))
@@ -289,7 +291,6 @@ def _sweep_cell(cell):
 
 def cmd_sweep(args):
     rng = np.random.default_rng(args.seed)
-    q0 = float(args.q)
     # weights are sampled within [-L, L] with L tied to the depth, so that
     # a non-adapted cell always shows a negative norm inside the window
     L = max(1, (args.depth - args.n) // 2)
@@ -298,7 +299,7 @@ def cmd_sweep(args):
         eps = tuple(int(rng.choice([-1, 1])) for _ in range(args.n))
         dens = [int(rng.integers(1, 5)) for _ in range(args.n)]
         r = tuple(Fraction(int(rng.integers(-L * d, L * d + 1)), d) for d in dens)
-        cells.append((args.n, eps, r, args.depth, q0))
+        cells.append((args.n, eps, r, args.depth, args.q))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             findings = list(pool.map(_sweep_cell, cells))
@@ -319,7 +320,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, rep_args=False):
-        sp.add_argument("--q", type=str, default="0.5",
+        sp.add_argument("--q", type=_real, default="0.5",
                         help="deformation parameter, decimal or rational")
         sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--seed", type=int, default=0)

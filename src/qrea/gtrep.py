@@ -25,11 +25,12 @@ we verify in the test suite against an independent Verma-module oracle):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .braid import _eps_interval
 from .errors import DomainError, NegativeNorm, TruncationTooSmall
 
 __all__ = [
@@ -146,13 +147,6 @@ class HWModuleSpec:
     @property
     def r_padded(self) -> tuple:
         return self.r + (Fraction(1),) * (self.N - self.M)
-
-
-def _eps_interval(eps, lo: int, hi: int) -> int:
-    p = 1
-    for t in range(lo + 1, hi + 1):
-        p *= eps[t - 1]
-    return p
 
 
 def _poch(sign: int, e: Fraction, m: int, q0):
@@ -340,10 +334,6 @@ class HWModule:
     interior: np.ndarray
     interior_margin: int
     finite: bool = False
-    conventions: dict = field(default_factory=lambda: {
-        "raising_denominator_tail": "level i",
-        "ef_commutator_sign": "eps_(i,i+1]",
-    })
 
     @property
     def dim(self) -> int:

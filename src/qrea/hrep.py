@@ -7,8 +7,13 @@ explicit N=2 families, scalar *-characters, and adjoint transports by
 triangular or unitary quantum-group representations.
 
 All residuals are Frobenius norms of defects applied to interior basis
-vectors, relative to the squared block scale; with a margin of at least
-twice the word length they sit at machine precision.
+vectors, relative to the squared block scale.  A margin of at least twice
+the word length keeps truncation junk out of them, but on big-cell builds
+of mixed sign they do not sit at machine precision: the assembly of Z
+cancels entries of size q^{-2s}, where s is the top interior shell, so
+they grow with the depth D.  At q=1/2 and margin 8, N=2 mixed-sign builds
+range from 1e-10 to 1e-4 at D=24 and fail the 1e-9 gate by D=34 (ROADMAP
+item 1).
 
 On signatures: the k-th leading minor acts with definite sign equal to the
 product eps_[1] ... eps_[k]; the classifying sign vector eta_k = eps_[k]
@@ -20,11 +25,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import classify as _classify
+from .braid import _inversions, _leading_signs, _word_index, build_rhat, exterior_power
 from .errors import BadCorep, DomainError, NotAdmissible, NotFactorial
 from .gtrep import HWModule, HWModuleSpec, build_hw_module, suq2_rep
 from .ncalg import NCPoly, central_sigma, leading_minor_Z
@@ -97,10 +104,7 @@ def build_bigcell_rep(spec: HWModuleSpec, margin: int | None = None) -> Hermitia
     """
     mod = build_hw_module(spec, margin=margin)
     N = spec.N
-    eps_pad = spec.eps_padded
-    lead = [1] * (N + 1)
-    for m in range(1, N + 1):
-        lead[m] = lead[m - 1] * eps_pad[m - 1]  # eps_[m]
+    lead = _leading_signs(spec.eps_padded)  # lead[m - 1] = eps_[m]
     blocks = [[None] * N for _ in range(N)]
     ld = np.longdouble
     for i in range(1, N + 1):
@@ -109,12 +113,12 @@ def build_bigcell_rep(spec: HWModuleSpec, margin: int | None = None) -> Hermitia
             # q^{-2 shell} and cancel down to a bounded operator
             M = np.zeros((mod.dim, mod.dim), dtype=ld)
             for m in range(1, min(i, j) + 1):
-                if lead[m] == 0:
+                if lead[m - 1] == 0:
                     continue
-                M += lead[m] * (mod.t_block(m, i).astype(ld).T @ mod.t_block(m, j).astype(ld))
+                M += lead[m - 1] * (mod.t_block(m, i).astype(ld).T @ mod.t_block(m, j).astype(ld))
             blocks[i - 1][j - 1] = M.astype(np.float64)
     Mrank = spec.M
-    signature = tuple(lead[1:Mrank + 1])
+    signature = lead[:Mrank]
     return HermitianRep(
         N=N, Z=blocks, interior=mod.interior.copy(), q0=spec.q0,
         source={"kind": "bigcell", "eps": spec.eps, "r": [str(x) for x in spec.r],
@@ -129,7 +133,7 @@ def zero_rep(N: int, q0: float = 0.5) -> HermitianRep:
                         source={"kind": "zero"}, rank=0, signature=())
 
 
-def _shift_family(zs, T0, D0, q0, hermitize=True):
+def _shift_family(zs, T0, D0, q0):
     """Common weighted-shift construction for the N=2 families.
 
     z is diagonal with entries zs; the lowering entry v satisfies
@@ -208,15 +212,6 @@ def n2_family(kind: str, D: int = 40, q0: float = 0.5, margin: int = 8, **params
                         rank=rank, signature=sig)
 
 
-def from_scalar_matrix(M: np.ndarray, q0: float = 0.5, source=None) -> HermitianRep:
-    """Wrap a scalar self-adjoint N x N matrix as a one-dimensional rep."""
-    M = np.asarray(M, dtype=complex)
-    N = M.shape[0]
-    Z = [[M[i, j].reshape(1, 1) for j in range(N)] for i in range(N)]
-    return HermitianRep(N=N, Z=Z, interior=np.array([True]), q0=q0,
-                        source=source or {"kind": "scalar"})
-
-
 # ---------------------------------------------------------------------------
 # evaluation of symbolic polynomials on blocks
 
@@ -229,10 +224,10 @@ def eval_z_poly(p: NCPoly, rep: HermitianRep) -> np.ndarray:
     dtype = rep.Z[0][0].dtype
     out = np.zeros((dim, dim), dtype=np.result_type(dtype, complex))
     for word, coeff in p.terms.items():
-        M = np.eye(dim, dtype=out.dtype)
-        for code in word:
-            i, j = (code >> 10) & 0x3FF, code & 0x3FF
-            M = M @ rep.block(i, j)
+        blocks = [rep.block((code >> 10) & 0x3FF, code & 0x3FF) for code in word]
+        M = blocks[0].astype(out.dtype) if blocks else np.eye(dim, dtype=out.dtype)
+        for blk in blocks[1:]:
+            M = M @ blk
         out += complex(coeff.eval(rep.q0)) * M
     if p.qdenom:
         out /= (rep.q0 - 1.0 / rep.q0) ** p.qdenom
@@ -243,100 +238,39 @@ def eval_z_poly(p: NCPoly, rep: HermitianRep) -> np.ndarray:
 # residuals
 
 
-def _rhat_entries(N: int, q0: float):
-    """Sparse numeric braid matrix as {(rowpair, colpair): scalar}."""
-    R = {}
-    for k in range(1, N + 1):
-        for l in range(1, N + 1):
-            R[((l, k), (k, l))] = R.get(((l, k), (k, l)), 0.0) + (q0 ** -1 if k == l else 1.0)
-            if l < k:
-                R[((k, l), (k, l))] = R.get(((k, l), (k, l)), 0.0) + (1 / q0 - q0)
-    return R
-
-
-def _z2_blocks(rep: HermitianRep):
-    out = {}
-    for a in range(1, rep.N + 1):
-        for b in range(1, rep.N + 1):
-            for d in range(1, rep.N + 1):
-                blk = rep.block(b, d)
-                if np.any(blk):
-                    out[((a, b), (a, d))] = blk
-    return out
-
-
-def _scal_times_block(R: dict, B: dict):
-    rows = {}
-    for (m, c), mat in B.items():
-        rows.setdefault(m, []).append((c, mat))
-    out = {}
-    for (r, m), s in R.items():
-        for c, mat in rows.get(m, ()):
-            key = (r, c)
-            out[key] = out.get(key, 0) + s * mat
-    return out
-
-
-def _block_times_scal(B: dict, R: dict):
-    rows = {}
-    for (m, c), s in R.items():
-        rows.setdefault(m, []).append((c, s))
-    out = {}
-    for (r, m), mat in B.items():
-        for c, s in rows.get(m, ()):
-            key = (r, c)
-            out[key] = out.get(key, 0) + s * mat
-    return out
-
-
-def _block_times_block(A: dict, B: dict):
-    rows = {}
-    for (m, c), mat in B.items():
-        rows.setdefault(m, []).append((c, mat))
-    out = {}
-    for (r, m), amat in A.items():
-        for c, bmat in rows.get(m, ()):
-            key = (r, c)
-            prod = amat @ bmat
-            if key in out:
-                out[key] = out[key] + prod
-            else:
-                out[key] = prod
-    return out
-
-
 def re_residual(rep: HermitianRep) -> float:
-    """Relative interior residual of R Z2 R Z2 - Z2 R Z2 R."""
-    R = _rhat_entries(rep.N, rep.q0)
-    Z2 = _z2_blocks(rep)
-    lhs = _block_times_block(_block_times_scal(_scal_times_block(R, Z2), R), Z2)
-    rhs = _block_times_scal(_block_times_block(_block_times_scal(Z2, R), Z2), R)
-    mask = rep.interior
-    total = 0.0
-    for key in set(lhs) | set(rhs):
-        diff = lhs.get(key, 0) - rhs.get(key, 0)
-        if isinstance(diff, np.ndarray):
-            total += float(np.linalg.norm(diff[:, mask]) ** 2)
-    scale = max(1.0, rep.znorm() ** 2)
-    return np.sqrt(total) / scale
+    """Relative interior residual of R Z2 R Z2 - Z2 R Z2 R, Z2 = 1 ox Z.
+
+    Block (x, y) of either side, with x and y row-major index pairs, is a
+    fixed combination of the N^4 products Z_bc Z_fh whose coefficients are
+    quadratic in R; the products are formed on interior columns only.
+    """
+    N = rep.N
+    R = build_rhat(N)[0].to_numpy(rep.q0).real.reshape(N, N, N, N)
+    one = np.eye(N)
+    # (R Z2 R Z2)[x, (e, g)] = sum R[x, (a, b)] Z_bc R[(a, c), (e, f)] Z_fg
+    lhs = np.einsum("xXab,acef,gh->xXegbcfh", R, R, one)
+    # (Z2 R Z2 R)[(x, X), y] = sum Z_Xc R[(x, c), (v, f)] Z_fh R[(v, h), y]
+    rhs = np.einsum("xcvf,vhyz,Xb->xXyzbcfh", R, R, one)
+    coeff = (lhs - rhs).reshape(N * N, N * N, N, N, N, N)
+    Zs = np.array(rep.Z)
+    defect = np.einsum("xybcfh,bcik,fhkj->xyij", coeff, Zs, Zs[..., rep.interior],
+                       optimize=True)
+    return np.linalg.norm(defect) / max(1.0, rep.znorm() ** 2)
 
 
 def selfadj_residual(rep: HermitianRep) -> float:
     """Relative residual of Z_ij - Z_ji^dagger on interior rows and columns."""
-    mask = rep.interior
-    total = 0.0
-    for i in range(1, rep.N + 1):
-        for j in range(1, rep.N + 1):
-            diff = rep.block(i, j) - rep.block(j, i).conj().T
-            total += float(np.linalg.norm(diff[np.ix_(mask, mask)]) ** 2)
-    return np.sqrt(total) / max(1.0, rep.znorm())
+    Zb = np.block(rep.Z)
+    cols = np.tile(rep.interior, rep.N)
+    return np.linalg.norm((Zb - Zb.conj().T)[np.ix_(cols, cols)]) / max(1.0, rep.znorm())
 
 
 # ---------------------------------------------------------------------------
 # central elements and spectral data
 
 
-def sigma_scalars(rep: HermitianRep, tol: float = 1e-8):
+def sigma_scalars(rep: HermitianRep):
     """Measured central scalars, their scalarness residuals, and operators."""
     N = rep.N
     mask = rep.interior
@@ -360,13 +294,9 @@ def hc_sigma_prediction(rep: HermitianRep):
         return None
     spec = rep.tmod.spec
     q0 = rep.q0
-    eps_pad = spec.eps_padded
-    lead = 1
-    args = []
-    for m in range(1, spec.N + 1):
-        lead_prev = lead
-        lead = lead * eps_pad[m - 1]
-        args.append(lead * q0 ** float(2 * spec.r_padded[m - 1] + 2 * (m - 1)))
+    lead = _leading_signs(spec.eps_padded)
+    args = [lead[m - 1] * q0 ** float(2 * spec.r_padded[m - 1] + 2 * (m - 1))
+            for m in range(1, spec.N + 1)]
     out = []
     for k in range(1, spec.N + 1):
         ek = sum(
@@ -385,14 +315,9 @@ def op_leading_minor(rep: HermitianRep, k: int) -> np.ndarray:
     blocks.  The two agree (tested) wherever both apply.
     """
     if rep.tmod is not None:
-        spec = rep.tmod.spec
-        eps_pad = spec.eps_padded
-        sgn = 1.0
+        sgn = math.prod(_leading_signs(rep.tmod.spec.eps_padded)[:k])
         diag = np.ones(rep.dim, dtype=np.longdouble)
-        lead = 1
         for m in range(1, k + 1):
-            lead *= eps_pad[m - 1]
-            sgn *= lead
             diag = diag * rep.tmod.Tdiag[m - 1] ** 2
         return sgn * np.diag(diag.astype(np.float64))
     return eval_z_poly(leading_minor_Z(k, rep.N), rep)
@@ -425,7 +350,7 @@ def spectral_data(rep: HermitianRep, tol: float = 1e-8):
     spectra; otherwise it falls back to the root signs in the canonical
     decreasing-magnitude-per-class order.
     """
-    scalars, resids, _ = sigma_scalars(rep, tol)
+    scalars, resids, _ = sigma_scalars(rep)
     if max(resids) > tol:
         raise NotFactorial(f"central elements are not scalar: residuals {resids}")
     N = rep.N
@@ -481,7 +406,7 @@ def spectral_components(rep: HermitianRep, tol: float = 1e-7):
     (sigma_tuple, roots, extended_signature, multiplicity).
     """
     N = rep.N
-    _, _, ops = sigma_scalars(rep, tol=np.inf)
+    _, _, ops = sigma_scalars(rep)
     mask = rep.interior
     sub_ops = [(op[np.ix_(mask, mask)] + op[np.ix_(mask, mask)].conj().T) / 2 for op in ops]
     rng = np.random.default_rng(0)
@@ -520,10 +445,6 @@ def spectral_components(rep: HermitianRep, tol: float = 1e-7):
 # operator-level quantum minors and their exchange structure
 
 
-def _inversions(seq):
-    return sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b])
-
-
 def ext_power_blocks(tblocks, k: int, N: int, q0: float):
     """Operator minors of a triangular block matrix by the ordered
     permutation-sum formula; returns {(I, J): ndarray}."""
@@ -551,8 +472,6 @@ def ext_power_blocks(tblocks, k: int, N: int, q0: float):
 
 def ext_power_blocks_braided(tblocks, k: int, N: int, q0: float):
     """Same minors via the embedded exterior-power coaction (cross-check)."""
-    from .braid import exterior_power
-
     ext = exterior_power(N, k)
     E = ext.embed.to_numpy(q0)
     P = ext.project.to_numpy(q0)
@@ -572,19 +491,13 @@ def ext_power_blocks_braided(tblocks, k: int, N: int, q0: float):
             if ok and np.any(term):
                 chain[(w, wp)] = term
 
-    def word_index(w):
-        out = 0
-        for a in w:
-            out = out * N + (a - 1)
-        return out
-
     blocks = {}
     for ci, I in enumerate(ext.basis):
         for cj, J in enumerate(ext.basis):
             M = np.zeros((dim, dim), dtype=complex)
             for (w, wp), term in chain.items():
-                pc = P[ci, word_index(w)]
-                ec = E[word_index(wp), cj]
+                pc = P[ci, _word_index(w, N)]
+                ec = E[_word_index(wp, N), cj]
                 if pc and ec:
                     M = M + pc * ec * term
             blocks[(I, J)] = M
@@ -596,20 +509,16 @@ def op_minor_blocks(rep: HermitianRep, k: int):
     triangular factorization Z^{[k]} = (T^{[k]})^dagger E^{[k]} T^{[k]}."""
     if rep.tmod is None:
         raise DomainError("operator minors need a triangular factorization")
-    spec = rep.tmod.spec
-    eps_pad = spec.eps_padded
     N = rep.N
     ld = np.longdouble
     T = ext_power_blocks(lambda i, j: rep.tmod.t_block(i, j).astype(ld), k, N, rep.q0)
-    lead = [1] * (N + 1)
-    for m in range(1, N + 1):
-        lead[m] = lead[m - 1] * eps_pad[m - 1]
+    lead = _leading_signs(rep.tmod.spec.eps_padded)
     out = {}
     for I in itertools.combinations(range(1, N + 1), k):
         for J in itertools.combinations(range(1, N + 1), k):
             M = np.zeros((rep.dim, rep.dim), dtype=ld)
             for K in itertools.combinations(range(1, N + 1), k):
-                wK = np.prod([lead[t] for t in K])
+                wK = math.prod(lead[t - 1] for t in K)
                 if wK == 0:
                     continue
                 M = M + wK * (T[(K, I)].T @ T[(K, J)])
@@ -746,25 +655,14 @@ def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> dict:
                 "predicted": hc[k - 1].real,
             })
 
-    # Cayley-Hamilton with the measured scalars
-    dimN = rep.dim
-    powers = [[np.eye(dimN, dtype=complex) if i == j else np.zeros((dimN, dimN), dtype=complex)
-               for j in range(N)] for i in range(N)]
-    acc = [[powers[i][j].copy() for j in range(N)] for i in range(N)]
-    ch = [[(-1) ** N * scalars[N - 1] * np.eye(dimN, dtype=complex) if i == j
-           else np.zeros((dimN, dimN), dtype=complex) for j in range(N)] for i in range(N)]
-    for m in range(1, N + 1):
-        nxt = [[sum(acc[i][t] @ rep.Z[t][j] for t in range(N)) for j in range(N)] for i in range(N)]
-        acc = nxt
-        k = N - m
-        coeff = (-1) ** k * (scalars[k - 1] if k >= 1 else 1.0)
-        for i in range(N):
-            for j in range(N):
-                ch[i][j] = ch[i][j] + coeff * acc[i][j]
-    mask = rep.interior
-    ch_res = np.sqrt(sum(float(np.linalg.norm(ch[i][j][:, mask]) ** 2)
-                         for i in range(N) for j in range(N)))
-    ch_res /= max(1.0, rep.znorm() ** N)
+    # Cayley-Hamilton with the measured scalars, by Horner's rule on the
+    # interior columns E of the assembled matrix
+    Zb = np.block(rep.Z)
+    E = np.eye(N * rep.dim)[:, np.tile(rep.interior, N)]
+    ch = E
+    for k in range(1, N + 1):
+        ch = Zb @ ch + (-1) ** k * scalars[k - 1] * E
+    ch_res = np.linalg.norm(ch) / max(1.0, rep.znorm() ** N)
     findings.append({"name": "cayley_hamilton", "residual": ch_res, "ok": ch_res < max(tol, 1e-8)})
 
     return {

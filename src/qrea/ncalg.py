@@ -1,8 +1,8 @@
 """Noncommutative polynomials and straightening engines.
 
-All values are immutable once constructed and every operation is a pure
-function; the rewriting systems keep an internal memo table, which is safe
-for concurrent readers under the interpreter lock.
+Polynomials are immutable once constructed.  The rewriting systems keep a
+memo table and a per-call rule counter as mutable state, so one system
+must not straighten from two threads at once.
 
 Three algebras share one polynomial container:
 
@@ -31,6 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .braid import _eps_interval, _inversions
 from .errors import AlgebraMismatch, DomainError, NonterminationGuard
 from .scalars import ONE, QQI, ZERO, LaurentScalar, laurent, qpow
 
@@ -136,12 +137,6 @@ def Tdiag(i: int, power: int = 1) -> GenId:
 
 def Tstar(i: int, j: int) -> GenId:
     return GenId("TRI", "Tstar", i, j)
-
-
-def _decode_public(algebra: str, code: int):
-    if algebra in ("FRT", "REA"):
-        return ((code >> 10) & 0x3FF, code & 0x3FF)
-    return _decode(code)
 
 
 class NCPoly:
@@ -344,7 +339,6 @@ class _BaseSystem:
     """Shared fold-and-memoize straightening machinery."""
 
     algebra = ""
-    monomial_order = ""
     step_bound = 10 ** 7
 
     def __init__(self):
@@ -401,10 +395,6 @@ class _BaseSystem:
                 _acc(out, m, coeff * c)
         return NCPoly(self.algebra, out, p.qdenom)
 
-    def rules(self):
-        """Human-readable description of the oriented rule families."""
-        raise NotImplementedError
-
 
 def _acc(d, m, c):
     s = d.get(m, ZERO) + c
@@ -418,7 +408,6 @@ class FrtSystem(_BaseSystem):
     """Row-major straightening for the quantum matrix algebra."""
 
     algebra = "FRT"
-    monomial_order = "degree, then lexicographic in (row, col)"
 
     def __init__(self, N: int):
         super().__init__()
@@ -439,14 +428,6 @@ class FrtSystem(_BaseSystem):
         # i > k, j > l
         return [(ONE, (b, a)), (-QQI, (((k << 10) | j), ((i << 10) | l)))]
 
-    def rules(self):
-        return [
-            "X[i,j] X[i,l] -> q^-1 X[i,l] X[i,j]            (l < j)",
-            "X[i,j] X[k,j] -> q^-1 X[k,j] X[i,j]            (k < i)",
-            "X[i,j] X[k,l] -> X[k,l] X[i,j]                 (k < i, j < l)",
-            "X[i,j] X[k,l] -> X[k,l] X[i,j] - (q-q^-1) X[k,j] X[i,l]   (k < i, l < j)",
-        ]
-
 
 class TriSystem(_BaseSystem):
     """Plain/diagonal/star straightening for the deformed triangular algebra.
@@ -456,9 +437,6 @@ class TriSystem(_BaseSystem):
     """
 
     algebra = "TRI"
-    monomial_order = (
-        "zones plain < diagonal < star; plain rows lexicographic, star reversed"
-    )
 
     def __init__(self, N: int, eps=None):
         super().__init__()
@@ -473,13 +451,10 @@ class TriSystem(_BaseSystem):
         self.eps = eps
 
     def eps_interval(self, lo: int, hi: int) -> Fraction:
-        p = Fraction(1)
-        for t in range(lo + 1, hi + 1):
-            p *= self.eps[t - 1]
-        return p
+        return _eps_interval(self.eps, lo, hi)
 
     def eps_leading(self, k: int) -> Fraction:
-        return self.eps_interval(0, k)
+        return _eps_interval(self.eps, 0, k)
 
     def _bad(self, a, b):
         za, zb = _zone(a), _zone(b)
@@ -603,19 +578,6 @@ class TriSystem(_BaseSystem):
             out.append((one_minus_q2, (t1, t2)))
         return out
 
-    def rules(self):
-        return [
-            "T[i]^s T[k,l] -> q^{s(d_ik - d_il)} T[k,l] T[i]^s",
-            "T*[k,l] T[i]^s -> q^{s(d_ik - d_il)} T[i]^s T*[k,l]",
-            "T[i] T[i]^-1 -> 1",
-            "plain x plain: quantum-matrix exchange, lower entries dropped",
-            "star x star: the plain rules conjugated by *",
-            "T*[l,i] T[k,j] -> T[k,j] T*[l,i]                      (i != j, k != l)",
-            "T*[l,j] T[k,j] -> q^-1 T[k,j] T*[l,j] + q^-1(1-q^2) sum_m T[k,m] T*[l,m]",
-            "T*[k,i] T[k,j] -> q T[k,j] T*[k,i] - (1-q^2) sum_m eps T*[m,i] T[m,j]",
-            "T*[k,j] T[k,j] -> T[k,j] T*[k,j] - (1-q^2)(sum eps T*T - sum T T*)",
-        ]
-
     # -- normal-form helpers ------------------------------------------------
 
     def hc_part(self, p: NCPoly) -> NCPoly:
@@ -694,10 +656,6 @@ def is_zero_rea(p: NCPoly, N: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # central elements, minors, Laplace expansions
-
-
-def _inversions(seq) -> int:
-    return sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b])
 
 
 def central_sigma(k: int, N: int) -> NCPoly:

@@ -175,12 +175,6 @@ class LaurentScalar:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def is_one(self) -> bool:
-        return self.terms == {0: Fraction(1)}
-
     def degree(self):
         return max(self.terms) if self.terms else None
 

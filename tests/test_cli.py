@@ -111,3 +111,23 @@ def test_sweep_worker_pool(tmp_path):
                            "--depth", "5"], tmp_path, "s.json")
     assert code1 == code2 == 0
     assert (tmp_path / "p.json").read_text() == (tmp_path / "s.json").read_text()
+
+
+@pytest.mark.parametrize("args", [
+    ["verify-algebra", "--n", "2"],
+    ["rep-build", "--n", "2", "--eps", "+,-", "--r", "0.3,0.8", "--depth", "8"],
+    ["rep-verify", "--n", "2", "--eps", "+,-", "--r", "0.3,0.8", "--depth", "12"],
+    ["classify-roots", "--roots", "1,0.25"],
+    ["characters", "--n", "2", "--samples", "1"],
+    ["transport", "--by", "scale:0.7", "--n", "2", "--eps", "+,-", "--r", "0.3,0.8",
+     "--depth", "12", "--margin", "6"],
+    ["sweep", "--n", "2", "--cells", "4", "--depth", "5"],
+], ids=lambda args: args[0])
+def test_q_accepts_rationals(tmp_path, args):
+    reports = []
+    for q in ("1/2", "0.5"):
+        out = tmp_path / f"{q.replace('/', '_')}.json"
+        assert main(args + ["--q", q, "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+    assert main(args + ["--q", "abc"]) == 2

@@ -7,6 +7,7 @@ from qrea.classify import rmod1_equal
 from qrea.errors import BadCorep, DomainError, NotFactorial
 from qrea.gtrep import HWModuleSpec, scaling_trep, vector_trep
 from qrea.hrep import (
+    HermitianRep,
     adjoint_transport_T,
     adjoint_transport_U,
     build_bigcell_rep,
@@ -19,6 +20,7 @@ from qrea.hrep import (
     re_residual,
     report_json,
     selfadj_residual,
+    sigma_scalars,
     spectral_components,
     spectral_data,
     suq2_corep_blocks,
@@ -60,6 +62,45 @@ def test_gt_rep_residuals_n3():
     rep = gt_rep(N=3, eps=(1, -1, 1), r=(0.3, 0.8, 1.8), D=9, margin=5)
     assert re_residual(rep) < 1e-9
     assert selfadj_residual(rep) < 1e-11
+
+
+def _rhat_textbook(N, q):
+    """Rhat(e_k ox e_l) = q^{-d_kl} e_l ox e_k + (q^{-1} - q) [l < k] e_k ox e_l."""
+    R = np.zeros((N * N, N * N))
+    for k in range(N):
+        for l in range(N):
+            R[l * N + k, k * N + l] += q ** -1 if k == l else 1.0
+            if l < k:
+                R[k * N + l, k * N + l] += 1 / q - q
+    return R
+
+
+@pytest.mark.parametrize("N,dim,seed", [(2, 3, 1), (2, 6, 2), (3, 4, 3), (3, 5, 4)])
+def test_residuals_match_textbook_formulas(N, dim, seed):
+    """On random complex blocks, far from any representation, every
+    residual equals its defining formula on the assembled N*dim matrix."""
+    rng = np.random.default_rng(seed)
+    Z = [[rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+          for _ in range(N)] for _ in range(N)]
+    interior = rng.permutation(dim) < (dim + 1) // 2
+    rep = HermitianRep(N=N, Z=Z, interior=interior, q0=Q0)
+    Zb = np.block(Z)
+    znorm = max(np.linalg.norm(Z[i][j][:, interior], 2) for i in range(N) for j in range(N))
+    cols = np.tile(interior, N)
+
+    R = np.kron(_rhat_textbook(N, Q0), np.eye(dim))
+    Z2 = np.kron(np.eye(N), Zb)
+    defect = R @ Z2 @ R @ Z2 - Z2 @ R @ Z2 @ R
+    want = np.linalg.norm(defect[:, np.tile(interior, N * N)]) / max(1.0, znorm ** 2)
+    assert re_residual(rep) == pytest.approx(want, rel=1e-12)
+
+    want = np.linalg.norm((Zb - Zb.conj().T)[np.ix_(cols, cols)]) / max(1.0, znorm)
+    assert selfadj_residual(rep) == pytest.approx(want, rel=1e-12)
+
+    sigma = [1.0] + sigma_scalars(rep)[0]
+    ch = sum((-1) ** k * sigma[k] * np.linalg.matrix_power(Zb, N - k) for k in range(N + 1))
+    want = np.linalg.norm(ch[:, cols]) / max(1.0, znorm ** N)
+    assert verify_rep(rep)["residuals"]["ch"] == pytest.approx(want, rel=1e-12)
 
 
 def test_gt_rank_deficient_build():
