@@ -81,8 +81,11 @@ def _parse_eps(text):
 
 
 def _parse_reals(text):
-    return tuple(Fraction(tok) if "/" in tok else Fraction(tok).limit_denominator(10 ** 9)
-                 for tok in text.split(","))
+    try:
+        return tuple(Fraction(tok) if "/" in tok else Fraction(tok).limit_denominator(10 ** 9)
+                     for tok in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a list of decimals or rationals: {text!r}") from None
 
 
 def emit_report(inputs: dict, findings: list, q0, out_path=None) -> dict:
@@ -193,7 +196,7 @@ def cmd_rep_verify(args):
 
 
 def cmd_classify_roots(args):
-    roots = [float(Fraction(t)) if "/" in t else float(t) for t in args.roots.split(",")]
+    roots = [_real(t) for t in args.roots.split(",")]
     q0 = args.q
     dec = admissible_roots(roots, q0)
     findings = [{"name": "admissible", "ok": dec is not None, "residual": None}]

@@ -6,6 +6,10 @@ equation.  Sources: big-cell builds from highest-weight modules, the
 explicit N=2 families, scalar *-characters, and adjoint transports by
 triangular or unitary quantum-group representations.
 
+Z is held as one array of shape (N, N, dim, dim): Z[i - 1, j - 1] is the
+block Z_ij, and Z.transpose(0, 2, 1, 3).reshape(N * dim, N * dim) is the
+assembled operator on C^N ox C^dim.
+
 All residuals are Frobenius norms of defects applied to interior basis
 vectors, relative to the squared block scale.  A margin of at least twice
 the word length keeps truncation junk out of them, but on big-cell builds
@@ -64,10 +68,14 @@ TRANSPORT_DIM_CAP = 20000
 
 @dataclass
 class HermitianRep:
-    """Block operator matrix Z with truncation-interior bookkeeping."""
+    """Block operator matrix Z with truncation-interior bookkeeping.
+
+    ``Z`` has shape (N, N, dim, dim), block Z_ij at ``Z[i - 1, j - 1]``; a
+    nested list of blocks is converted on construction.
+    """
 
     N: int
-    Z: list                     # Z[i][j] (0-based) -> ndarray (dim x dim)
+    Z: np.ndarray               # (N, N, dim, dim)
     interior: np.ndarray        # bool mask over the basis
     q0: float
     source: dict = field(default_factory=dict)
@@ -75,19 +83,26 @@ class HermitianRep:
     rank: int | None = None
     signature: tuple | None = None
 
+    def __post_init__(self):
+        self.Z = np.asarray(self.Z)
+
     @property
     def dim(self) -> int:
-        return self.Z[0][0].shape[0]
+        return self.Z.shape[-1]
 
     def block(self, i: int, j: int) -> np.ndarray:
-        return self.Z[i - 1][j - 1]
+        return self.Z[i - 1, j - 1]
+
+    def assembled(self) -> np.ndarray:
+        """Z as one (N dim) x (N dim) operator on C^N ox C^dim."""
+        return self.Z.transpose(0, 2, 1, 3).reshape(self.N * self.dim, self.N * self.dim)
 
     def znorm(self) -> float:
         """Largest block norm measured on interior columns (the boundary of
         a truncation carries unbounded triangular junk by design)."""
         mask = self.interior
         return max(
-            np.linalg.norm(self.Z[i][j][:, mask], 2)
+            np.linalg.norm(self.Z[i, j][:, mask], 2)
             for i in range(self.N) for j in range(self.N)
         )
 
@@ -105,7 +120,7 @@ def build_bigcell_rep(spec: HWModuleSpec, margin: int | None = None) -> Hermitia
     mod = build_hw_module(spec, margin=margin)
     N = spec.N
     lead = _leading_signs(spec.eps_padded)  # lead[m - 1] = eps_[m]
-    blocks = [[None] * N for _ in range(N)]
+    Z = np.empty((N, N, mod.dim, mod.dim))
     ld = np.longdouble
     for i in range(1, N + 1):
         for j in range(1, N + 1):
@@ -116,11 +131,11 @@ def build_bigcell_rep(spec: HWModuleSpec, margin: int | None = None) -> Hermitia
                 if lead[m - 1] == 0:
                     continue
                 M += lead[m - 1] * (mod.t_block(m, i).astype(ld).T @ mod.t_block(m, j).astype(ld))
-            blocks[i - 1][j - 1] = M.astype(np.float64)
+            Z[i - 1, j - 1] = M
     Mrank = spec.M
     signature = lead[:Mrank]
     return HermitianRep(
-        N=N, Z=blocks, interior=mod.interior.copy(), q0=spec.q0,
+        N=N, Z=Z, interior=mod.interior.copy(), q0=spec.q0,
         source={"kind": "bigcell", "eps": spec.eps, "r": [str(x) for x in spec.r],
                 "D": spec.D},
         tmod=mod, rank=Mrank, signature=signature,
@@ -128,8 +143,7 @@ def build_bigcell_rep(spec: HWModuleSpec, margin: int | None = None) -> Hermitia
 
 
 def zero_rep(N: int, q0: float = 0.5) -> HermitianRep:
-    Z = [[np.zeros((1, 1)) for _ in range(N)] for _ in range(N)]
-    return HermitianRep(N=N, Z=Z, interior=np.array([True]), q0=q0,
+    return HermitianRep(N=N, Z=np.zeros((N, N, 1, 1)), interior=np.array([True]), q0=q0,
                         source={"kind": "zero"}, rank=0, signature=())
 
 
@@ -169,8 +183,8 @@ def n2_family(kind: str, D: int = 40, q0: float = 0.5, margin: int = 8, **params
         if c <= 0 or a <= 0:
             raise DomainError("char family needs c > 0, a > 0")
         ph = np.exp(2j * np.pi * theta)
-        Z = [[np.array([[0.0 + 0j]]), np.array([[q0 * c * np.conj(ph)]])],
-             [np.array([[q0 * c * ph]]), np.array([[q0 * c * (a - 1 / a) + 0j]])]]
+        Z = np.array([[0.0, q0 * c * np.conj(ph)],
+                      [q0 * c * ph, q0 * c * (a - 1 / a)]]).reshape(2, 2, 1, 1)
         return HermitianRep(N=2, Z=Z, interior=np.array([True]), q0=q0,
                             source={"kind": "char", "theta": theta, "c": c, "a": a},
                             rank=2, signature=(1, -1))
@@ -206,7 +220,7 @@ def n2_family(kind: str, D: int = 40, q0: float = 0.5, margin: int = 8, **params
     else:
         raise DomainError(f"unknown family kind {kind!r}")
     z, v, u = _shift_family(zs, T0, D0, q0)
-    Z = [[z, v.T], [v, u]]
+    Z = np.array([[z, v.T], [v, u]])
     rank = 2 if kind != "S_zero" else 1
     return HermitianRep(N=2, Z=Z, interior=interior, q0=q0, source=src,
                         rank=rank, signature=sig)
@@ -221,16 +235,13 @@ def eval_z_poly(p: NCPoly, rep: HermitianRep) -> np.ndarray:
     if p.algebra != "REA":
         raise DomainError("expected a Z-polynomial")
     dim = rep.dim
-    dtype = rep.Z[0][0].dtype
-    out = np.zeros((dim, dim), dtype=np.result_type(dtype, complex))
+    out = np.zeros((dim, dim), dtype=np.result_type(rep.Z.dtype, complex))
     for word, coeff in p.terms.items():
         blocks = [rep.block((code >> 10) & 0x3FF, code & 0x3FF) for code in word]
         M = blocks[0].astype(out.dtype) if blocks else np.eye(dim, dtype=out.dtype)
         for blk in blocks[1:]:
             M = M @ blk
         out += complex(coeff.eval(rep.q0)) * M
-    if p.qdenom:
-        out /= (rep.q0 - 1.0 / rep.q0) ** p.qdenom
     return out
 
 
@@ -253,15 +264,14 @@ def re_residual(rep: HermitianRep) -> float:
     # (Z2 R Z2 R)[(x, X), y] = sum Z_Xc R[(x, c), (v, f)] Z_fh R[(v, h), y]
     rhs = np.einsum("xcvf,vhyz,Xb->xXyzbcfh", R, R, one)
     coeff = (lhs - rhs).reshape(N * N, N * N, N, N, N, N)
-    Zs = np.array(rep.Z)
-    defect = np.einsum("xybcfh,bcik,fhkj->xyij", coeff, Zs, Zs[..., rep.interior],
+    defect = np.einsum("xybcfh,bcik,fhkj->xyij", coeff, rep.Z, rep.Z[..., rep.interior],
                        optimize=True)
     return np.linalg.norm(defect) / max(1.0, rep.znorm() ** 2)
 
 
 def selfadj_residual(rep: HermitianRep) -> float:
     """Relative residual of Z_ij - Z_ji^dagger on interior rows and columns."""
-    Zb = np.block(rep.Z)
+    Zb = rep.assembled()
     cols = np.tile(rep.interior, rep.N)
     return np.linalg.norm((Zb - Zb.conj().T)[np.ix_(cols, cols)]) / max(1.0, rep.znorm())
 
@@ -530,88 +540,53 @@ def op_minor_blocks(rep: HermitianRep, k: int):
 # adjoint transports
 
 
-def adjoint_transport_T(rep: HermitianRep, trep) -> HermitianRep:
-    """Transport Z -> T^dagger_13 Z_12 T_13 by a finite triangular rep."""
-    N = rep.N
-    if trep.N != N:
+def _check_transport(rep: HermitianRep, n: int, wdim: int):
+    if n != rep.N:
         raise DomainError("size mismatch between representation and transport")
-    newdim = rep.dim * trep.dim
-    if newdim > TRANSPORT_DIM_CAP:
-        raise DomainError(f"transport dimension {newdim} exceeds cap {TRANSPORT_DIM_CAP}")
-    blocks = [[None] * N for _ in range(N)]
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            M = np.zeros((newdim, newdim), dtype=complex)
-            for k in range(1, i + 1):
-                tki = np.asarray(trep.t_block(k, i), dtype=np.float64)
-                if not np.any(tki):
-                    continue
-                for l in range(1, j + 1):
-                    tlj = np.asarray(trep.t_block(l, j), dtype=np.float64)
-                    if not np.any(tlj):
-                        continue
-                    M = M + np.kron(rep.block(k, l), tki.T @ tlj)
-            blocks[i - 1][j - 1] = M
-    interior = np.kron(rep.interior, trep.interior).astype(bool)
+    if rep.dim * wdim > TRANSPORT_DIM_CAP:
+        raise DomainError(f"transport dimension {rep.dim * wdim} exceeds cap {TRANSPORT_DIM_CAP}")
+
+
+def _transport(rep: HermitianRep, W: np.ndarray, w_interior, kind: str) -> HermitianRep:
+    """Z'_ij = sum_kl Z_kl ox W_ki^dagger W_lj for an (N, N, m, m) block array W."""
+    N = rep.N
+    newdim = rep.dim * W.shape[-1]
+    C = np.einsum("kiba,ljbc->klijac", W.conj(), W).astype(complex)
+    Z = np.einsum("klab,klijcd->ijacbd", rep.Z, C)
     return HermitianRep(
-        N=N, Z=blocks, interior=interior, q0=rep.q0,
-        source={"kind": "transported_T", "parent": rep.source},
+        N=N, Z=Z.reshape(N, N, newdim, newdim),
+        interior=np.kron(rep.interior, w_interior).astype(bool), q0=rep.q0,
+        source={"kind": kind, "parent": rep.source},
         rank=rep.rank, signature=rep.signature,
     )
 
 
-def _check_corep_unitary(U, interior, tol):
-    n = len(U)
-    dim = U[0][0].shape[0]
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            acc = sum(U[k][i].conj().T @ U[k][j] for k in range(n))
-            want = np.eye(dim) if i == j else np.zeros((dim, dim))
-            worst = max(worst, float(np.linalg.norm((acc - want)[np.ix_(interior, interior)])))
-    if worst > tol:
-        raise BadCorep(f"transport matrix unitarity residual {worst:.2e} > {tol:.2e}")
-    return worst
+def adjoint_transport_T(rep: HermitianRep, trep) -> HermitianRep:
+    """Transport Z -> T^dagger_13 Z_12 T_13 by a finite triangular rep."""
+    _check_transport(rep, trep.N, trep.dim)
+    idx = range(1, rep.N + 1)
+    W = np.array([[trep.t_block(k, i) for i in idx] for k in idx], dtype=np.float64)
+    return _transport(rep, W, trep.interior, "transported_T")
 
 
 def adjoint_transport_U(rep: HermitianRep, U, u_interior=None, tol: float = 1e-9) -> HermitianRep:
     """Transport Z -> U^dagger_13 Z_12 U_13 by a unitary block corepresentation."""
-    N = rep.N
-    if len(U) != N:
-        raise DomainError("transport block matrix has wrong size")
-    udim = U[0][0].shape[0]
+    U = np.asarray(U)
+    _check_transport(rep, len(U), U.shape[-1])
     if u_interior is None:
-        u_interior = np.ones(udim, dtype=bool)
-    _check_corep_unitary(U, u_interior, tol)
-    newdim = rep.dim * udim
-    if newdim > TRANSPORT_DIM_CAP:
-        raise DomainError(f"transport dimension {newdim} exceeds cap {TRANSPORT_DIM_CAP}")
-    blocks = [[None] * N for _ in range(N)]
-    for i in range(N):
-        for j in range(N):
-            M = np.zeros((newdim, newdim), dtype=complex)
-            for k in range(N):
-                for l in range(N):
-                    if not (np.any(U[k][i]) and np.any(U[l][j]) and np.any(rep.Z[k][l])):
-                        continue
-                    M = M + np.kron(rep.Z[k][l], U[k][i].conj().T @ U[l][j])
-            blocks[i][j] = M
-    interior = np.kron(rep.interior, u_interior).astype(bool)
-    return HermitianRep(
-        N=N, Z=blocks, interior=interior, q0=rep.q0,
-        source={"kind": "transported_U", "parent": rep.source},
-        rank=rep.rank, signature=rep.signature,
-    )
+        u_interior = np.ones(U.shape[-1], dtype=bool)
+    # sum_k U_ki^dagger U_kj - delta_ij, on interior rows and columns
+    defect = (np.einsum("kiba,kjbc->ijac", U.conj(), U)
+              - np.eye(rep.N)[:, :, None, None] * np.eye(U.shape[-1]))
+    worst = float(np.linalg.norm(defect[:, :, u_interior][..., u_interior], axis=(2, 3)).max())
+    if worst > tol:
+        raise BadCorep(f"transport matrix unitarity residual {worst:.2e} > {tol:.2e}")
+    return _transport(rep, U, u_interior, "transported_U")
 
 
-def uchar_blocks(thetas) -> list:
+def uchar_blocks(thetas) -> np.ndarray:
     """Diagonal character of the unitary quantum group as 1x1 blocks."""
-    n = len(thetas)
-    return [
-        [np.array([[np.exp(2j * np.pi * thetas[k])]]) if k == i else np.zeros((1, 1))
-         for i in range(n)]
-        for k in range(n)
-    ]
+    return np.diag(np.exp(2j * np.pi * np.asarray(thetas, dtype=float)))[:, :, None, None]
 
 
 def suq2_corep_blocks(D: int, theta: float = 0.0, q0: float = 0.5):
@@ -657,7 +632,7 @@ def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> dict:
 
     # Cayley-Hamilton with the measured scalars, by Horner's rule on the
     # interior columns E of the assembled matrix
-    Zb = np.block(rep.Z)
+    Zb = rep.assembled()
     E = np.eye(N * rep.dim)[:, np.tile(rep.interior, N)]
     ch = E
     for k in range(1, N + 1):

@@ -19,10 +19,9 @@ Three algebras share one polynomial container:
   so a Z-polynomial is zero exactly when its image straightens to zero.
 
 Letters are packed ints; monomials are tuples of letters; a polynomial maps
-monomials to exact Laurent coefficients, together with a single cleared
-denominator (q - 1/q)^qdenom.  Straightening folds letters into an already
-normal polynomial one at a time, with a memo on (monomial, letter) pairs;
-the per-call rule budget guards against a broken rule set.
+monomials to exact Laurent coefficients.  Straightening folds letters into
+an already normal polynomial one at a time, with a memo on (monomial,
+letter) pairs; the per-call rule budget guards against a broken rule set.
 """
 
 from __future__ import annotations
@@ -143,14 +142,13 @@ class NCPoly:
     """Noncommutative polynomial over LaurentScalar coefficients.
 
     ``terms`` maps monomials (tuples of packed letters) to nonzero
-    coefficients; monomials are stored verbatim until straightened.  The
-    whole polynomial carries an overall factor (q - 1/q)^{-qdenom}, which
-    is the only denominator the displayed identities ever need.
+    Laurent-polynomial coefficients; monomials are stored verbatim until
+    straightened.
     """
 
-    __slots__ = ("algebra", "terms", "qdenom")
+    __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: str, terms=None, qdenom: int = 0):
+    def __init__(self, algebra: str, terms=None):
         self.algebra = algebra
         self.terms = {}
         if terms:
@@ -159,9 +157,6 @@ class NCPoly:
                     c = LaurentScalar.const(c)
                 if c:
                     self.terms[tuple(m)] = c
-        self.qdenom = qdenom
-        if qdenom and not self.terms:
-            self.qdenom = 0
 
     # -- constructors ----------------------------------------------------
 
@@ -201,20 +196,13 @@ class NCPoly:
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         self._check(other)
-        k = max(self.qdenom, other.qdenom)
-        fa = QQI ** (k - self.qdenom)
-        fb = QQI ** (k - other.qdenom)
-        out = {m: c * fa for m, c in self.terms.items()}
+        out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c * fb
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return NCPoly(self.algebra, out, k)
+            _acc(out, m, c)
+        return NCPoly(self.algebra, out)
 
     def __neg__(self):
-        return NCPoly(self.algebra, {m: -c for m, c in self.terms.items()}, self.qdenom)
+        return NCPoly(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -232,7 +220,7 @@ class NCPoly:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        return NCPoly(self.algebra, out, self.qdenom + other.qdenom)
+        return NCPoly(self.algebra, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, LaurentScalar)):
@@ -244,20 +232,7 @@ class NCPoly:
             s = LaurentScalar.const(s)
         if not s:
             return NCPoly(self.algebra)
-        return NCPoly(self.algebra, {m: c * s for m, c in self.terms.items()}, self.qdenom)
-
-    def with_qdenom_cleared(self) -> "NCPoly":
-        """Reduce qdenom by dividing all coefficients by (q - 1/q) while possible."""
-        p = self
-        while p.qdenom > 0:
-            divided = {}
-            for m, c in p.terms.items():
-                d = c.divide_exact(QQI)
-                if d is None:
-                    return p
-                divided[m] = d
-            p = NCPoly(p.algebra, divided, p.qdenom - 1)
-        return p
+        return NCPoly(self.algebra, {m: c * s for m, c in self.terms.items()})
 
     def star(self) -> "NCPoly":
         """The *-operation: reverses monomials, stars letters, conjugates."""
@@ -266,14 +241,14 @@ class NCPoly:
             for m, c in self.terms.items():
                 rm = tuple((((cd & 0x3FF) << 10) | (cd >> 10)) for cd in reversed(m))
                 out[rm] = c.conjugate()
-            return NCPoly("REA", out, self.qdenom)
+            return NCPoly("REA", out)
         if self.algebra != "TRI":
             raise AlgebraMismatch("star is defined for TRI and REA polynomials")
         out = {}
         for m, c in self.terms.items():
             rm = tuple(_star_letter(cd) for cd in reversed(m))
             out[rm] = c.conjugate()
-        return NCPoly("TRI", out, self.qdenom)
+        return NCPoly("TRI", out)
 
     # -- rendering ----------------------------------------------------------
 
@@ -298,26 +273,14 @@ class NCPoly:
                         parts.append(f"T*[{i},{j}]")
             mono = "*".join(parts) if parts else "1"
             names.append(f"({self.terms[m].render()})·{mono}")
-        head = " + ".join(names)
-        if self.qdenom:
-            return f"(q-q^-1)^-{self.qdenom} * [ {head} ]"
-        return head
+        return " + ".join(names)
 
     __repr__ = render
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        if self.algebra != other.algebra:
-            return False
-        a = self.with_qdenom_cleared()
-        b = other.with_qdenom_cleared()
-        if a.qdenom != b.qdenom:
-            # compare on the common denominator
-            k = max(a.qdenom, b.qdenom)
-            return (a.scale(QQI ** (k - a.qdenom)).terms
-                    == b.scale(QQI ** (k - b.qdenom)).terms)
-        return a.terms == b.terms
+        return self.algebra == other.algebra and self.terms == other.terms
 
 
 def _star_letter(code):
@@ -393,7 +356,7 @@ class _BaseSystem:
                 cur = nxt
             for m, c in cur.items():
                 _acc(out, m, coeff * c)
-        return NCPoly(self.algebra, out, p.qdenom)
+        return NCPoly(self.algebra, out)
 
 
 def _acc(d, m, c):
@@ -402,6 +365,27 @@ def _acc(d, m, c):
         d[m] = s
     else:
         d.pop(m, None)
+
+
+def _exchange(a, b, corner):
+    """The quantum-matrix exchange rule for an out-of-order pair of plain
+    letters a = X[i,j], b = X[k,l] (i > k, or i == k and j > l).
+
+    ``corner(i, l)`` is the letter X[i,l] of the correction term, or None
+    where that generator vanishes (below the diagonal of TRI).
+    """
+    i, j = (a >> 10) & 0x3FF, a & 0x3FF
+    k, l = (b >> 10) & 0x3FF, b & 0x3FF
+    if i == k or j == l:
+        return [(qpow(-1), (b, a))]
+    if j < l:  # commuting corner
+        return [(ONE, (b, a))]
+    # i > k, j > l: correction term X[k,j] X[i,l]
+    out = [(ONE, (b, a))]
+    t2 = corner(i, l)
+    if t2 is not None:
+        out.append((-QQI, (_plain(k, j), t2)))
+    return out
 
 
 class FrtSystem(_BaseSystem):
@@ -417,16 +401,7 @@ class FrtSystem(_BaseSystem):
         return a > b
 
     def _pair(self, a, b):
-        i, j = (a >> 10) & 0x3FF, a & 0x3FF
-        k, l = (b >> 10) & 0x3FF, b & 0x3FF
-        if i == k:  # same row, j > l
-            return [(qpow(-1), (b, a))]
-        if j == l:  # same column, i > k
-            return [(qpow(-1), (b, a))]
-        if j < l:  # i > k, j < l: commuting corner
-            return [(ONE, (b, a))]
-        # i > k, j > l
-        return [(ONE, (b, a)), (-QQI, (((k << 10) | j), ((i << 10) | l)))]
+        return _exchange(a, b, _plain)
 
 
 class TriSystem(_BaseSystem):
@@ -489,13 +464,13 @@ class TriSystem(_BaseSystem):
             s = 1 if (b & 0x3FF) == 0 else -1
             return [(qpow(s * ((i == k) - (i == l))), (b, a))]
         if za == _PLAIN and zb == _PLAIN:
-            return self._pair_plain(a, b)
+            return _exchange(a, b, self._plain_or_diag)
         if za == _STAR and zb == _STAR:
             # un-star, reuse the plain rule on the reversed pair, star back
             _, ai, aj = _decode(a)
             _, bi, bj = _decode(b)
             out = []
-            for coeff, repl in self._pair_plain(_plain(bi, bj), _plain(ai, aj)):
+            for coeff, repl in _exchange(_plain(bi, bj), _plain(ai, aj), self._plain_or_diag):
                 out.append((coeff, tuple(_star_letter(c) for c in reversed(repl))))
             return out
         # za == _STAR, zb == _PLAIN: the cross rules
@@ -515,20 +490,6 @@ class TriSystem(_BaseSystem):
         if i == j:
             return _diag(i, +1)
         return None
-
-    def _pair_plain(self, a, b):
-        i, j = (a >> 10) & 0x3FF, a & 0x3FF
-        k, l = (b >> 10) & 0x3FF, b & 0x3FF
-        if i == k or j == l:
-            return [(qpow(-1), (b, a))]
-        if j < l:
-            return [(ONE, (b, a))]
-        # i > k, j > l: correction term X[k,j] X[i,l], zero when i > l
-        out = [(ONE, (b, a))]
-        t2 = self._plain_or_diag(i, l)
-        if t2 is not None:
-            out.append((-QQI, (_plain(k, j), t2)))
-        return out
 
     def _pair_cross(self, a, b):
         _, l, i = _decode(a)    # T*[l, i] with l < i
@@ -583,7 +544,7 @@ class TriSystem(_BaseSystem):
     def hc_part(self, p: NCPoly) -> NCPoly:
         """Terms of a normal form supported on the diagonal zone only."""
         out = {m: c for m, c in p.terms.items() if all(_zone(g) == _DIAG for g in m)}
-        return NCPoly("TRI", out, p.qdenom)
+        return NCPoly("TRI", out)
 
     def eval_diagonal(self, p: NCPoly, weights, q0) -> complex:
         """Evaluate a purely diagonal normal form at T[i] -> q0^{weights[i-1]}."""
@@ -596,8 +557,6 @@ class TriSystem(_BaseSystem):
                     raise DomainError("nondiagonal term in eval_diagonal")
                 val *= float(q0) ** (s * float(weights[i - 1]))
             total += val
-        if p.qdenom:
-            total /= (float(q0) - 1.0 / float(q0)) ** p.qdenom
         return total
 
 
@@ -639,7 +598,7 @@ def embed_iT(p: NCPoly, eps, N: int | None = None, system: TriSystem | None = No
                         for m2, c2 in sys._rightmul(m1, t2).items():
                             _acc(nxt, m2, c * c1 * c2 * laurent(e))
             cur = nxt
-        out = out + NCPoly("TRI", cur, p.qdenom)
+        out = out + NCPoly("TRI", cur)
     return out
 
 
@@ -736,36 +695,29 @@ def _subset_pick(I, K):
     return picked, rest
 
 
-def laplace_row_defect(I, J, K, Kp) -> NCPoly:
-    """delta_{K,K'} X_{I,J} - sum_P (-q)^{wt(P)-wt(K)} X_{I_K,J_P} X_{I^{K'},J^P}."""
+def _laplace_defect(I, J, K, Kp, minor) -> NCPoly:
+    """delta_{K,K'} minor(I,J) - sum_P (-q)^{wt(P)-wt(K)} minor(I_K,J_P) minor(I^{K'},J^P)."""
     I, J, K, Kp = tuple(I), tuple(J), tuple(K), tuple(Kp)
-    k, l = len(I), len(K)
-    lhs = frt_minor(I, J) if K == Kp else NCPoly.zero("FRT")
-    out = lhs
-    for P in itertools.combinations(range(1, k + 1), l):
+    out = minor(I, J) if K == Kp else NCPoly.zero("FRT")
+    IK, _ = _subset_pick(I, K)
+    _, IrestKp = _subset_pick(I, Kp)
+    for P in itertools.combinations(range(1, len(I) + 1), len(K)):
         JP, JrestP = _subset_pick(J, P)
-        IK, _ = _subset_pick(I, K)
-        _, IrestKp = _subset_pick(I, Kp)
         e = sum(P) - sum(K)
         coeff = laurent((-1) ** e, e)
-        out = out - (frt_minor(IK, JP) * frt_minor(IrestKp, JrestP)).scale(coeff)
+        out = out - (minor(IK, JP) * minor(IrestKp, JrestP)).scale(coeff)
     return out
+
+
+def laplace_row_defect(I, J, K, Kp) -> NCPoly:
+    """delta_{K,K'} X_{I,J} - sum_P (-q)^{wt(P)-wt(K)} X_{I_K,J_P} X_{I^{K'},J^P}."""
+    return _laplace_defect(I, J, K, Kp, frt_minor)
 
 
 def laplace_column_defect(I, J, K, Kp) -> NCPoly:
     """delta_{K,K'} X_{I,J} - sum_P (-q)^{wt(P)-wt(K)} X_{I_P,J_K} X_{I^P,J^{K'}}."""
-    I, J, K, Kp = tuple(I), tuple(J), tuple(K), tuple(Kp)
-    k, l = len(I), len(K)
-    lhs = frt_minor(I, J) if K == Kp else NCPoly.zero("FRT")
-    out = lhs
-    for P in itertools.combinations(range(1, k + 1), l):
-        IP, IrestP = _subset_pick(I, P)
-        JK, _ = _subset_pick(J, K)
-        _, JrestKp = _subset_pick(J, Kp)
-        e = sum(P) - sum(K)
-        coeff = laurent((-1) ** e, e)
-        out = out - (frt_minor(IP, JK) * frt_minor(IrestP, JrestKp)).scale(coeff)
-    return out
+    # the row expansion with the roles of rows and columns exchanged
+    return _laplace_defect(J, I, K, Kp, lambda cols, rows: frt_minor(rows, cols))
 
 
 def rea_entrywise_defect(i: int, j: int, k: int, l: int, N: int) -> NCPoly:

@@ -8,14 +8,14 @@ finite sum ``sum_k c_k * q**k`` with integer exponents and nonzero exact
 coefficients, stored sparsely; it is the coefficient ring for all symbolic
 work in this package.
 
-Exact inverses exist only for monomials ``c*q**k``.  The single denominator
-``(q - 1/q)**k`` that the rewriting engines occasionally need is tracked
-explicitly on noncommutative polynomials (see ``ncalg``), never here.
+Exact inverses exist only for monomials ``c*q**k``; every coefficient the
+package needs, including that of the exchange rule, ``q - 1/q``, is a
+Laurent polynomial, so no denominator is ever carried.
 
 Numeric mode is plain Python/NumPy complex at a fixed ``0 < q0 < 1``.  The
 two modes never mix silently: arithmetic between a ``LaurentScalar`` and a
 float/complex raises :class:`~qrea.errors.ModeMismatch`, and the only exact
--> numeric bridge is :meth:`LaurentScalar.eval` / :func:`scalar_eval`.
+-> numeric bridge is :meth:`LaurentScalar.eval`.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ __all__ = [
     "QQI",
     "laurent",
     "qpow",
-    "scalar_arith",
-    "scalar_eval",
     "parse_laurent",
 ]
 
@@ -162,10 +160,6 @@ class LaurentScalar:
             return LaurentScalar({0: c}) if c else ZERO
         c = Fraction(c)
         return LaurentScalar({0: c}) if c else ZERO
-
-    @staticmethod
-    def monomial(c, k: int) -> "LaurentScalar":
-        return LaurentScalar({k: c})
 
     # -- structure ------------------------------------------------------
 
@@ -422,43 +416,6 @@ ZERO = LaurentScalar()
 ONE = LaurentScalar({0: Fraction(1)})
 Q = LaurentScalar({1: Fraction(1)})
 QINV = LaurentScalar({-1: Fraction(1)})
-# q - q^{-1}: the only non-monomial ever cleared through a denominator
+# q - q^{-1}, the coefficient of the quantum-matrix exchange rule
 QQI = LaurentScalar({1: Fraction(1), -1: Fraction(-1)})
 
-
-def _is_numeric(x):
-    return isinstance(x, (float, complex)) or (
-        isinstance(x, int) and not isinstance(x, bool)
-    )
-
-
-def scalar_arith(a, b, op: str):
-    """Mode-checked scalar arithmetic: op in {'add','mul','neg','inv'}.
-
-    Both operands must be exact (LaurentScalar) or both numeric
-    (int/float/complex); 'neg' and 'inv' ignore b.
-    """
-    a_exact = isinstance(a, LaurentScalar)
-    if op in ("neg", "inv"):
-        if a_exact:
-            return -a if op == "neg" else a.inv()
-        if _is_numeric(a):
-            if op == "neg":
-                return -a
-            if a == 0:
-                raise NonInvertible("numeric zero has no inverse")
-            return 1.0 / a
-        raise ModeMismatch(f"unsupported scalar {a!r}")
-    b_exact = isinstance(b, LaurentScalar)
-    if a_exact != b_exact:
-        raise ModeMismatch("operands are in different scalar modes")
-    if a_exact:
-        return a + b if op == "add" else a * b
-    if not (_is_numeric(a) and _is_numeric(b)):
-        raise ModeMismatch(f"unsupported scalars {a!r}, {b!r}")
-    return a + b if op == "add" else a * b
-
-
-def scalar_eval(a: LaurentScalar, q0):
-    """Evaluate an exact scalar at 0 < q0 < 1 (ring homomorphism to C)."""
-    return a.eval(q0)

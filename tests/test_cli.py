@@ -89,6 +89,15 @@ def test_usage_error():
                  "--r", "0.3,0.8"]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["rep-verify", "--n", "2", "--eps", "+,-", "--r", "1/0,1"],
+    ["classify-roots", "--roots", "1/0,1"],
+], ids=lambda args: args[0])
+def test_zero_denominator_is_usage_error(capsys, args):
+    assert main(args) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_module_entrypoint(tmp_path):
     out = tmp_path / "r.json"
     # Put this checkout's src first so the child imports it, installed or not.

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -318,6 +319,34 @@ def test_transport_dim_cap():
                              "t_block": lambda self, i, j: np.eye(3000)})()
     with pytest.raises(DomainError):
         adjoint_transport_T(rep, big_dim)
+
+
+@pytest.mark.parametrize("N,dim,m,seed", [(2, 3, 2, 5), (3, 4, 3, 6)])
+def test_transports_match_textbook_kron_sum(N, dim, m, seed):
+    """On random complex blocks, both transports equal the kron sum
+    Z'_ij = sum_kl Z_kl ox W_ki^dagger W_lj, for a triangular W and for a
+    unitary one, each with a mixed interior mask."""
+    rng = np.random.default_rng(seed)
+    Z = [[rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+          for _ in range(N)] for _ in range(N)]
+    rep = HermitianRep(N=N, Z=Z, interior=rng.permutation(dim) < (dim + 1) // 2, q0=Q0)
+    w_interior = rng.permutation(m) < (m + 1) // 2
+    T = [[rng.standard_normal((m, m)) if k <= i else np.zeros((m, m)) for i in range(N)]
+         for k in range(N)]
+    trep = SimpleNamespace(N=N, dim=m, interior=w_interior,
+                           t_block=lambda k, i: T[k - 1][i - 1])
+    Q, _ = np.linalg.qr(rng.standard_normal((N * m, N * m))
+                        + 1j * rng.standard_normal((N * m, N * m)))
+    U = [[Q[k * m:(k + 1) * m, i * m:(i + 1) * m] for i in range(N)] for k in range(N)]
+    for W, out in ((T, adjoint_transport_T(rep, trep)),
+                   (U, adjoint_transport_U(rep, U, w_interior))):
+        assert np.array_equal(out.interior, np.kron(rep.interior, w_interior))
+        for i in range(N):
+            for j in range(N):
+                want = sum(np.kron(Z[k][l], W[k][i].conj().T @ W[l][j])
+                           for k in range(N) for l in range(N))
+                assert np.linalg.norm(out.block(i + 1, j + 1) - want) \
+                    <= 1e-13 * np.linalg.norm(want), (i, j)
 
 
 def test_report_json():

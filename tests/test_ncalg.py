@@ -374,11 +374,6 @@ def test_render_deterministic():
     assert "Z[2,2]*Z[1,1]" in p.render()
 
 
-def test_qdenom_roundtrip():
-    p = NCPoly("TRI", {(Tplain(1, 2).code,): QQI}, qdenom=1)
-    assert p.with_qdenom_cleared() == NCPoly.word("TRI", (Tplain(1, 2),))
-
-
 def test_nontermination_guard():
     from qrea.errors import NonterminationGuard
 

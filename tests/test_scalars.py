@@ -17,8 +17,6 @@ from qrea.scalars import (
     laurent,
     parse_laurent,
     qpow,
-    scalar_arith,
-    scalar_eval,
     unimodular_point,
 )
 
@@ -43,13 +41,13 @@ def test_monomial_inverse():
 
 
 def test_eval_examples():
-    assert scalar_eval(qpow(-2), Fraction(1, 2)) == 4.0
-    assert scalar_eval(Q - QINV, 0.5) == -1.5
-    assert scalar_eval(ZERO, 0.3) == 0.0
+    assert qpow(-2).eval(Fraction(1, 2)) == 4.0
+    assert (Q - QINV).eval(0.5) == -1.5
+    assert ZERO.eval(0.3) == 0.0
     with pytest.raises(DomainError):
-        scalar_eval(Q, 1.5)
+        Q.eval(1.5)
     with pytest.raises(DomainError):
-        scalar_eval(Q, 0.0)
+        Q.eval(0.0)
 
 
 def test_mode_mismatch():
@@ -57,11 +55,6 @@ def test_mode_mismatch():
         Q + 0.5
     with pytest.raises(ModeMismatch):
         0.5 * Q
-    with pytest.raises(ModeMismatch):
-        scalar_arith(Q, 1.0 + 0j, "add")
-    assert scalar_arith(2.0, 3.0, "mul") == 6.0
-    assert scalar_arith(Q, QINV, "mul") == ONE
-    assert scalar_arith(Q, None, "inv") == QINV
 
 
 def test_pow_and_div():

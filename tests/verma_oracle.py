@@ -50,7 +50,6 @@ class Verma:
     def apply_poly(self, p, vec):
         q0 = self.q0
         out = np.zeros(self.dim, dtype=complex)
-        qd = (q0 - 1 / q0) ** p.qdenom
         for bidx, amp in enumerate(vec):
             if amp == 0:
                 continue
@@ -77,7 +76,7 @@ class Verma:
                     for t in range(N):
                         if diagv[t]:
                             val *= q0 ** (diagv[t] * self.r[t])
-                    out[self.index[key]] += amp * val / qd
+                    out[self.index[key]] += amp * val
         return out
 
     def op_matrix(self, p):
