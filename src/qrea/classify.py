@@ -232,7 +232,8 @@ def reflection_defect_exact(Zmat, N: int):
                 v = Zmat[(b, d)]
                 if v:
                     Z2[(a * N + b, a * N + d)] = v
-    return R @ Z2 @ R @ Z2 - Z2 @ R @ Z2 @ R
+    RZ2, Z2R = R @ Z2, Z2 @ R
+    return RZ2 @ RZ2 - Z2R @ Z2R
 
 
 # ---------------------------------------------------------------------------

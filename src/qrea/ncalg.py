@@ -1,8 +1,8 @@
 """Noncommutative polynomials and straightening engines.
 
-Polynomials are immutable once constructed.  The rewriting systems keep a
-memo table and a per-call rule counter as mutable state, so one system
-must not straighten from two threads at once.
+Polynomials are immutable once constructed.  The rewriting systems keep
+memo tables and a rule counter as mutable state, so one system must not
+straighten from two threads at once.
 
 Three algebras share one polynomial container:
 
@@ -17,6 +17,9 @@ Three algebras share one polynomial container:
       Z[i,j] -> sum over rows m <= min(i,j) of eps_[m] T[m,i]* T[m,j],
 
   so a Z-polynomial is zero exactly when its image straightens to zero.
+  The map is a homomorphism: the image of a Z-word is the memoised image
+  of its longest proper prefix times the image of its last letter, on one
+  system per (N, eps) that lives as long as the process.
 
 Letters are packed ints; monomials are tuples of letters; a polynomial maps
 monomials to exact Laurent coefficients.  Straightening folds letters into
@@ -424,6 +427,7 @@ class TriSystem(_BaseSystem):
         if len(eps) != N:
             raise DomainError("eps longer than N")
         self.eps = eps
+        self._images = {(): {(): ONE}}
 
     def eps_interval(self, lo: int, hi: int) -> Fraction:
         return _eps_interval(self.eps, lo, hi)
@@ -539,6 +543,34 @@ class TriSystem(_BaseSystem):
             out.append((one_minus_q2, (t1, t2)))
         return out
 
+    # -- the embedding of the Z generators ----------------------------------
+
+    def z_image(self, word) -> dict:
+        """TRI normal form (monomial -> coefficient; do not mutate) of the
+        image of a Z-word: the image of its longest proper prefix times the
+        image of its last letter.  Prefix images are memoised; a word's own
+        image is kept only once asked for as a prefix, because keeping every
+        whole word's image raises the N=4 suite's peak memory by two thirds
+        for no gain in speed."""
+        img = self._images.get(word)
+        if img is not None:
+            return img
+        head = self._images[word[:-1]] = self.z_image(word[:-1])
+        i, j = (word[-1] >> 10) & 0x3FF, word[-1] & 0x3FF
+        letter = []
+        for m in range(1, min(i, j) + 1):
+            e = self.eps_leading(m)
+            if e:
+                letter.append((self._star_or_diag(m, i), self._plain_or_diag(m, j), laurent(e)))
+        img = {}
+        for mono, c in head.items():
+            for t1, t2, e in letter:
+                ce = c * e
+                for m1, c1 in self._rightmul(mono, t1).items():
+                    for m2, c2 in self._rightmul(m1, t2).items():
+                        _acc(img, m2, ce * c1 * c2)
+        return img
+
     # -- normal-form helpers ------------------------------------------------
 
     def hc_part(self, p: NCPoly) -> NCPoly:
@@ -564,11 +596,12 @@ class TriSystem(_BaseSystem):
 # the Cholesky-type embedding and the zero test
 
 
-def embed_iT(p: NCPoly, eps, N: int | None = None, system: TriSystem | None = None) -> NCPoly:
+def embed_iT(p: NCPoly, eps, N: int | None = None) -> NCPoly:
     """Image of a Z-polynomial in the deformed triangular algebra, straightened.
 
     Each Z[i,j] becomes  sum_{m <= min(i,j)} eps_[m] T[m,i]* T[m,j]  with
-    eps zero-padded to length N; the result is the TRI normal form.
+    eps zero-padded to length N; the result is the TRI normal form.  The
+    word images are memoised on one system per (N, eps).
     """
     if p.algebra != "REA":
         raise AlgebraMismatch("embed_iT expects a Z-polynomial")
@@ -580,37 +613,25 @@ def embed_iT(p: NCPoly, eps, N: int | None = None, system: TriSystem | None = No
         N = max(N, len(eps), 1)
     if len(eps) > N:
         raise DomainError("eps longer than N")
-    sys = system if system is not None else TriSystem(N, eps)
-    out = NCPoly.zero("TRI")
+    key = (N, tuple(Fraction(e) for e in eps) + (Fraction(0),) * (N - len(eps)))
+    sys = _ZERO_TEST_SYSTEMS.get(key)
+    if sys is None:
+        sys = _ZERO_TEST_SYSTEMS[key] = TriSystem(N, key[1])
+    out = {}
     for word, coeff in p.terms.items():
-        cur = {(): coeff}
-        for code in word:
-            i, j = (code >> 10) & 0x3FF, code & 0x3FF
-            nxt = {}
-            for mono, c in cur.items():
-                for m in range(1, min(i, j) + 1):
-                    e = sys.eps_leading(m)
-                    if not e:
-                        continue
-                    t1 = sys._star_or_diag(m, i)
-                    t2 = sys._plain_or_diag(m, j)
-                    for m1, c1 in sys._rightmul(mono, t1).items():
-                        for m2, c2 in sys._rightmul(m1, t2).items():
-                            _acc(nxt, m2, c * c1 * c2 * laurent(e))
-            cur = nxt
-        out = out + NCPoly("TRI", cur)
-    return out
+        for mono, c in sys.z_image(word).items():
+            _acc(out, mono, coeff * c)
+    return NCPoly("TRI", out)
 
 
-_ZERO_TEST_SYSTEMS: dict[int, TriSystem] = {}
+# one system per (N, zero-padded eps); each keeps its straightening memo and
+# its word images for the life of the process
+_ZERO_TEST_SYSTEMS: dict[tuple, TriSystem] = {}
 
 
 def is_zero_rea(p: NCPoly, N: int) -> bool:
     """Sound zero test for Z-polynomials through the injective embedding."""
-    sys = _ZERO_TEST_SYSTEMS.get(N)
-    if sys is None:
-        sys = _ZERO_TEST_SYSTEMS[N] = TriSystem(N, (1,) * N)
-    return embed_iT(p, (1,) * N, N, system=sys).is_zero()
+    return embed_iT(p, (1,) * N, N).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""Exact coefficient arithmetic: rationals, Laurent polynomials in q, and
-evaluation into floating point.
+"""Exact coefficient arithmetic: integers and rationals, Laurent polynomials
+in q, and evaluation into floating point.
 
-Rationals are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms, positive denominator).  ``GaussRational`` adjoins an exact imaginary
-part where unimodular phases are needed.  A :class:`LaurentScalar` is a
-finite sum ``sum_k c_k * q**k`` with integer exponents and nonzero exact
-coefficients, stored sparsely; it is the coefficient ring for all symbolic
-work in this package.
+A :class:`LaurentScalar` is a finite sum ``sum_k c_k * q**k`` with integer
+exponents and nonzero exact coefficients, stored sparsely; it is the
+coefficient ring for all symbolic work in this package.  A coefficient is
+an ``int`` when it is integral (nearly every coefficient of the
+straightening rules is) and a ``fractions.Fraction`` (arbitrary precision,
+lowest terms, positive denominator) otherwise: the two forms of one number
+compare and hash equal, so the choice is invisible except in speed.
+``GaussRational`` adjoins an exact imaginary part where unimodular phases
+are needed.
 
 Exact inverses exist only for monomials ``c*q**k``; every coefficient the
 package needs, including that of the exchange rule, ``q - 1/q``, is a
@@ -130,6 +133,13 @@ def unimodular_point(t) -> GaussRational:
 _COEF_TYPES = (int, Fraction, GaussRational)
 
 
+def _clean(c):
+    """An exact coefficient in stored form: an integral rational as int."""
+    if c.__class__ is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    return int(c) if isinstance(c, int) else c
+
+
 class LaurentScalar:
     """Sparse exact Laurent polynomial in q.
 
@@ -148,9 +158,18 @@ class LaurentScalar:
                 if not isinstance(c, _COEF_TYPES):
                     c = Fraction(c)
                 if c:
-                    clean[int(k)] = Fraction(c) if isinstance(c, int) else c
+                    clean[int(k)] = _clean(c)
         self.terms = clean
         self._hash = None
+
+    @staticmethod
+    def _of(terms) -> "LaurentScalar":
+        """Wrap a dict that is already clean: int exponents, nonzero
+        coefficients in stored form."""
+        out = object.__new__(LaurentScalar)
+        out.terms = terms
+        out._hash = None
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -201,15 +220,15 @@ class LaurentScalar:
         for k, c in other.terms.items():
             s = out.get(k, 0) + c
             if s:
-                out[k] = s
+                out[k] = s if s.__class__ is int else _clean(s)
             else:
                 out.pop(k, None)
-        return LaurentScalar(out)
+        return LaurentScalar._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentScalar({k: -c for k, c in self.terms.items()})
+        return LaurentScalar._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -238,7 +257,10 @@ class LaurentScalar:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        return LaurentScalar(out)
+        for k, s in out.items():
+            if s.__class__ is not int:
+                out[k] = _clean(s)
+        return LaurentScalar._of(out)
 
     __rmul__ = __mul__
 
@@ -280,8 +302,10 @@ class LaurentScalar:
         adeg, ddeg = self.degree(), divisor.degree()
         if adeg - av < ddeg - dv:
             return None
-        num = [self.terms.get(k, Fraction(0)) for k in range(av, adeg + 1)]
-        den = [divisor.terms.get(k, Fraction(0)) for k in range(dv, ddeg + 1)]
+        # int coefficients become Fractions: int / int would be a float
+        num = [self.terms.get(k, 0) for k in range(av, adeg + 1)]
+        num = [Fraction(c) if c.__class__ is int else c for c in num]
+        den = [divisor.terms.get(k, 0) for k in range(dv, ddeg + 1)]
         qlen = len(num) - len(den) + 1
         quot = [Fraction(0)] * qlen
         for i in range(qlen - 1, -1, -1):
@@ -409,13 +433,13 @@ def laurent(c=1, k: int = 0) -> LaurentScalar:
 
 
 def qpow(k: int) -> LaurentScalar:
-    return LaurentScalar({k: Fraction(1)})
+    return LaurentScalar({k: 1})
 
 
 ZERO = LaurentScalar()
-ONE = LaurentScalar({0: Fraction(1)})
-Q = LaurentScalar({1: Fraction(1)})
-QINV = LaurentScalar({-1: Fraction(1)})
+ONE = LaurentScalar({0: 1})
+Q = LaurentScalar({1: 1})
+QINV = LaurentScalar({-1: 1})
 # q - q^{-1}, the coefficient of the quantum-matrix exchange rule
-QQI = LaurentScalar({1: Fraction(1), -1: Fraction(-1)})
+QQI = LaurentScalar({1: 1, -1: -1})
 

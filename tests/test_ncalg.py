@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qrea import ncalg
 from qrea.errors import AlgebraMismatch, DomainError
 from qrea.ncalg import (
     FrtSystem,
@@ -27,7 +28,7 @@ from qrea.ncalg import (
     quantum_trace_Z,
     rea_entrywise_defect,
 )
-from qrea.scalars import QQI, laurent, qpow
+from qrea.scalars import QQI, ZERO, laurent, qpow
 
 
 def P(g):
@@ -232,6 +233,65 @@ def test_embed_signs():
     assert e == TriSystem(2, (1, 0)).straighten(
         NCPoly.word("TRI", (Tstar(1, 2), Tplain(1, 2)))
     )
+
+
+def _embed_letter_by_letter(p, eps, N):
+    """Reference embedding: each word expanded letter by letter on a fresh
+    system, with no memo of word images."""
+    ts = TriSystem(N, eps)
+    out = {}
+    for word, coeff in p.terms.items():
+        cur = {(): coeff}
+        for code in word:
+            i, j = (code >> 10) & 0x3FF, code & 0x3FF
+            nxt = {}
+            for mono, c in cur.items():
+                for m in range(1, min(i, j) + 1):
+                    e = ts.eps_leading(m)
+                    if not e:
+                        continue
+                    for m1, c1 in ts._rightmul(mono, ts._star_or_diag(m, i)).items():
+                        for m2, c2 in ts._rightmul(m1, ts._plain_or_diag(m, j)).items():
+                            nxt[m2] = nxt.get(m2, ZERO) + c * c1 * c2 * laurent(e)
+            cur = nxt
+        for mono, c in cur.items():
+            out[mono] = out.get(mono, ZERO) + c
+    return NCPoly("TRI", out)
+
+
+def _random_z_poly(rng, N, max_len):
+    """A few words, some extending others, with random Laurent coefficients."""
+    gens = [Z(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+    words = [[]]
+    for _ in range(rng.randint(1, 4)):
+        base = rng.choice(words)
+        ext = [rng.choice(gens) for _ in range(rng.randint(1, max_len - len(base)))] \
+            if len(base) < max_len else []
+        words.append(base + ext)
+    p = NCPoly.zero("REA")
+    for w in words:
+        coeff = laurent(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)), rng.randint(-2, 2))
+        p = p + NCPoly.word("REA", w, coeff)
+    return p
+
+
+@pytest.mark.parametrize("N, eps, max_len", [
+    (2, (1, -1), 4), (2, (-1,), 4), (2, (0, 1), 3),
+    (3, (1, -1, 0), 3), (3, (-1, 1), 3), (3, (1, 0, -1), 3),
+])
+def test_memoised_embedding_matches_letter_by_letter(monkeypatch, N, eps, max_len):
+    rng = random.Random(f"embed:{N}:{eps}")
+    shared = {}
+    for _ in range(8):
+        p = _random_z_poly(rng, N, max_len)
+        want = _embed_letter_by_letter(p, eps, N)
+        monkeypatch.setattr(ncalg, "_ZERO_TEST_SYSTEMS", shared)
+        warm = embed_iT(p, eps, N)
+        monkeypatch.setattr(ncalg, "_ZERO_TEST_SYSTEMS", {})
+        fresh = embed_iT(p, eps, N)
+        assert warm == want and fresh == want, p
+    (ts,) = shared.values()
+    assert len(ts._images) > 1  # the shared system really served word images
 
 
 def test_is_zero_rea_basics():

@@ -70,6 +70,38 @@ def test_divide_exact():
     assert ZERO.divide_exact(QQI) == ZERO
 
 
+def test_integral_coefficients_are_ints():
+    half = laurent(Fraction(1, 2))
+    results = [
+        LaurentScalar({0: Fraction(4, 2), 1: 3}),
+        half + half,
+        laurent(Fraction(3, 2), 1) - laurent(Fraction(1, 2), 1),
+        laurent(Fraction(2, 3)) * laurent(Fraction(3, 2), 1),
+        QQI * QQI - ONE,
+        -QQI,
+    ]
+    for s in results:
+        assert s.terms and all(type(c) is int for c in s.terms.values()), s.terms
+
+
+def test_divide_exact_stays_rational():
+    p = ONE + laurent(2, 1)
+    half = p.divide_exact(LaurentScalar.const(2))
+    assert half.terms == {0: Fraction(1, 2), 1: 1}
+    assert [type(c) for _, c in sorted(half.terms.items())] == [Fraction, int]
+    # 1/3 is not a float, so a float quotient would show here (1/2 would not)
+    third = p.divide_exact(LaurentScalar.const(3))
+    assert third == laurent(Fraction(1, 3)) + laurent(Fraction(2, 3), 1)
+    assert not any(isinstance(c, float) for s in (half, third) for c in s.terms.values())
+
+
+def test_int_and_fraction_forms_agree():
+    as_int = LaurentScalar({-2: 3, 0: -1, 1: Fraction(1, 2)})
+    as_fraction = LaurentScalar._of({-2: Fraction(3), 0: Fraction(-1), 1: Fraction(1, 2)})
+    assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
+    assert as_int.render() == as_fraction.render() == "3*q^-2 - 1 + 1/2*q"
+
+
 scalars = st.builds(
     lambda pairs: LaurentScalar({k: Fraction(n, d) for (k, n, d) in pairs}),
     st.lists(
