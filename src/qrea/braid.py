@@ -58,16 +58,19 @@ class QMat:
         else:
             self.entries.pop(ij, None)
 
-    def __add__(self, other):
+    def _entrywise(self, other, op) -> "QMat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DomainError("shape mismatch")
         out = QMat(self.rows, self.cols, dict(self.entries))
         for ij, v in other.entries.items():
-            out[ij] = out[ij] + v
+            out[ij] = op(out[ij], v)
         return out
 
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other):
-        return self + other.scale(laurent(-1))
+        return self._entrywise(other, operator.sub)
 
     def scale(self, s: LaurentScalar) -> "QMat":
         return QMat(self.rows, self.cols, {ij: v * s for ij, v in self.entries.items()})

@@ -222,18 +222,43 @@ def star_character_exact(p: CharacterParams, N: int):
     return M.scale(laurent(c))
 
 
+# R-hat by N, built once per process; only ever read (QMat is mutable).
+_RHAT = {}
+
+
+def _denominator(c) -> int:
+    """Least common denominator of an exact coefficient's parts."""
+    if isinstance(c, GaussRational):
+        return math.lcm(c.re.denominator, c.im.denominator)
+    return c.denominator
+
+
 def reflection_defect_exact(Zmat, N: int):
-    """R Z2 R Z2 - Z2 R Z2 R for a scalar-entry matrix, exactly."""
-    R, _ = build_rhat(N)
+    """R Z2 R Z2 - Z2 R Z2 R for a scalar-entry matrix, exactly.
+
+    The products run on Gaussian integers: with d the least common
+    denominator of every coefficient of ``Zmat``, they are taken on d*Z.
+    The defect is homogeneous of degree 2 in Z and R has integer
+    coefficients, so the defect of d*Z is d^2 times that of Z; a nonzero
+    result is scaled back by 1/d^2.
+    """
+    R = _RHAT.get(N)
+    if R is None:
+        R = _RHAT[N] = build_rhat(N)[0]
+    d = math.lcm(1, *(_denominator(c) for v in Zmat.entries.values() for c in v.terms.values()))
+    dZ = Zmat.scale(laurent(d))
     Z2 = QMat(N * N, N * N)
     for a in range(N):
         for b in range(N):
-            for d in range(N):
-                v = Zmat[(b, d)]
+            for e in range(N):
+                v = dZ[(b, e)]
                 if v:
-                    Z2[(a * N + b, a * N + d)] = v
+                    Z2[(a * N + b, a * N + e)] = v
     RZ2, Z2R = R @ Z2, Z2 @ R
-    return RZ2 @ RZ2 - Z2R @ Z2R
+    defect = RZ2 @ RZ2 - Z2R @ Z2R
+    if d == 1 or defect.is_zero():
+        return defect
+    return defect.scale(laurent(Fraction(1, d * d)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .classify import (
     rmod1_equal,
     star_character_exact,
 )
-from .errors import QreaError
+from .errors import DomainError, QreaError
 from .gtrep import (
     HWModuleSpec,
     build_hw_module,
@@ -215,6 +215,8 @@ def cmd_classify_roots(args):
 
 
 def cmd_characters(args):
+    if args.n < 2 or args.samples < 1:
+        raise DomainError("characters needs --n >= 2 and --samples >= 1")
     rng = np.random.default_rng(args.seed)
     findings = []
     count = 0

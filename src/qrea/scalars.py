@@ -9,7 +9,7 @@ straightening rules is) and a ``fractions.Fraction`` (arbitrary precision,
 lowest terms, positive denominator) otherwise: the two forms of one number
 compare and hash equal, so the choice is invisible except in speed.
 ``GaussRational`` adjoins an exact imaginary part where unimodular phases
-are needed.
+are needed; each of its two parts follows the same int-or-Fraction rule.
 
 Exact inverses exist only for monomials ``c*q**k``; every coefficient the
 package needs, including that of the exchange rule, ``q - 1/q``, is a
@@ -42,22 +42,36 @@ __all__ = [
 ]
 
 
+def _part(x):
+    """A real part in stored form: an int when integral, else a Fraction."""
+    if x.__class__ is int:
+        return x
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _gauss(re_part, im_part):
     """Normalize to Fraction when the imaginary part vanishes."""
-    im_part = Fraction(im_part)
-    if im_part == 0:
+    if not im_part:
         return Fraction(re_part)
     return GaussRational(re_part, im_part)
 
 
 class GaussRational:
-    """Exact complex rational a + b*i; collapses to Fraction when b == 0."""
+    """Exact complex rational a + b*i; collapses to Fraction when b == 0.
+
+    Each part is stored like a Laurent coefficient: an ``int`` when it is
+    integral, else a ``Fraction``, so Gaussian-integer arithmetic never
+    builds a Fraction.  Division goes through ``Fraction``, so it stays
+    exact (int / int would be a float).
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re_part, im_part):
-        self.re = Fraction(re_part)
-        self.im = Fraction(im_part)
+        self.re = _part(re_part)
+        self.im = _part(im_part)
 
     def conjugate(self):
         return _gauss(self.re, -self.im)
@@ -94,10 +108,10 @@ class GaussRational:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _gauss(self.re / other, self.im / other)
+            return _gauss(Fraction(self.re, other), Fraction(self.im, other))
         if isinstance(other, GaussRational):
             n = other.re * other.re + other.im * other.im
-            return self * GaussRational(other.re / n, -other.im / n)
+            return self * GaussRational(Fraction(other.re, n), Fraction(-other.im, n))
         return NotImplemented
 
     def __eq__(self, other):

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qrea.braid import QMat, build_rhat
 from qrea.classify import (
     CharacterParams,
     admissible_roots,
@@ -17,7 +19,7 @@ from qrea.classify import (
     star_character_exact,
 )
 from qrea.errors import DomainError, NotAdmissible, SignMismatch
-from qrea.scalars import unimodular_point
+from qrea.scalars import GaussRational, laurent, unimodular_point
 
 Q0 = 0.5
 
@@ -126,6 +128,65 @@ def test_star_character_exact_reflection_equation():
                 p = CharacterParams(k=k, l=l, a=Fraction(3, 2), c=Fraction(-2, 5), y=y)
                 Z = star_character_exact(p, N)
                 assert reflection_defect_exact(Z, N).is_zero(), (N, k, l)
+
+
+def _random_coefficient(rng):
+    num, den = rng.randint(-9, 9), rng.randint(1, 9)
+    if rng.random() < 0.4:
+        return GaussRational(Fraction(num, den), Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    return Fraction(num, den)
+
+
+def _random_z(rng, N, density):
+    """A seeded exact N x N matrix with rational, Gaussian-rational and q^1
+    entries, some of them q-polynomials."""
+    Z = QMat(N, N)
+    for i in range(N):
+        for j in range(N):
+            if rng.random() < density:
+                Z[(i, j)] = sum((laurent(_random_coefficient(rng), k) for k in (0, 1)
+                                 if rng.random() < 0.7), laurent(0))
+    return Z
+
+
+def _character(rng, N):
+    k = rng.randint(0, N - 1)
+    l = rng.randint(0, (N - k) // 2)
+    y = tuple(unimodular_point(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+              for _ in range(l))
+    p = CharacterParams(k=k, l=l, a=Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                        c=Fraction(rng.randint(1, 9), rng.randint(1, 9)), y=y)
+    return star_character_exact(p, N)
+
+
+def _perturbed(rng, Z, N):
+    """Z plus a random exact term in one entry, redrawn until the sum is no
+    longer a solution (some terms keep it one: diag(0, a) + x E_12 is)."""
+    while True:
+        out = QMat(N, N, Z.entries)
+        ij = (rng.randrange(N), rng.randrange(N))
+        out[ij] = out[ij] + laurent(_random_coefficient(rng), rng.choice((0, 1)))
+        if not _textbook_defect(out, N).is_zero():
+            return out
+
+
+def _textbook_defect(Z, N):
+    R, _ = build_rhat(N)
+    Z2 = QMat.eye(N).kron(Z)
+    return R @ Z2 @ R @ Z2 - Z2 @ R @ Z2 @ R
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_reflection_defect_matches_textbook(N):
+    """The defect on cleared denominators, scaled back, is the defect of Z:
+    on characters, perturbed characters and random exact matrices."""
+    rng = random.Random(1000 + N)
+    characters = [_character(rng, N) for _ in range(3)]
+    perturbed = [_perturbed(rng, Z, N) for Z in characters]
+    others = [_random_z(rng, N, density) for density in (0.5, 1.0)]
+    for Z in characters + perturbed + others:
+        assert reflection_defect_exact(Z, N) == _textbook_defect(Z, N)
+    assert all(_textbook_defect(Z, N).is_zero() for Z in characters)
 
 
 def test_emitters():

@@ -65,6 +65,14 @@ def test_characters_cmd(tmp_path):
     assert doc["pass"]
 
 
+@pytest.mark.parametrize("args", [["--n", "1"], ["--samples", "0"], ["--samples", "-1"]],
+                         ids=lambda args: "".join(args))
+def test_characters_needs_a_check(capsys, args):
+    assert main(["characters", *args]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
 def test_sweep_deterministic(tmp_path):
     code1, doc1 = run_cli(["sweep", "--n", "2", "--cells", "12", "--seed", "7",
                            "--depth", "6"], tmp_path, "a.json")

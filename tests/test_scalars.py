@@ -102,6 +102,35 @@ def test_int_and_fraction_forms_agree():
     assert as_int.render() == as_fraction.render() == "3*q^-2 - 1 + 1/2*q"
 
 
+def test_gauss_division_stays_exact():
+    z = GaussRational(1, 1)
+    assert type(z.re) is int and type(z.im) is int
+    third = z / 3
+    assert (third.re, third.im) == (Fraction(1, 3), Fraction(1, 3))
+    assert z / Fraction(2, 3) == GaussRational(Fraction(3, 2), Fraction(3, 2))
+    assert z / GaussRational(1, 2) == GaussRational(Fraction(3, 5), Fraction(-1, 5))
+    assert GaussRational(4, 6) / 2 == GaussRational(2, 3)
+    inv = laurent(GaussRational(1, 2), 3).inv()
+    assert inv == laurent(GaussRational(Fraction(1, 5), Fraction(-2, 5)), -3)
+    assert inv * laurent(GaussRational(1, 2), 3) == ONE
+    parts = [p for s in (third, inv.terms[-3]) for p in (s.re, s.im)]
+    assert all(type(p) is Fraction for p in parts), parts
+
+
+def test_gauss_int_and_fraction_parts_agree():
+    as_int = GaussRational(Fraction(6, 3), -3)
+    assert type(as_int.re) is int and type(as_int.im) is int
+    as_fraction = GaussRational(0, 1)
+    as_fraction.re, as_fraction.im = Fraction(2), Fraction(-3)
+    assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
+    half = laurent(Fraction(1, 2))
+    a, b = laurent(as_int, 1) + half, laurent(as_fraction, 1) + half
+    assert a == b and hash(a) == hash(b)
+    assert a.render() == b.render() == "1/2 + (2-3i)*q"
+    assert repr(as_int) == repr(as_fraction) == "(2-3i)"
+    assert laurent(GaussRational(1, 1) / 2).render() == "(1/2+1/2i)"
+
+
 scalars = st.builds(
     lambda pairs: LaurentScalar({k: Fraction(n, d) for (k, n, d) in pairs}),
     st.lists(
