@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -37,9 +36,8 @@ from .gtrep import (
     HWModuleSpec,
     build_hw_module,
     eps_adapted,
-    gt_norm_sign,
+    gt_norm_signs,
     hw_module_to_json,
-    patterns,
     scaling_trep,
     vector_trep,
 )
@@ -47,6 +45,7 @@ from .hrep import (
     adjoint_transport_T,
     adjoint_transport_U,
     build_bigcell_rep,
+    sigma_scalars,
     spectral_components,
     spectral_data,
     suq2_corep_blocks,
@@ -162,7 +161,8 @@ def cmd_rep_build(args):
 
 
 def _rep_findings(rep, tol):
-    rpt = verify_rep(rep, tol)
+    sigma = sigma_scalars(rep)
+    rpt = verify_rep(rep, tol, sigma)
     findings = [
         {"name": f["name"], "ok": f["ok"],
          "residual": float(f["residual"]) if f.get("residual") is not None else None}
@@ -170,7 +170,7 @@ def _rep_findings(rep, tol):
     ]
     extra = {}
     try:
-        roots, sig, ext, rank = spectral_data(rep)
+        roots, sig, ext, rank = spectral_data(rep, sigma=sigma)
         extra = {
             "roots": [float(x) for x in roots],
             "signature": list(sig),
@@ -280,36 +280,25 @@ def cmd_transport(args):
     return emit_report(inputs, findings, args.q, args.out)
 
 
-def _sweep_cell(cell):
-    n, eps, r, deg, q0 = cell
-    spec = HWModuleSpec(N=n, eps=eps, r=r, D=deg, q0=q0)
-    adapted = eps_adapted(r, eps)
-    signs = [gt_norm_sign(P, spec) for P in patterns(n, deg)]
-    nonneg = all(s >= 0 for s in signs)
-    return {
-        "name": f"cell[eps={','.join(map(str, eps))};r={','.join(map(str, r))}]",
-        "ok": nonneg == adapted,
-        "residual": None,
-        "detail": f"adapted={adapted} all_nonneg={nonneg}",
-    }
-
-
 def cmd_sweep(args):
     rng = np.random.default_rng(args.seed)
     # weights are sampled within [-L, L] with L tied to the depth, so that
     # a non-adapted cell always shows a negative norm inside the window
     L = max(1, (args.depth - args.n) // 2)
-    cells = []
+    findings = []
     for _ in range(args.cells):
         eps = tuple(int(rng.choice([-1, 1])) for _ in range(args.n))
         dens = [int(rng.integers(1, 5)) for _ in range(args.n)]
         r = tuple(Fraction(int(rng.integers(-L * d, L * d + 1)), d) for d in dens)
-        cells.append((args.n, eps, r, args.depth, args.q))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            findings = list(pool.map(_sweep_cell, cells))
-    else:
-        findings = [_sweep_cell(c) for c in cells]
+        spec = HWModuleSpec(N=args.n, eps=eps, r=r, D=args.depth, q0=args.q)
+        adapted = eps_adapted(r, eps)
+        nonneg = bool((gt_norm_signs(spec) >= 0).all())
+        findings.append({
+            "name": f"cell[eps={','.join(map(str, eps))};r={','.join(map(str, r))}]",
+            "ok": nonneg == adapted,
+            "residual": None,
+            "detail": f"adapted={adapted} all_nonneg={nonneg}",
+        })
     n_adapted = sum(1 for f in findings if "adapted=True" in f["detail"])
     return emit_report({"command": "sweep", "n": args.n, "cells": args.cells,
                         "seed": args.seed, "depth": args.depth,
@@ -376,7 +365,6 @@ def build_parser():
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--cells", type=int, default=100)
     sp.add_argument("--depth", type=int, default=8)
-    sp.add_argument("--jobs", type=int, default=1)
     common(sp)
     sp.set_defaults(fn=cmd_sweep)
 

@@ -36,6 +36,11 @@ class TruncationTooSmall(QreaError, ValueError):
     """The truncation degree cannot accommodate the requested interior margin."""
 
 
+class PrecisionLoss(QreaError, ArithmeticError):
+    """A computed value cannot be trusted to the working precision, or it
+    leaves the float64 range where it must be written as a float."""
+
+
 class NotFactorial(QreaError, ValueError):
     """Central elements do not act as scalars to tolerance."""
 

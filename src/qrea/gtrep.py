@@ -11,6 +11,13 @@ by the kernel of the invariant form).  All operator matrices are expressed
 in the orthonormalized basis, so the raising operators are exactly the
 adjoints of the lowering ones.
 
+Every exponent of q is a fixed rational per slot plus an integer linear
+form in the pattern entries, held exactly as an integer in units of
+1/(2 lcm of the denominators of r).  The basis and every sign of c_P are
+integer comparisons on those exponents, made for all patterns at once; the
+values (norms, ladder coefficients, the T blocks as sparse nonzeros) are
+``decimal`` numbers, computed for the kept patterns only.
+
 Conventions fixed here (the two displays that feed them admit more than one
 reading; these are the ones under which the defining relations hold, which
 we verify in the test suite against an independent Verma-module oracle):
@@ -25,13 +32,15 @@ we verify in the test suite against an independent Verma-module oracle):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
 from .braid import _eps_interval
-from .errors import DomainError, NegativeNorm, TruncationTooSmall
+from .errors import DomainError, NegativeNorm, PrecisionLoss, TruncationTooSmall
 
 __all__ = [
     "GTPattern",
@@ -42,6 +51,7 @@ __all__ = [
     "patterns",
     "gt_norm",
     "gt_norm_sign",
+    "gt_norm_signs",
     "build_hw_module",
     "suq2_rep",
     "vector_trep",
@@ -52,36 +62,50 @@ __all__ = [
 GTPattern = tuple  # tuple of rows, row k (1-based) has length k
 
 
-def pattern_total(P: GTPattern) -> int:
-    return sum(sum(row) for row in P)
+def _slot(i: int, k: int) -> int:
+    """Position of P_{i,k} (1 <= i <= k <= N-1) in a flattened pattern."""
+    return k * (k - 1) // 2 + i - 1
+
+
+def _as_pattern(flat, N: int) -> GTPattern:
+    return tuple(tuple(flat[_slot(1, k):_slot(1, k) + k]) for k in range(1, N))
+
+
+def _flat(P: GTPattern) -> list:
+    return [x for row in P for x in row]
+
+
+def _pattern_array(N: int, D: int) -> np.ndarray:
+    """Flattened patterns of size N and total degree <= D as the rows of an
+    int array, shells ascending and lexicographic within a shell."""
+    A = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([D])
+    for _ in range(N * (N - 1) // 2):
+        counts = left + 1
+        parent = np.repeat(np.arange(len(A)), counts)
+        value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        A = np.column_stack([A[parent], value])
+        left = left[parent] - value
+    return A[np.argsort(A.sum(axis=1), kind="stable")]
 
 
 def patterns(N: int, D: int):
     """All patterns for size N with total degree <= D, shells ascending."""
-    slots = [(i, k) for k in range(1, N) for i in range(1, k + 1)]
-    out = []
-
-    def rec(idx, left, acc):
-        if idx == len(slots):
-            rows, t = [], 0
-            for k in range(1, N):
-                rows.append(tuple(acc[t:t + k]))
-                t += k
-            out.append(tuple(rows))
-            return
-        for v in range(left + 1):
-            rec(idx + 1, left - v, acc + [v])
-
-    rec(0, D, [])
-    out.sort(key=lambda P: (pattern_total(P), P))
-    return out
+    return [_as_pattern(P, N) for P in _pattern_array(N, D).tolist()]
 
 
-def _getP(P: GTPattern, i: int, k: int) -> int:
-    """Entry P_{i,k} (1 <= i <= k <= N-1), zero outside the triangle."""
-    if 1 <= i <= k <= len(P):
-        return P[k - 1][i - 1]
-    return 0
+def _tails(X, N: int):
+    """S[row][start] = sum of P_{row,l} over max(row, start) <= l <= N-1.
+
+    X[_slot(i, k)] is one pattern's entry P_{i,k}, or a column of entries
+    over many patterns; the sums are then columns too.  Rows and starts run
+    up to N, where the sums are empty.
+    """
+    S = [[0] * (N + 2) for _ in range(N + 2)]
+    for row in range(1, N):
+        for start in range(N - 1, 0, -1):
+            S[row][start] = S[row][start + 1] + (X[_slot(row, start)] if start >= row else 0)
+    return S
 
 
 def eps_adapted(r, eps) -> bool:
@@ -149,143 +173,177 @@ class HWModuleSpec:
         return self.r + (Fraction(1),) * (self.N - self.M)
 
 
-def _poch(sign: int, e: Fraction, m: int, q0):
-    """(sign * q^{2e}; q^2)_m with exact zero/sign bookkeeping.
+def _units(spec: HWModuleSpec):
+    """(L2, R): L2 = 2 lcm of the denominators of r, and R = r * L2.
 
-    Returns (value, sgn) where sgn in {-1, 0, 1} is the exact sign.
-    q0 may be any numpy-compatible scalar; extended precision is used for
-    module builds, where downstream cancellations magnify entry errors.
+    Every exponent of q in a module is an integer multiple of 1/L2 (the
+    factor 2 covers the half powers of K), so it is held exactly as that
+    integer.
     """
-    one = q0 / q0
-    val = one
-    sgn = 1
-    for t in range(m):
-        et = e + t
-        if sign == 1 and et == 0:
-            return 0.0 * one, 0
-        f = one - sign * q0 ** (2.0 * float(et))
-        if sign == 1 and et < 0:
-            sgn = -sgn
-        val = val * f
-    return val, sgn
+    L2 = 2 * math.lcm(*(x.denominator for x in spec.r_padded))
+    return L2, [int(x * L2) for x in spec.r_padded]
 
 
-def _norm_parts(P: GTPattern, spec: HWModuleSpec, q0=None):
-    N = spec.N
-    if q0 is None:
-        q0 = spec.q0
-    r = spec.r_padded
-    eps = spec.eps_padded
-    one = q0 / q0
-    pref = one
-    tau = one
-    sgn = 1
-    # prefactor c'_P
+def _norm_terms(X, spec: HWModuleSpec, R):
+    """The q-Pochhammer factors of c_P: for each slot (i, k) and i <= j <= k,
+    m = P_{i,k} and two triples (sigma, c, n) standing for the factor
+    (sigma q^{2e}; q^2)_m with e = c / L2 + n."""
+    N, eps = spec.N, spec.eps_padded
+    S = _tails(X, N)
     for k in range(1, N):
         for i in range(1, k + 1):
+            m = X[_slot(i, k)]
             for j in range(i, k + 1):
-                Pik = _getP(P, i, k)
-                if Pik == 0:
-                    continue
-                E = (r[j - 1] + j - r[i - 1] - i) \
-                    + sum(_getP(P, j, l) - _getP(P, i, l) for l in range(k, N)) \
-                    + (r[j] + j + 1 - r[i - 1] - i) \
-                    + sum(_getP(P, j + 1, l) - _getP(P, i, l) for l in range(k + 1, N))
-                pref = pref * (one / q0 - q0) ** (-2 * Pik) * q0 ** (-Pik * float(E))
-    # Pochhammer part
-    for k in range(1, N):
-        for i in range(1, k + 1):
-            for j in range(i, k + 1):
-                Pik = _getP(P, i, k)
-                if Pik == 0:
-                    continue
-                e1 = (r[j - 1] - r[i - 1]) + (j - i + 1) \
-                    + sum(_getP(P, j, l) - _getP(P, i, l) for l in range(k, N))
-                v, s = _poch(_eps_interval(eps, i, j), e1, Pik, q0)
-                tau = tau * v
-                sgn *= s
-                if sgn == 0:
-                    return 0.0 * one, 0
-                e2 = (r[j] - r[i - 1]) + (j - i + 1) - Pik \
-                    + sum(_getP(P, j + 1, l) - _getP(P, i, l) for l in range(k + 1, N))
-                v, s = _poch(_eps_interval(eps, i, j + 1), e2, Pik, q0)
-                tau = tau * v
-                sgn *= s
-                if sgn == 0:
-                    return 0.0 * one, 0
-    return tau * pref, sgn
+                n1 = (j - i + 1) + S[j][k] - S[i][k]
+                n2 = (j - i + 1) - m + S[j + 1][k + 1] - S[i][k + 1]
+                yield m, ((_eps_interval(eps, i, j), R[j - 1] - R[i - 1], n1),
+                          (_eps_interval(eps, i, j + 1), R[j] - R[i - 1], n2))
+
+
+def _signs(A: np.ndarray, spec: HWModuleSpec) -> np.ndarray:
+    """Exact signs of c_P for the flattened patterns in the rows of A.
+
+    A factor 1 - sigma q^{2(e+t)}, t < m, is zero exactly when sigma = 1 and
+    e + t = 0, and negative exactly when sigma = 1 and e + t < 0; with
+    e = c / L2 + n both are integer comparisons on floor(c / L2) + n.
+    """
+    L2, R = _units(spec)
+    neg = np.zeros(len(A), dtype=np.int64)
+    zero = np.zeros(len(A), dtype=bool)
+    for m, factors in _norm_terms(A.T, spec, R):
+        for sigma, c, n in factors:
+            if sigma != 1:
+                continue
+            lo = c // L2 + n  # floor(e): e + t < 0 exactly when t < -lo
+            neg += np.clip(-lo, 0, m)
+            if c % L2 == 0:
+                zero |= (lo <= 0) & (lo > -m)
+    return np.where(zero, 0, np.where(neg % 2, -1, 1))
+
+
+def _precision(spec: HWModuleSpec) -> int:
+    """Decimal digits for a build.  The sums Z = T^T E T cancel summands of
+    up to about q^{-2(D + max|r| + N)} down to a bounded operator, so that
+    many digits are lost; 20 more are kept."""
+    rmax = max(abs(x) for x in spec.r_padded)
+    return math.ceil(2 * (spec.D + float(rmax) + spec.N) * math.log10(1 / spec.q0)) + 20
+
+
+class _Numbers:
+    """The closed forms of one module, evaluated in ``decimal``.
+
+    Call the methods inside ``localcontext(self.context)``.  Exponents are
+    exact integers in units of 1/L2 (see ``_units``); each distinct power
+    q^x is computed once, as an integer power of q times exp(f ln q) for
+    the fractional part f of x.
+    """
+
+    def __init__(self, spec: HWModuleSpec):
+        self.spec = spec
+        self.L2, self.R = _units(spec)
+        self.context = Context(prec=_precision(spec), Emax=MAX_EMAX, Emin=MIN_EMIN)
+        self._powers = {}
+        with localcontext(self.context):
+            self.q = q = Decimal(spec.q0)
+            self.lnq = q.ln()
+            self.qdiff = q - 1 / q
+            self.gap = 1 / self.qdiff ** 2
+
+    def power(self, u: int) -> Decimal:
+        """q^(u / L2), as q^n times exp(a ln q / L2) with u = n L2 + a, 0 <= a < L2."""
+        v = self._powers.get(u)
+        if v is None:
+            n, a = divmod(u, self.L2)
+            if n:
+                v = self.q ** n * self.power(a)
+            else:
+                v = (a * self.lnq / self.L2).exp()
+            self._powers[u] = v
+        return v
+
+    def norm(self, P) -> Decimal:
+        """Squared norm c_P of a flattened pattern: a product of q-Pochhammer
+        factors and the prefactor (q^{-1} - q)^{-2m} q^{-m E}, E = e1 + e2 + m - 1."""
+        L2, val, u, mtot = self.L2, Decimal(1), 0, 0
+        for m, factors in _norm_terms(P, self.spec, self.R):
+            if not m:
+                continue
+            es = [c + n * L2 for _, c, n in factors]
+            for (sigma, _, _), e in zip(factors, es):
+                if sigma:
+                    for t in range(m):
+                        val *= 1 - sigma * self.power(2 * (e + t * L2))
+            u -= m * (es[0] + es[1] + (m - 1) * L2)
+            mtot += m
+        return val * self.power(u) * self.gap ** mtot
+
+    def raising(self, P, j: int, i: int) -> Decimal:
+        """Coefficient of the raising operator e_i moving one box out of P_{j,i}.
+
+        Product form with numerator tail sums starting at level i+1 and
+        denominator tail sums starting at level i.  Exactly-zero numerator
+        brackets make the coefficient vanish; a vanishing denominator bracket
+        would be a pole and aborts (it cannot occur on positive-norm patterns).
+        """
+        L2, R, eps = self.L2, self.R, self.spec.eps_padded
+        S = _tails(P, self.spec.N)
+
+        def bracket(k, start):
+            """[x]_e = (e q^x - q^{-x})/(q - q^{-1}) for k <= j and
+            [x]^e = (q^x - e q^{-x})/(q - q^{-1}) for k > j; None where it
+            vanishes exactly (e = 1, x = 0)."""
+            x = R[j - 1] - R[k - 1] + ((j - k) - S[k][start] + S[j][i]) * L2
+            e = _eps_interval(eps, min(j, k), max(j, k))
+            if e == 1 and x == 0:
+                return None
+            a, b = self.power(x), self.power(-x)
+            return ((a - e * b) if k > j else (e * a - b)) / self.qdiff
+
+        out = Decimal(-1)
+        for k in range(1, i + 2):
+            f = bracket(k, i + 1)
+            if f is None:
+                return Decimal(0)
+            out *= f
+        for k in range(1, i + 1):
+            if k != j:
+                d = bracket(k, i)
+                if d is None:
+                    raise DomainError(f"coefficient pole at P={_as_pattern(P, self.spec.N)}, "
+                                      f"(j,i)=({j},{i})")
+                out /= d
+        return out
+
+    def kexp(self, P, i: int) -> int:
+        """K_i = q^{-r_i + sum_{j<i} P_{j,i-1} - sum_l P_{i,l}} on P, exponent times L2."""
+        n = sum(P[_slot(j, i - 1)] for j in range(1, i)) - _tails(P, self.spec.N)[i][i]
+        return -self.R[i - 1] + n * self.L2
 
 
 def gt_norm(P: GTPattern, spec: HWModuleSpec) -> float:
     """Squared norm c_P of the basis vector labeled by P."""
-    val, sgn = _norm_parts(P, spec)
-    return 0.0 if sgn == 0 else float(val)
+    num = _Numbers(spec)
+    with localcontext(num.context):
+        c = num.norm(_flat(P))
+    return float(c) if c else 0.0  # an exact zero, never -0.0
 
 
 def gt_norm_sign(P: GTPattern, spec: HWModuleSpec) -> int:
     """Exact sign of c_P (the prefactor is positive, so only the
     Pochhammer factors contribute)."""
-    return _norm_parts(P, spec)[1]
+    return int(_signs(np.array(_flat(P), dtype=np.int64).reshape(1, -1), spec)[0])
 
 
-def _qbracket_sub(x: Fraction, e: int, q0):
-    """[x]_e = (e q^x - q^{-x})/(q - q^{-1}); zero detection is exact."""
-    if e == 1 and x == 0:
-        return None
-    return (e * q0 ** float(x) - q0 ** (-float(x))) / (q0 - 1.0 / q0)
+def gt_norm_signs(spec: HWModuleSpec) -> np.ndarray:
+    """Exact signs of c_P for every pattern of ``patterns(spec.N, spec.D)``."""
+    return _signs(_pattern_array(spec.N, spec.D), spec)
 
 
-def _qbracket_sup(x: Fraction, e: int, q0):
-    """[x]^e = (q^x - e q^{-x})/(q - q^{-1}); zero detection is exact."""
-    if e == 1 and x == 0:
-        return None
-    return (q0 ** float(x) - e * q0 ** (-float(x))) / (q0 - 1.0 / q0)
-
-
-def _raising_coeff(P: GTPattern, j: int, i: int, spec: HWModuleSpec, q0=None):
-    """Coefficient of the raising operator e_i moving one box out of P_{j,i}.
-
-    Product form with numerator tail sums starting at level i+1 and
-    denominator tail sums starting at level i.  Exactly-zero numerator
-    brackets make the coefficient vanish; a vanishing denominator bracket
-    would be a pole and aborts (it cannot occur on positive-norm patterns).
-    """
-    N = spec.N
-    if q0 is None:
-        q0 = spec.q0
-    r = spec.r_padded
-    eps = spec.eps_padded
-
-    def tail(row, start):
-        return sum(_getP(P, row, l) for l in range(start, N))
-
-    base_j = tail(j, i)
-    out = -(q0 / q0)
-    for k in range(1, j + 1):
-        x = (r[j - 1] - r[k - 1]) + (j - k) - tail(k, i + 1) + base_j
-        f = _qbracket_sub(x, _eps_interval(eps, k, j), q0)
-        if f is None:
-            return 0.0
-        out = out * f
-    for k in range(j + 1, i + 2):
-        x = (r[j - 1] - r[k - 1]) + (j - k) - tail(k, i + 1) + base_j
-        f = _qbracket_sup(x, _eps_interval(eps, j, k), q0)
-        if f is None:
-            return 0.0
-        out = out * f
-    for k in range(1, j):
-        x = (r[j - 1] - r[k - 1]) + (j - k) - tail(k, i) + base_j
-        d = _qbracket_sub(x, _eps_interval(eps, k, j), q0)
-        if d is None:
-            raise DomainError(f"coefficient pole at P={P}, (j,i)=({j},{i})")
-        out = out / d
-    for k in range(j + 1, i + 1):
-        x = (r[j - 1] - r[k - 1]) + (j - k) - tail(k, i) + base_j
-        d = _qbracket_sup(x, _eps_interval(eps, j, k), q0)
-        if d is None:
-            raise DomainError(f"coefficient pole at P={P}, (j,i)=({j},{i})")
-        out = out / d
-    return out
+def _raising_coeff(P: GTPattern, j: int, i: int, spec: HWModuleSpec) -> float:
+    """Coefficient of e_i moving one box out of P_{j,i} (see ``_Numbers.raising``)."""
+    num = _Numbers(spec)
+    with localcontext(num.context):
+        return float(num.raising(_flat(P), j, i))
 
 
 def _move_up(P: GTPattern, j: int, i: int):
@@ -301,36 +359,46 @@ def _move_up(P: GTPattern, j: int, i: int):
     return tuple(tuple(row) for row in rows)
 
 
-def _k_exponent(P: GTPattern, i: int, spec: HWModuleSpec) -> Fraction:
-    """K_i eigenvalue exponent: K_i = q^{-r_i + sum_{j<i} P_{j,i-1} - sum_l P_{i,l}}."""
-    r = spec.r_padded
-    e = -r[i - 1]
-    e += sum(_getP(P, j, i - 1) for j in range(1, i))
-    e -= sum(_getP(P, i, l) for l in range(i, spec.N))
-    return e
+def _dense(rows) -> np.ndarray:
+    """A sparse matrix held as a list of rows {column: value}, as float64."""
+    M = np.zeros((len(rows), len(rows)))
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            M[r, c] = v
+    return M
+
+
+def _matmul(A, B):
+    """Product of two sparse matrices held as lists of rows {column: value}."""
+    out = []
+    for row in A:
+        acc = {}
+        for k, a in row.items():
+            for c, b in B[k].items():
+                acc[c] = acc.get(c, 0) + a * b
+        out.append(acc)
+    return out
 
 
 @dataclass
 class HWModule:
     """A built module: orthonormal basis, norms, and operator matrices.
 
-    ``e[i]``/``f[i]`` (0-based lists) are the rescaled raising/lowering
-    operators with f = e^T; ``K``/``Khalf`` are diagonal weight operators;
-    ``Tdiag[i]`` are the diagonal generators (positive), and ``Tup[(i,j)]``
-    the strictly upper ones.  ``interior`` marks basis vectors at least
-    ``interior_margin`` below the truncation cap.
+    ``tri[(i, j)]`` (i <= j) is T[i,j] and ``lower[i - 1]`` the lowering
+    operator f_i, each a list of rows {column: Decimal} holding the
+    nonzeros, computed in ``context``; ``norms`` are the Decimal squared norms
+    c_P.  The float64 views ``t_block``, ``Tdiag``, ``K``, ``e`` and
+    ``f = e^T`` are formed on demand.  ``interior`` marks basis vectors at
+    least ``interior_margin`` below the truncation cap.
     """
 
     spec: HWModuleSpec
     basis: list
-    norms: np.ndarray
+    norms: list
     index: dict
-    K: list
-    Khalf: list
-    e: list
-    f: list
-    Tdiag: list
-    Tup: dict
+    tri: dict
+    lower: list
+    context: Context
     interior: np.ndarray
     interior_margin: int
     finite: bool = False
@@ -347,101 +415,103 @@ class HWModule:
         """Matrix of T[i,j] (i <= j); zero below the diagonal."""
         if i > j:
             return np.zeros((self.dim, self.dim))
-        if i == j:
-            return np.diag(self.Tdiag[i - 1])
-        return self.Tup[(i, j)]
+        return _dense(self.tri[(i, j)])
+
+    @property
+    def Tdiag(self) -> list:
+        """Eigenvalues of the diagonal generators T[i,i] (positive)."""
+        return [np.array([float(row[t]) for t, row in enumerate(self.tri[(i, i)])])
+                for i in range(1, self.N + 1)]
+
+    @property
+    def K(self) -> list:
+        return [1.0 / t for t in self.Tdiag]
+
+    @property
+    def f(self) -> list:
+        return [_dense(rows) for rows in self.lower]
+
+    @property
+    def e(self) -> list:
+        return [M.T for M in self.f]
 
     def highest_weight_index(self) -> int:
         zero = tuple(tuple([0] * k) for k in range(1, self.N))
         return self.index[zero]
 
 
-def build_hw_module(spec: HWModuleSpec, margin: int | None = None,
-                    unitary: bool = True) -> HWModule:
+def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
     """Construct the truncated module with orthonormalized operator matrices.
 
-    In unitary mode the weight must be adapted to eps; otherwise negative
-    norms abort the build.  ``margin`` controls the interior predicate
-    (default 4N); D < margin is an error since no interior vector exists.
+    The weight must be adapted to eps, and a negative norm aborts the build.
+    ``margin`` controls the interior predicate (default 4N); D < margin is an
+    error since no interior vector exists.
     """
-    N, D, q0 = spec.N, spec.D, spec.q0
+    N, D = spec.N, spec.D
     if margin is None:
         margin = 4 * N
     if D < margin:
         raise TruncationTooSmall(f"D={D} < interior margin {margin}")
-    if unitary and not eps_adapted(spec.r, spec.eps):
+    if not eps_adapted(spec.r, spec.eps):
         raise NegativeNorm(
             f"weight {spec.r} is not adapted to eps={spec.eps}; no unitary module"
         )
 
-    # Build entirely in extended precision: for mixed signs the ladder and
-    # chain entries grow like q^{-shell}, and the operators assembled from
-    # them cancel that growth, so entry errors get magnified by q^{-2 shell}.
-    ld = np.longdouble
-    q0l = ld(q0)
-
-    basis, norms = [], []
-    for P in patterns(N, D):
-        val, sgn = _norm_parts(P, spec, q0=q0l)
-        if sgn < 0:
-            if unitary:
-                raise NegativeNorm(f"negative norm at pattern {P}")
-            continue
-        if sgn == 0:
-            continue
-        basis.append(P)
-        norms.append(val)
-    norms = np.array(norms, dtype=ld)
+    # The basis and every sign come from integer comparisons.  The values
+    # are Decimals at the precision the cancellation in Z = T^T E T needs
+    # (``_precision``): for mixed signs the ladder and chain entries grow like
+    # q^{-shell}, and Z cancels that growth.
+    A = _pattern_array(N, D)
+    signs = _signs(A, spec)
+    if (signs < 0).any():
+        P = _as_pattern(A[np.argmax(signs < 0)].tolist(), N)
+        raise NegativeNorm(f"negative norm at pattern {P}")
+    kept = A[signs > 0]
+    interior = kept.sum(axis=1) <= D - margin
+    kept = kept.tolist()
+    basis = [_as_pattern(P, N) for P in kept]
     index = {P: t for t, P in enumerate(basis)}
     dim = len(basis)
 
-    kexp = np.zeros((N, dim), dtype=ld)
-    for t, P in enumerate(basis):
-        for i in range(1, N + 1):
-            kexp[i - 1, t] = float(_k_exponent(P, i, spec))
-    K = [q0l ** kexp[i] for i in range(N)]
-    Khalf = [q0l ** ((kexp[i] - kexp[i + 1]) / 2.0) for i in range(N - 1)]
+    num = _Numbers(spec)
+    with localcontext(num.context):
+        norms = [num.norm(P) for P in kept]
+        ku = [[num.kexp(P, i) for P in kept] for i in range(1, N + 1)]
+        lower = []
+        for i in range(1, N):
+            rows = [{} for _ in range(dim)]
+            for t, P in enumerate(basis):
+                for j in range(1, i + 1):
+                    Pout = _move_up(P, j, i)
+                    tt = None if Pout is None else index.get(Pout)
+                    if tt is not None:
+                        a = num.raising(kept[t], j, i)
+                        if a:
+                            rows[t][tt] = a * (norms[tt] / norms[t]).sqrt()
+            lower.append(rows)
 
-    e_ops = []
-    for i in range(1, N):
-        M = np.zeros((dim, dim), dtype=ld)
-        for t, P in enumerate(basis):
-            for j in range(1, i + 1):
-                Pout = _move_up(P, j, i)
-                if Pout is None:
-                    continue
-                tt = index.get(Pout)
-                if tt is None:
-                    continue
-                a = _raising_coeff(P, j, i, spec, q0=q0l)
-                if a:
-                    M[tt, t] += a * np.sqrt(norms[tt] / norms[t])
-        e_ops.append(M)
-    f_ops = [M.T.copy() for M in e_ops]
-
-    Tdiag = [q0l ** (-kexp[i]) for i in range(N)]
-
-    Tup = {}
-    qm = 1.0 / q0l - q0l
-    for i in range(1, N):
-        # T[i,i+1] = (q^{-1}-q) q^{1/2} f_i Khat_i^{-1/2} K_{i+1}^{-1};
-        # the diagonal factors act first, i.e. scale columns
-        Tup[(i, i + 1)] = qm * np.sqrt(q0l) * (
-            f_ops[i - 1] * (1.0 / Khalf[i - 1])[None, :] * (1.0 / K[i])[None, :]
-        )
-    for j_span in range(2, N):
-        for i in range(1, N - j_span + 1):
-            j = i + j_span
-            A = Tup[(i, i + 1)] @ Tup[(i + 1, j)] - Tup[(i + 1, j)] @ Tup[(i, i + 1)]
-            Tup[(i, j)] = (A / (q0l - 1.0 / q0l)) * (1.0 / Tdiag[i])[None, :]
-
-    totals = np.array([pattern_total(P) for P in basis])
-    interior = totals <= D - margin
+        # T[i,i] = K_i^{-1}; T[i,i+1] = (q^{-1}-q) q^{1/2} f_i Khat_i^{-1/2} K_{i+1}^{-1},
+        # the diagonal factors acting first (they scale columns); then
+        # T[i,j] = [T[i,i+1], T[i+1,j]] / (q - q^{-1}) K_{i+1}
+        tri = {(i, i): [{t: num.power(-ku[i - 1][t])} for t in range(dim)]
+               for i in range(1, N + 1)}
+        for i in range(1, N):
+            s = [-num.qdiff * num.power((num.L2 - ku[i - 1][c] - ku[i][c]) // 2)
+                 for c in range(dim)]
+            tri[(i, i + 1)] = [{c: v * s[c] for c, v in row.items()} for row in lower[i - 1]]
+        for span in range(2, N):
+            for i in range(1, N - span + 1):
+                A1, A2 = tri[(i, i + 1)], tri[(i + 1, i + span)]
+                s = [num.power(ku[i][c]) / num.qdiff for c in range(dim)]
+                rows = []
+                for ab, ba in zip(_matmul(A1, A2), _matmul(A2, A1)):
+                    row = {c: (ab.get(c, 0) - ba.get(c, 0)) * s[c] for c in ab.keys() | ba.keys()}
+                    rows.append({c: v for c, v in row.items() if v})
+                tri[(i, i + span)] = rows
 
     return HWModule(
-        spec=spec, basis=basis, norms=norms, index=index,
-        K=K, Khalf=Khalf, e=e_ops, f=f_ops,
-        Tdiag=Tdiag, Tup=Tup, interior=interior, interior_margin=margin,
+        spec=spec, basis=basis, norms=norms, index=index, tri=tri, lower=lower,
+        context=num.context, interior=interior, interior_margin=margin,
     )
 
 
@@ -455,20 +525,15 @@ def detect_finite(spec: HWModuleSpec, margin_shells: int = 2):
     Returns the module restricted to the nonzero shells with interior =
     everything, or None if no fully-zero shell occurs within D.
     """
-    N, D = spec.N, spec.D
-    by_shell = {}
-    for P in patterns(N, D):
-        by_shell.setdefault(pattern_total(P), []).append(P)
-    cutoff = None
-    for s in range(D + 1):
-        if all(gt_norm_sign(P, spec) == 0 for P in by_shell.get(s, [])):
-            cutoff = s
-            break
-    if cutoff is None:
+    A = _pattern_array(spec.N, spec.D)
+    nonzero = _signs(A, spec) != 0
+    totals = A.sum(axis=1)
+    live = [bool(nonzero[totals == s].any()) for s in range(spec.D + 1)]
+    if all(live):
         return None
-    for s in range(cutoff, min(D, cutoff + margin_shells) + 1):
-        if any(gt_norm_sign(P, spec) != 0 for P in by_shell.get(s, [])):
-            raise DomainError("norm support is not shell-convex; not a finite module")
+    cutoff = live.index(False)
+    if any(live[cutoff:cutoff + margin_shells + 1]):
+        raise DomainError("norm support is not shell-convex; not a finite module")
     mod = build_hw_module(HWModuleSpec(N=spec.N, eps=spec.eps, r=spec.r,
                                        D=cutoff, q0=spec.q0), margin=0)
     mod.interior = np.ones(mod.dim, dtype=bool)
@@ -547,12 +612,22 @@ def suq2_rep(D: int, theta: float = 0.0, q0: float = 0.5):
 
 
 def hw_module_to_json(mod: HWModule) -> str:
-    """Serialize spec, basis, and operator matrices (row-major re/im pairs)."""
+    """Serialize spec, basis, and operator matrices (row-major re/im pairs).
 
-    def mat(M):
-        M = np.asarray(M, dtype=complex)
-        return [[[float(x.real), float(x.imag)] for x in row] for row in M]
+    Raises PrecisionLoss if a norm or an operator entry is not a finite
+    float64, so that the dump stays strict JSON.
+    """
 
+    def mat(name, M):
+        if not np.isfinite(M).all():
+            raise PrecisionLoss(f"operator {name} has entries beyond the float64 range")
+        return [[[x, 0.0] for x in row] for row in M.tolist()]
+
+    norms = []
+    for P, c in zip(mod.basis, mod.norms):
+        norms.append(float(c))
+        if not math.isfinite(norms[-1]):
+            raise PrecisionLoss(f"norm {c:.6e} of pattern {P} is beyond the float64 range")
     spec = mod.spec
     doc = {
         "spec": {
@@ -564,12 +639,12 @@ def hw_module_to_json(mod: HWModule) -> str:
         },
         "interior_margin": mod.interior_margin,
         "basis": [[list(row) for row in P] for P in mod.basis],
-        "norms": [float(x) for x in mod.norms],
+        "norms": norms,
         "ops": {
-            **{f"T{i}": mat(np.diag(mod.Tdiag[i - 1])) for i in range(1, mod.N + 1)},
-            **{f"T{i}{j}": mat(M) for (i, j), M in mod.Tup.items()},
-            **{f"e{i}": mat(mod.e[i - 1]) for i in range(1, mod.N)},
-            **{f"f{i}": mat(mod.f[i - 1]) for i in range(1, mod.N)},
+            **{f"T{i}{j}" if i < j else f"T{i}": mat(f"T[{i},{j}]", mod.t_block(i, j))
+               for i, j in mod.tri},
+            **{f"e{i}": mat(f"e{i}", M) for i, M in enumerate(mod.e, start=1)},
+            **{f"f{i}": mat(f"f{i}", M) for i, M in enumerate(mod.f, start=1)},
         },
     }
     return json.dumps(doc, sort_keys=True)

@@ -12,12 +12,13 @@ assembled operator on C^N ox C^dim.
 
 All residuals are Frobenius norms of defects applied to interior basis
 vectors, relative to the squared block scale.  A margin of at least twice
-the word length keeps truncation junk out of them, but on big-cell builds
-of mixed sign they do not sit at machine precision: the assembly of Z
-cancels entries of size q^{-2s}, where s is the top interior shell, so
-they grow with the depth D.  At q=1/2 and margin 8, N=2 mixed-sign builds
-range from 1e-10 to 1e-4 at D=24 and fail the 1e-9 gate by D=34 (ROADMAP
-item 1).
+the word length keeps truncation junk out of them.  On big-cell builds of
+mixed sign the assembly of Z cancels summands of size q^{-2s}, where s is
+the top interior shell, down to bounded entries; it runs in ``decimal`` at
+a precision derived from D, r and q (``gtrep._precision``) and is rounded
+to float64 once, so the residuals stay near machine precision at any depth
+(about 1e-15 at q=1/2 up to D=60 for N=2 and D=26 for N=3).  A build whose
+cancellation the precision does not cover raises ``PrecisionLoss``.
 
 On signatures: the k-th leading minor acts with definite sign equal to the
 product eps_[1] ... eps_[k]; the classifying sign vector eta_k = eps_[k]
@@ -31,12 +32,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from . import classify as _classify
 from .braid import _inversions, _leading_signs, _word_index, build_rhat, exterior_power
-from .errors import BadCorep, DomainError, NotAdmissible, NotFactorial
+from .errors import BadCorep, DomainError, NotAdmissible, NotFactorial, PrecisionLoss
 from .gtrep import HWModule, HWModuleSpec, build_hw_module, suq2_rep
 from .ncalg import NCPoly, central_sigma, leading_minor_Z
 
@@ -111,6 +113,52 @@ class HermitianRep:
 # constructions
 
 
+def _gram(mod: HWModule, lead) -> np.ndarray:
+    """Z_ij = sum over rows m <= min(i,j) of eps_[m] T[m,i]^T T[m,j].
+
+    The sums run over the nonzeros of the T blocks in the module's decimal
+    context, and Z_ij (i <= j) is rounded once to float64; Z_ji = Z_ij^T.
+    Where verification reads Z (entries in an interior row or column of
+    Z_ij) the sums cancel summands far larger than the result, so
+    PrecisionLoss is raised when the largest such summand, at the context's
+    precision, could move an entry by more than 1e-17 of the largest such
+    entry (or of 1).
+    """
+    N, dim = mod.N, mod.dim
+    inner = mod.interior.tolist()
+    Z = np.zeros((N, N, dim, dim))
+    biggest, scale = Decimal(0), Decimal(1)
+    with localcontext(mod.context):
+        for i in range(1, N + 1):
+            for j in range(i, N + 1):
+                acc = [{} for _ in range(dim)]
+                for m in range(1, i + 1):
+                    sign = lead[m - 1]
+                    if not sign:
+                        continue
+                    for X, Y in zip(mod.tri[(m, i)], mod.tri[(m, j)]):
+                        for a, x in X.items():
+                            out = acc[a]
+                            for b, y in Y.items():
+                                p = sign * x * y
+                                out[b] = out.get(b, 0) + p
+                                if inner[a] or inner[b]:
+                                    biggest = max(biggest, abs(p))
+                block = Z[i - 1, j - 1]
+                for a, out in enumerate(acc):
+                    for b, v in out.items():
+                        block[a, b] = v
+                        if inner[a] or inner[b]:
+                            scale = max(scale, abs(v))
+                if i < j:
+                    Z[j - 1, i - 1] = block.T
+        if biggest.scaleb(-mod.context.prec) > scale * Decimal("1e-17"):
+            raise PrecisionLoss(
+                f"Z cancels summands up to {biggest:.2e} at {mod.context.prec} digits; "
+                f"its interior entries (up to {scale:.2e}) are not accurate to 1e-17")
+    return Z
+
+
 def build_bigcell_rep(spec: HWModuleSpec, margin: int | None = None) -> HermitianRep:
     """Z = T^dagger E_eps T on a truncated highest-weight module.
 
@@ -118,27 +166,13 @@ def build_bigcell_rep(spec: HWModuleSpec, margin: int | None = None) -> Hermitia
     the signature is eta_k = eps_[k] for k up to the rank M.
     """
     mod = build_hw_module(spec, margin=margin)
-    N = spec.N
     lead = _leading_signs(spec.eps_padded)  # lead[m - 1] = eps_[m]
-    Z = np.empty((N, N, mod.dim, mod.dim))
-    ld = np.longdouble
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            # assembled in extended precision: the summands grow like
-            # q^{-2 shell} and cancel down to a bounded operator
-            M = np.zeros((mod.dim, mod.dim), dtype=ld)
-            for m in range(1, min(i, j) + 1):
-                if lead[m - 1] == 0:
-                    continue
-                M += lead[m - 1] * (mod.t_block(m, i).astype(ld).T @ mod.t_block(m, j).astype(ld))
-            Z[i - 1, j - 1] = M
     Mrank = spec.M
-    signature = lead[:Mrank]
     return HermitianRep(
-        N=N, Z=Z, interior=mod.interior.copy(), q0=spec.q0,
+        N=spec.N, Z=_gram(mod, lead), interior=mod.interior.copy(), q0=spec.q0,
         source={"kind": "bigcell", "eps": spec.eps, "r": [str(x) for x in spec.r],
                 "D": spec.D},
-        tmod=mod, rank=Mrank, signature=signature,
+        tmod=mod, rank=Mrank, signature=lead[:Mrank],
     )
 
 
@@ -326,10 +360,10 @@ def op_leading_minor(rep: HermitianRep, k: int) -> np.ndarray:
     """
     if rep.tmod is not None:
         sgn = math.prod(_leading_signs(rep.tmod.spec.eps_padded)[:k])
-        diag = np.ones(rep.dim, dtype=np.longdouble)
+        diag = np.ones(rep.dim)
         for m in range(1, k + 1):
             diag = diag * rep.tmod.Tdiag[m - 1] ** 2
-        return sgn * np.diag(diag.astype(np.float64))
+        return sgn * np.diag(diag)
     return eval_z_poly(leading_minor_Z(k, rep.N), rep)
 
 
@@ -350,7 +384,7 @@ def _interior_eigs(op: np.ndarray, rep: HermitianRep, tol: float = 1e-8):
     return out
 
 
-def spectral_data(rep: HermitianRep, tol: float = 1e-8):
+def spectral_data(rep: HermitianRep, tol: float = 1e-8, sigma=None):
     """(roots, signature, extended signature, rank) of a factor representation.
 
     Requires the central elements to act as scalars to tolerance.  The
@@ -358,9 +392,10 @@ def spectral_data(rep: HermitianRep, tol: float = 1e-8):
     For big-cell representations the signature is read off the leading
     minors: eta_k is the ratio of the signs of the k-th and (k-1)-st minor
     spectra; otherwise it falls back to the root signs in the canonical
-    decreasing-magnitude-per-class order.
+    decreasing-magnitude-per-class order.  ``sigma`` is the result of
+    ``sigma_scalars(rep)`` when the caller already has it.
     """
-    scalars, resids, _ = sigma_scalars(rep)
+    scalars, resids, _ = sigma_scalars(rep) if sigma is None else sigma
     if max(resids) > tol:
         raise NotFactorial(f"central elements are not scalar: residuals {resids}")
     N = rep.N
@@ -520,19 +555,18 @@ def op_minor_blocks(rep: HermitianRep, k: int):
     if rep.tmod is None:
         raise DomainError("operator minors need a triangular factorization")
     N = rep.N
-    ld = np.longdouble
-    T = ext_power_blocks(lambda i, j: rep.tmod.t_block(i, j).astype(ld), k, N, rep.q0)
+    T = ext_power_blocks(rep.tmod.t_block, k, N, rep.q0)
     lead = _leading_signs(rep.tmod.spec.eps_padded)
     out = {}
     for I in itertools.combinations(range(1, N + 1), k):
         for J in itertools.combinations(range(1, N + 1), k):
-            M = np.zeros((rep.dim, rep.dim), dtype=ld)
+            M = np.zeros((rep.dim, rep.dim))
             for K in itertools.combinations(range(1, N + 1), k):
                 wK = math.prod(lead[t - 1] for t in K)
                 if wK == 0:
                     continue
                 M = M + wK * (T[(K, I)].T @ T[(K, J)])
-            out[(I, J)] = M.astype(np.float64)
+            out[(I, J)] = M
     return out
 
 
@@ -601,17 +635,18 @@ def suq2_corep_blocks(D: int, theta: float = 0.0, q0: float = 0.5):
 # verification report
 
 
-def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> dict:
+def verify_rep(rep: HermitianRep, tol: float = 1e-9, sigma=None) -> dict:
     """Reflection-equation, self-adjointness, central-scalar, and
-    Cayley-Hamilton checks; all findings are report rows."""
+    Cayley-Hamilton checks; all findings are report rows.  ``sigma`` is the
+    result of ``sigma_scalars(rep)`` when the caller already has it."""
     N = rep.N
     findings = []
     re_res = re_residual(rep)
-    findings.append({"name": "reflection_equation", "residual": re_res, "ok": re_res < tol})
+    findings.append({"name": "reflection_equation", "residual": re_res, "ok": bool(re_res < tol)})
     sa_res = selfadj_residual(rep)
-    findings.append({"name": "self_adjoint", "residual": sa_res, "ok": sa_res < tol})
+    findings.append({"name": "self_adjoint", "residual": sa_res, "ok": bool(sa_res < tol)})
 
-    scalars, resids, ops = sigma_scalars(rep)
+    scalars, resids, _ = sigma_scalars(rep) if sigma is None else sigma
     for k in range(1, N + 1):
         findings.append({
             "name": f"sigma_{k}_scalar",
@@ -638,7 +673,8 @@ def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> dict:
     for k in range(1, N + 1):
         ch = Zb @ ch + (-1) ** k * scalars[k - 1] * E
     ch_res = np.linalg.norm(ch) / max(1.0, rep.znorm() ** N)
-    findings.append({"name": "cayley_hamilton", "residual": ch_res, "ok": ch_res < max(tol, 1e-8)})
+    findings.append({"name": "cayley_hamilton", "residual": ch_res,
+                     "ok": bool(ch_res < max(tol, 1e-8))})
 
     return {
         "rep_id": json.dumps(rep.source, sort_keys=True, default=str),
@@ -651,9 +687,10 @@ def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> dict:
 
 def report_json(rep: HermitianRep, tol: float = 1e-9) -> str:
     """Full JSON report: residuals, central scalars, roots, signatures."""
-    rpt = verify_rep(rep, tol)
+    sigma = sigma_scalars(rep)
+    rpt = verify_rep(rep, tol, sigma)
     try:
-        roots, sig, ext, rank = spectral_data(rep)
+        roots, sig, ext, rank = spectral_data(rep, sigma=sigma)
         rpt.update({
             "roots": roots,
             "signature": list(sig),

@@ -121,13 +121,61 @@ def test_module_entrypoint(tmp_path):
     assert json.loads(out.read_text())["pass"]
 
 
-def test_sweep_worker_pool(tmp_path):
-    code1, doc1 = run_cli(["sweep", "--n", "2", "--cells", "8", "--seed", "3",
-                           "--depth", "5", "--jobs", "2"], tmp_path, "p.json")
-    code2, doc2 = run_cli(["sweep", "--n", "2", "--cells", "8", "--seed", "3",
-                           "--depth", "5"], tmp_path, "s.json")
-    assert code1 == code2 == 0
-    assert (tmp_path / "p.json").read_text() == (tmp_path / "s.json").read_text()
+DEEP_ROWS = [(2, "+,-", "3/10,4/5", D, 8) for D in (14, 24, 34, 44, 54, 60)] \
+    + [(3, "+,-,+", "3/10,4/5,4/5", D, 12) for D in (12, 16, 20, 24)]
+
+
+@pytest.mark.parametrize("n,eps,r,depth,margin", DEEP_ROWS,
+                         ids=[f"N{row[0]}-D{row[3]}" for row in DEEP_ROWS])
+def test_deep_builds_pass(tmp_path, n, eps, r, depth, margin):
+    """Mixed-sign big cells keep their residuals at depth: the reflection
+    equation holds to 1e-9 and every finding passes up to D=60 (N=2) and
+    D=24 (N=3)."""
+    code, doc = run_cli(["rep-verify", "--n", str(n), "--eps", eps, "--r", r,
+                         "--depth", str(depth), "--margin", str(margin)], tmp_path)
+    re_res = next(f["residual"] for f in doc["findings"] if f["name"] == "reflection_equation")
+    assert re_res <= 1e-9
+    assert doc["pass"] is True and code == 0, [f for f in doc["findings"] if not f["ok"]]
+
+
+def test_rep_build_refuses_non_finite_norms(tmp_path, capsys):
+    # c_P at m = 33 is about 6e311, beyond the float64 range
+    out = tmp_path / "rep.json"
+    assert main(["rep-build", "--n", "2", "--eps", "+,-", "--r", "3/10,4/5",
+                 "--depth", "40", "--margin", "8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "((33,),)" in err
+    assert not out.exists()
+    assert main(["rep-build", "--n", "2", "--eps", "+,-", "--r", "3/10,4/5",
+                 "--depth", "32", "--margin", "8", "--out", str(out)]) == 0
+    json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(name))
+
+
+def test_rep_verify_ok_are_booleans(tmp_path):
+    code, doc = run_cli(["rep-verify", "--n", "3", "--eps", "+,-,+", "--r", "3/10,4/5,4/5",
+                         "--depth", "16", "--margin", "12"], tmp_path)
+    assert code == 0
+    assert all(f["ok"] is True or f["ok"] is False for f in doc["findings"])
+    assert '"ok": 1.0' not in (tmp_path / "out.json").read_text()
+
+
+def test_rep_verify_evaluates_central_elements_once(tmp_path, monkeypatch):
+    import qrea.cli
+    import qrea.hrep
+
+    calls = []
+    real = qrea.hrep.sigma_scalars
+
+    def counted(rep):
+        calls.append(rep)
+        return real(rep)
+
+    monkeypatch.setattr(qrea.hrep, "sigma_scalars", counted)
+    monkeypatch.setattr(qrea.cli, "sigma_scalars", counted, raising=False)
+    code, doc = run_cli(["rep-verify", "--n", "2", "--eps", "+,-", "--r", "3/10,4/5",
+                         "--depth", "20", "--margin", "8"], tmp_path)
+    assert code == 0 and doc["inputs"]["rank"] == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("args", [

@@ -1,17 +1,22 @@
+import itertools
 import json
 from fractions import Fraction
 
+import gt_oracle
 import numpy as np
 import pytest
 
 from qrea.errors import DomainError, NegativeNorm, TruncationTooSmall
 from qrea.gtrep import (
     HWModuleSpec,
+    _move_up,
+    _raising_coeff,
     build_hw_module,
     detect_finite,
     eps_adapted,
     gt_norm,
     gt_norm_sign,
+    gt_norm_signs,
     hw_module_to_json,
     patterns,
     scaling_trep,
@@ -116,6 +121,98 @@ def test_gt_machinery_matches_verma_oracle_n3():
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (P, i, j)
                 n_checked += 1
     assert n_checked >= 10
+
+
+# --------------------------------------------------------------------------
+# bases, signs and values against the per-pattern Fraction formulas
+
+
+def _integer_gap_weight(eps, rng):
+    """A weight whose gaps r_t - r_s are integers wherever two positions
+    share a fractional part; the parts are drawn per position from two, so
+    zero, negative and positive norms all occur."""
+    parts = (Fraction(int(rng.integers(1, 10)), 10), Fraction(0))
+    return tuple(parts[int(rng.integers(0, 2))] + int(rng.integers(-3, 4)) for _ in eps)
+
+
+def _adapted_weight(eps, rng):
+    """A weight adapted to eps: positions with equal leading sign products
+    share a fractional part and sit 1 or 2 apart in r_t + t."""
+    base, last, r, lead = {}, {}, [], 1
+    for t, e in enumerate(eps, start=1):
+        lead *= e
+        if lead in last:
+            last[lead] += int(rng.integers(1, 3))
+        else:
+            base[lead] = Fraction(int(rng.integers(1, 10)), 10)
+            last[lead] = int(rng.integers(-1, 2))
+        r.append(base[lead] + last[lead] - t)
+    return tuple(r)
+
+
+@pytest.mark.parametrize("N,D", [(2, 10), (3, 10), (4, 5)])
+def test_basis_and_signs_match_fraction_oracle(N, D):
+    rng = np.random.default_rng(7000 + N)
+    pats = gt_oracle.patterns(N, D)
+    assert patterns(N, D) == pats
+    built = 0
+    for eps in itertools.product((1, -1), repeat=N):
+        for r in (_integer_gap_weight(eps, rng), _adapted_weight(eps, rng)):
+            spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
+            want = [gt_oracle._norm_parts(P, spec)[1] for P in pats]
+            assert gt_norm_signs(spec).tolist() == want, (eps, r)
+            assert [gt_norm_sign(P, spec) for P in pats[::7]] == want[::7]
+            if eps_adapted(r, eps):
+                mod = build_hw_module(spec, margin=0)
+                assert mod.basis == [P for P, s in zip(pats, want) if s > 0], (eps, r)
+                built += 1
+    assert built >= 2 ** N
+
+
+@pytest.mark.parametrize("N,eps,r,D", [
+    (2, (1, -1), (Fraction(3, 10), Fraction(4, 5)), 12),
+    (2, (-1, -1), (Fraction(-6, 5), Fraction(-1, 10)), 12),
+    (3, (1, -1, 1), (Fraction(3, 10), Fraction(4, 5), Fraction(4, 5)), 12),
+    (3, (1, 1, -1), (Fraction(0), Fraction(1), Fraction(1, 3)), 12),
+    (3, (1, -1), (Fraction(1, 4), Fraction(-3, 4)), 10),
+    (4, (1, -1, 1, -1), (Fraction(1, 10),) * 4, 7),
+])
+def test_values_match_fraction_oracle(N, eps, r, D):
+    spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
+    mod = build_hw_module(spec, margin=0)
+    for P, c in zip(mod.basis, mod.norms):
+        want = gt_oracle._norm_parts(P, spec)[0]
+        assert float(c) == pytest.approx(want, rel=1e-12), P
+        assert gt_norm(P, spec) == pytest.approx(want, rel=1e-12), P
+    n_checked = 0
+    for P in mod.basis:
+        for i in range(1, N):
+            for j in range(1, i + 1):
+                if _move_up(P, j, i) not in mod.index:
+                    continue
+                want = gt_oracle._raising_coeff(P, j, i, spec)
+                assert _raising_coeff(P, j, i, spec) == pytest.approx(want, rel=1e-12), (P, i, j)
+                n_checked += 1
+    assert n_checked >= mod.dim - 1
+
+
+def test_non_adapted_norm_values_match_fraction_oracle():
+    spec = HWModuleSpec(N=3, eps=(1, 1, -1), r=(Fraction(0), Fraction(-1), Fraction(0)),
+                        D=6, q0=Q0)
+    signs = set()
+    for P in patterns(3, 6):
+        want, sgn = gt_oracle._norm_parts(P, spec)
+        assert gt_norm(P, spec) == pytest.approx(want, rel=1e-12, abs=0.0), P
+        signs.add(sgn)
+    assert signs == {-1, 0, 1}
+
+
+def test_deep_norms_leave_float64_but_stay_exact():
+    # c_P at m = 40 is about 1e460: the build keeps it as a Decimal
+    spec = n2spec((1, -1), (Fraction(3, 10), Fraction(4, 5)), D=40)
+    mod = build_hw_module(spec, margin=8)
+    assert mod.norms[-1].adjusted() > 400
+    assert np.isfinite(mod.t_block(1, 2)).all()
 
 
 # --------------------------------------------------------------------------

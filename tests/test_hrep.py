@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qrea.classify import rmod1_equal
-from qrea.errors import BadCorep, DomainError, NotFactorial
+from qrea.errors import BadCorep, DomainError, NotFactorial, PrecisionLoss
 from qrea.gtrep import HWModuleSpec, scaling_trep, vector_trep
 from qrea.hrep import (
     HermitianRep,
@@ -102,6 +102,37 @@ def test_residuals_match_textbook_formulas(N, dim, seed):
     ch = sum((-1) ** k * sigma[k] * np.linalg.matrix_power(Zb, N - k) for k in range(N + 1))
     want = np.linalg.norm(ch[:, cols]) / max(1.0, znorm ** N)
     assert verify_rep(rep)["residuals"]["ch"] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("N,eps,r,D,margin", [
+    (2, (1, -1), (Fraction(3, 10), Fraction(4, 5)), 14, 8),
+    (3, (1, -1, 1), (Fraction(3, 10), Fraction(4, 5), Fraction(4, 5)), 12, 6),
+    (3, (-1, 1, 1), (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), 10, 4),
+])
+def test_gram_matches_dense_products(N, eps, r, D, margin):
+    """The sparse decimal assembly equals sum_m eps_[m] T[m,i]^T T[m,j] formed
+    from the dense float64 T blocks, where that sum cancels little."""
+    spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
+    rep = build_bigcell_rep(spec, margin=margin)
+    lead = np.cumprod(spec.eps_padded)
+    T = rep.tmod.t_block
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            want = sum(lead[m - 1] * T(m, i).T @ T(m, j) for m in range(1, min(i, j) + 1))
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(rep.block(i, j) - want).max() < 1e-13 * scale, (i, j)
+
+
+def test_gram_guard_refuses_short_precision(monkeypatch):
+    """A build whose cancellation needs more digits than it carries raises
+    PrecisionLoss instead of returning a degraded operator."""
+    from qrea import gtrep
+
+    spec = HWModuleSpec(N=2, eps=(1, -1), r=(Fraction(3, 10), Fraction(4, 5)), D=54, q0=Q0)
+    assert re_residual(build_bigcell_rep(spec, margin=8)) < 1e-12
+    monkeypatch.setattr(gtrep, "_precision", lambda spec: 30)
+    with pytest.raises(PrecisionLoss):
+        build_bigcell_rep(spec, margin=8)
 
 
 def test_gt_rank_deficient_build():
