@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -279,8 +279,7 @@ def classification_rows(root_sets, q0: float):
             eps = (1,) * npos + ((-1,) + (1,) * (nneg - 1) if nneg else ())
             row.update({
                 "admissible": True,
-                "extsig": {"rmod1": ext.rmod1, "nplus": ext.nplus,
-                           "nminus": ext.nminus, "nzero": ext.nzero},
+                "extsig": asdict(ext),
                 "canonical_weight": canonical_weight(roots, eps, q0) if npos + nneg else [],
                 "eps": list(eps),
             })

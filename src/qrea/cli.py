@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -175,8 +176,7 @@ def _rep_findings(rep, tol):
             "roots": [float(x) for x in roots],
             "signature": list(sig),
             "rank": rank,
-            "extsig": {"rmod1": float(ext.rmod1), "nplus": ext.nplus,
-                       "nminus": ext.nminus, "nzero": ext.nzero},
+            "extsig": asdict(ext),
         }
         findings.append({"name": "spectral_admissible", "ok": True, "residual": None})
     except QreaError as exc:
@@ -203,8 +203,7 @@ def cmd_classify_roots(args):
     inputs = {"command": "classify-roots", "roots": roots}
     if dec is not None:
         ext = ext_signature(roots, q0)
-        inputs["extsig"] = {"rmod1": float(ext.rmod1), "nplus": ext.nplus,
-                            "nminus": ext.nminus, "nzero": ext.nzero}
+        inputs["extsig"] = asdict(ext)
         inputs["decomposition"] = {
             "alpha": dec.alpha, "beta": dec.beta,
             "ms": list(dec.ms), "ns": list(dec.ns), "nzero": dec.nzero,
@@ -274,8 +273,7 @@ def cmd_transport(args):
     findings.append({"name": "extsig_class_invariant", "ok": ok_rmod, "residual": None})
     inputs = {"command": "transport", "by": mode, "n": args.n,
               "eps": list(args.eps), "r": [str(x) for x in args.r],
-              "extsig_before": {"rmod1": float(ext0.rmod1), "nplus": ext0.nplus,
-                                "nminus": ext0.nminus, "nzero": ext0.nzero},
+              "extsig_before": asdict(ext0),
               "components": len(comps)}
     return emit_report(inputs, findings, args.q, args.out)
 

@@ -444,12 +444,15 @@ def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
     """Construct the truncated module with orthonormalized operator matrices.
 
     The weight must be adapted to eps, and a negative norm aborts the build.
-    ``margin`` controls the interior predicate (default 4N); D < margin is an
-    error since no interior vector exists.
+    ``margin`` controls the interior predicate (default 4N); a negative
+    margin, which would count truncated vectors as interior, and D < margin,
+    which leaves no interior vector, are errors.
     """
     N, D = spec.N, spec.D
     if margin is None:
         margin = 4 * N
+    if margin < 0:
+        raise DomainError(f"interior margin {margin} is negative")
     if D < margin:
         raise TruncationTooSmall(f"D={D} < interior margin {margin}")
     if not eps_adapted(spec.r, spec.eps):

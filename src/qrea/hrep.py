@@ -20,6 +20,10 @@ to float64 once, so the residuals stay near machine precision at any depth
 (about 1e-15 at q=1/2 up to D=60 for N=2 and D=26 for N=3).  A build whose
 cancellation the precision does not cover raises ``PrecisionLoss``.
 
+One evaluator, ``eval_poly``, turns exact polynomials into operators: REA
+polynomials (central elements, leading minors) on Z, and FRT quantum minors
+on a module's T blocks, whose products give the minors of Z = T* E T.
+
 On signatures: the k-th leading minor acts with definite sign equal to the
 product eps_[1] ... eps_[k]; the classifying sign vector eta_k = eps_[k]
 is therefore the ratio of consecutive minor signs, and coincides with the
@@ -29,7 +33,6 @@ signs of the spectral-weight roots.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
@@ -37,17 +40,17 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from . import classify as _classify
-from .braid import _inversions, _leading_signs, _word_index, build_rhat, exterior_power
-from .errors import BadCorep, DomainError, NotAdmissible, NotFactorial, PrecisionLoss
+from .braid import _leading_signs, build_rhat
+from .errors import BadCorep, DomainError, NotFactorial, PrecisionLoss
 from .gtrep import HWModule, HWModuleSpec, build_hw_module, suq2_rep
-from .ncalg import NCPoly, central_sigma, leading_minor_Z
+from .ncalg import NCPoly, central_sigma, frt_minor, leading_minor_Z
 
 __all__ = [
     "HermitianRep",
     "build_bigcell_rep",
     "n2_family",
     "zero_rep",
-    "eval_z_poly",
+    "eval_poly",
     "re_residual",
     "selfadj_residual",
     "verify_rep",
@@ -56,13 +59,10 @@ __all__ = [
     "spectral_components",
     "op_leading_minor",
     "op_minor_blocks",
-    "ext_power_blocks",
-    "ext_power_blocks_braided",
     "adjoint_transport_T",
     "adjoint_transport_U",
     "uchar_blocks",
     "suq2_corep_blocks",
-    "report_json",
 ]
 
 TRANSPORT_DIM_CAP = 20000
@@ -73,7 +73,8 @@ class HermitianRep:
     """Block operator matrix Z with truncation-interior bookkeeping.
 
     ``Z`` has shape (N, N, dim, dim), block Z_ij at ``Z[i - 1, j - 1]``; a
-    nested list of blocks is converted on construction.
+    nested list of blocks is converted on construction.  ``Z`` and
+    ``interior`` are not mutated after construction.
     """
 
     N: int
@@ -84,6 +85,7 @@ class HermitianRep:
     tmod: HWModule | None = None   # present for big-cell builds
     rank: int | None = None
     signature: tuple | None = None
+    _znorm: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.Z = np.asarray(self.Z)
@@ -101,12 +103,15 @@ class HermitianRep:
 
     def znorm(self) -> float:
         """Largest block norm measured on interior columns (the boundary of
-        a truncation carries unbounded triangular junk by design)."""
-        mask = self.interior
-        return max(
-            np.linalg.norm(self.Z[i, j][:, mask], 2)
-            for i in range(self.N) for j in range(self.N)
-        )
+        a truncation carries unbounded triangular junk by design).  Computed
+        on the first call and kept, since Z and ``interior`` do not change."""
+        if self._znorm is None:
+            mask = self.interior
+            self._znorm = max(
+                np.linalg.norm(self.Z[i, j][:, mask], 2)
+                for i in range(self.N) for j in range(self.N)
+            )
+        return self._znorm
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +269,23 @@ def n2_family(kind: str, D: int = 40, q0: float = 0.5, margin: int = 8, **params
 # evaluation of symbolic polynomials on blocks
 
 
-def eval_z_poly(p: NCPoly, rep: HermitianRep) -> np.ndarray:
-    """Evaluate a Z-polynomial as an operator (words left to right)."""
-    if p.algebra != "REA":
-        raise DomainError("expected a Z-polynomial")
-    dim = rep.dim
-    out = np.zeros((dim, dim), dtype=np.result_type(rep.Z.dtype, complex))
+def eval_poly(p: NCPoly, blocks: np.ndarray, q0: float) -> np.ndarray:
+    """Evaluate an REA or FRT polynomial on an (N, N, dim, dim) block array.
+
+    The generator Z[i,j] or X[i,j] acts as ``blocks[i - 1, j - 1]`` (Z, or
+    the stacked T blocks of a module), words multiply left to right, and
+    coefficients are evaluated at q0.
+    """
+    if p.algebra not in ("REA", "FRT"):
+        raise DomainError(f"cannot evaluate a {p.algebra} polynomial on blocks")
+    dim = blocks.shape[-1]
+    out = np.zeros((dim, dim), dtype=np.result_type(blocks.dtype, complex))
     for word, coeff in p.terms.items():
-        blocks = [rep.block((code >> 10) & 0x3FF, code & 0x3FF) for code in word]
-        M = blocks[0].astype(out.dtype) if blocks else np.eye(dim, dtype=out.dtype)
-        for blk in blocks[1:]:
+        factors = [blocks[((code >> 10) & 0x3FF) - 1, (code & 0x3FF) - 1] for code in word]
+        M = factors[0].astype(out.dtype) if factors else np.eye(dim, dtype=out.dtype)
+        for blk in factors[1:]:
             M = M @ blk
-        out += complex(coeff.eval(rep.q0)) * M
+        out += complex(coeff.eval(q0)) * M
     return out
 
 
@@ -323,7 +333,7 @@ def sigma_scalars(rep: HermitianRep):
         ref = rep.tmod.highest_weight_index()
     scalars, resids, ops = [], [], []
     for k in range(1, N + 1):
-        op = eval_z_poly(central_sigma(k, N), rep)
+        op = eval_poly(central_sigma(k, N), rep.Z, rep.q0)
         s = complex(op[ref, ref])
         resid = float(np.linalg.norm((op - s * np.eye(rep.dim))[:, mask]))
         scalars.append(s)
@@ -341,14 +351,8 @@ def hc_sigma_prediction(rep: HermitianRep):
     lead = _leading_signs(spec.eps_padded)
     args = [lead[m - 1] * q0 ** float(2 * spec.r_padded[m - 1] + 2 * (m - 1))
             for m in range(1, spec.N + 1)]
-    out = []
-    for k in range(1, spec.N + 1):
-        ek = sum(
-            np.prod([args[t - 1] for t in comb])
-            for comb in itertools.combinations(range(1, spec.N + 1), k)
-        )
-        out.append(complex(ek))
-    return out
+    coeffs = np.poly(args).tolist()  # prod_m (x - args_m) = sum_k (-1)^k e_k x^{N-k}
+    return [(-1) ** k * coeffs[k] for k in range(1, spec.N + 1)]
 
 
 def op_leading_minor(rep: HermitianRep, k: int) -> np.ndarray:
@@ -364,7 +368,7 @@ def op_leading_minor(rep: HermitianRep, k: int) -> np.ndarray:
         for m in range(1, k + 1):
             diag = diag * rep.tmod.Tdiag[m - 1] ** 2
         return sgn * np.diag(diag)
-    return eval_z_poly(leading_minor_Z(k, rep.N), rep)
+    return eval_poly(leading_minor_Z(k, rep.N), rep.Z, rep.q0)
 
 
 def _interior_eigs(op: np.ndarray, rep: HermitianRep, tol: float = 1e-8):
@@ -490,84 +494,20 @@ def spectral_components(rep: HermitianRep, tol: float = 1e-7):
 # operator-level quantum minors and their exchange structure
 
 
-def ext_power_blocks(tblocks, k: int, N: int, q0: float):
-    """Operator minors of a triangular block matrix by the ordered
-    permutation-sum formula; returns {(I, J): ndarray}."""
-    dim = tblocks(1, 1).shape[0]
-    out = {}
-    for I in itertools.combinations(range(1, N + 1), k):
-        for J in itertools.combinations(range(1, N + 1), k):
-            M = np.zeros((dim, dim), dtype=tblocks(1, 1).dtype)
-            for w in itertools.permutations(range(k)):
-                rows = tuple(I[w[p]] for p in range(k))
-                coeff = (-q0) ** _inversions(rows)
-                term = np.eye(dim, dtype=M.dtype)
-                nonzero = True
-                for p in range(k):
-                    blk = tblocks(rows[p], J[p])
-                    if not np.any(blk):
-                        nonzero = False
-                        break
-                    term = term @ blk
-                if nonzero:
-                    M = M + coeff * term
-            out[(I, J)] = M
-    return out
-
-
-def ext_power_blocks_braided(tblocks, k: int, N: int, q0: float):
-    """Same minors via the embedded exterior-power coaction (cross-check)."""
-    ext = exterior_power(N, k)
-    E = ext.embed.to_numpy(q0)
-    P = ext.project.to_numpy(q0)
-    dim = tblocks(1, 1).shape[0]
-    nk = N ** k
-    chain = {}
-    for w in itertools.product(range(1, N + 1), repeat=k):
-        for wp in itertools.product(range(1, N + 1), repeat=k):
-            term = np.eye(dim, dtype=complex)
-            ok = True
-            for a in range(k):
-                blk = tblocks(w[a], wp[a])
-                if not np.any(blk):
-                    ok = False
-                    break
-                term = term @ blk
-            if ok and np.any(term):
-                chain[(w, wp)] = term
-
-    blocks = {}
-    for ci, I in enumerate(ext.basis):
-        for cj, J in enumerate(ext.basis):
-            M = np.zeros((dim, dim), dtype=complex)
-            for (w, wp), term in chain.items():
-                pc = P[ci, _word_index(w, N)]
-                ec = E[_word_index(wp, N), cj]
-                if pc and ec:
-                    M = M + pc * ec * term
-            blocks[(I, J)] = M
-    return blocks
-
-
 def op_minor_blocks(rep: HermitianRep, k: int):
-    """Operator-level minors Z_{I,J} of a big-cell representation via the
-    triangular factorization Z^{[k]} = (T^{[k]})^dagger E^{[k]} T^{[k]}."""
+    """Operator minors Z_{I,J} of a big-cell representation from its
+    triangular factorization: Z_{I,J} = sum over k-subsets K of
+    eps_K X_{K,I}^dagger X_{K,J}, with eps_K the product of eps_[m] over m in
+    K and X_{K,I} the quantum minor ``frt_minor(K, I)`` on the T blocks."""
     if rep.tmod is None:
         raise DomainError("operator minors need a triangular factorization")
-    N = rep.N
-    T = ext_power_blocks(rep.tmod.t_block, k, N, rep.q0)
     lead = _leading_signs(rep.tmod.spec.eps_padded)
-    out = {}
-    for I in itertools.combinations(range(1, N + 1), k):
-        for J in itertools.combinations(range(1, N + 1), k):
-            M = np.zeros((rep.dim, rep.dim))
-            for K in itertools.combinations(range(1, N + 1), k):
-                wK = math.prod(lead[t - 1] for t in K)
-                if wK == 0:
-                    continue
-                M = M + wK * (T[(K, I)].T @ T[(K, J)])
-            out[(I, J)] = M
-    return out
+    T = _t_blocks(rep.tmod, rep.N)
+    subsets = list(itertools.combinations(range(1, rep.N + 1), k))
+    X = np.array([[eval_poly(frt_minor(K, I), T, rep.q0) for I in subsets] for K in subsets])
+    w = np.array([math.prod(lead[t - 1] for t in K) for K in subsets], dtype=float)
+    M = np.einsum("k,kiba,kjbc->ijac", w, X.conj(), X, optimize=True)
+    return {(I, J): M[a, b] for a, I in enumerate(subsets) for b, J in enumerate(subsets)}
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +535,16 @@ def _transport(rep: HermitianRep, W: np.ndarray, w_interior, kind: str) -> Hermi
     )
 
 
+def _t_blocks(trep, N: int) -> np.ndarray:
+    """The T blocks of a triangular representation as one (N, N, dim, dim) array."""
+    idx = range(1, N + 1)
+    return np.array([[trep.t_block(k, i) for i in idx] for k in idx], dtype=np.float64)
+
+
 def adjoint_transport_T(rep: HermitianRep, trep) -> HermitianRep:
     """Transport Z -> T^dagger_13 Z_12 T_13 by a finite triangular rep."""
     _check_transport(rep, trep.N, trep.dim)
-    idx = range(1, rep.N + 1)
-    W = np.array([[trep.t_block(k, i) for i in idx] for k in idx], dtype=np.float64)
-    return _transport(rep, W, trep.interior, "transported_T")
+    return _transport(rep, _t_blocks(trep, rep.N), trep.interior, "transported_T")
 
 
 def adjoint_transport_U(rep: HermitianRep, U, u_interior=None, tol: float = 1e-9) -> HermitianRep:
@@ -677,27 +621,7 @@ def verify_rep(rep: HermitianRep, tol: float = 1e-9, sigma=None) -> dict:
                      "ok": bool(ch_res < max(tol, 1e-8))})
 
     return {
-        "rep_id": json.dumps(rep.source, sort_keys=True, default=str),
         "residuals": {"re": re_res, "selfadj": sa_res, "ch": ch_res},
-        "sigma": [s.real for s in scalars],
         "findings": findings,
         "pass": all(f["ok"] for f in findings),
     }
-
-
-def report_json(rep: HermitianRep, tol: float = 1e-9) -> str:
-    """Full JSON report: residuals, central scalars, roots, signatures."""
-    sigma = sigma_scalars(rep)
-    rpt = verify_rep(rep, tol, sigma)
-    try:
-        roots, sig, ext, rank = spectral_data(rep, sigma=sigma)
-        rpt.update({
-            "roots": roots,
-            "signature": list(sig),
-            "extsig": {"rmod1": ext.rmod1, "nplus": ext.nplus,
-                       "nminus": ext.nminus, "nzero": ext.nzero},
-            "rank": rank,
-        })
-    except (NotFactorial, NotAdmissible):
-        rpt.update({"roots": None, "signature": None, "extsig": None, "rank": None})
-    return json.dumps(rpt, sort_keys=True, default=float)

@@ -124,14 +124,13 @@ def test_minor_braiding_inverse(N, k, l):
 
 @pytest.mark.parametrize("N,k,l", [(2, 1, 2), (3, 2, 2), (3, 1, 2), (3, 2, 3)])
 def test_minor_braiding_diagonal_and_support(N, k, l):
-    B, Binv = minor_braiding(N, k, l)
+    B, _ = minor_braiding(N, k, l)
     ek, el = exterior_power(N, k), exterior_power(N, l)
     # diagonal entries q^{-|I cap I'|}
     for I in ek.basis:
         for Ip in el.basis:
             want = qpow(-len(set(I) & set(Ip)))
             assert minor_braiding_entry(B, ek, el, I, I, Ip, Ip) == want
-            assert minor_braiding_entry(Binv.transpose(), ek, el, I, I, Ip, Ip) or True
     # support: nonzero only if J <= I, J' <= I' componentwise and the
     # exchanged index sets match
     def leq(A, Bset):
@@ -148,10 +147,10 @@ def test_minor_braiding_diagonal_and_support(N, k, l):
                         assert set(I) - set(J) == set(Ip) - set(Jp)
 
 
-def test_minor_braiding_inverse_diagonal():
+@pytest.mark.parametrize("N,k,l", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 2), (3, 2, 3)])
+def test_minor_braiding_inverse_diagonal(N, k, l):
     # inverse braiding has diagonal q^{+|I cap I'|}
-    N, k, l = 3, 2, 2
-    B, Binv = minor_braiding(N, k, l)
+    _, Binv = minor_braiding(N, k, l)
     ek, el = exterior_power(N, k), exterior_power(N, l)
     for I in ek.basis:
         for Ip in el.basis:

@@ -106,6 +106,17 @@ def test_zero_denominator_is_usage_error(capsys, args):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["rep-verify"], ["rep-build"], ["transport", "--by", "scale:0.7"],
+], ids=lambda args: args[0])
+def test_negative_margin_is_usage_error(tmp_path, capsys, args):
+    """A negative margin would count truncated vectors as interior."""
+    out = tmp_path / "out.json"
+    assert main([*args, "--n", "2", "--eps", "+,-", "--r", "0.3,0.8", "--depth", "14",
+                 "--margin", "-3", "--out", str(out)]) == 2
+    assert "margin -3 is negative" in capsys.readouterr().err and not out.exists()
+
+
 def test_module_entrypoint(tmp_path):
     out = tmp_path / "r.json"
     # Put this checkout's src first so the child imports it, installed or not.

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qrea import ncalg
+from qrea.braid import exterior_power
 from qrea.errors import AlgebraMismatch, DomainError
 from qrea.ncalg import (
     FrtSystem,
@@ -402,6 +403,26 @@ def test_det_q_formula():
         "FRT", (X(1, 2), X(2, 1)), qpow(1)
     )
     assert fs.straighten(det) == fs.straighten(alt)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_frt_minor_is_exterior_power_coaction(N):
+    """frt_minor(I, J) is the matrix coefficient of the coaction on the
+    embedded exterior power, sum over index words w, w' of
+    P[I, w] E[w', J] X[w_1, w'_1] ... X[w_k, w'_k], as normal forms."""
+    fs = FrtSystem(N)
+    for k in range(1, N + 1):
+        ext = exterior_power(N, k)
+        words = list(itertools.product(range(1, N + 1), repeat=k))  # row-major order
+        for ci, I in enumerate(ext.basis):
+            for cj, J in enumerate(ext.basis):
+                coaction = NCPoly.zero("FRT")
+                for (row, u), pc in ext.project.entries.items():
+                    for (v, col), ec in ext.embed.entries.items():
+                        if (row, col) == (ci, cj):
+                            letters = [X(a, b) for a, b in zip(words[u], words[v])]
+                            coaction = coaction + NCPoly.word("FRT", letters, pc * ec)
+                assert fs.straighten(coaction) == fs.straighten(frt_minor(I, J)), (I, J)
 
 
 def test_laplace_small():
