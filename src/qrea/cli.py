@@ -314,8 +314,6 @@ def build_parser():
     def common(sp, rep_args=False):
         sp.add_argument("--q", type=_real, default="0.5",
                         help="deformation parameter, decimal or rational")
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", type=str, default=None)
         if rep_args:
             sp.add_argument("--n", type=int, required=True)
@@ -336,6 +334,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_rep_build)
 
     sp = sub.add_parser("rep-verify", help="residuals and spectral data of a build")
+    sp.add_argument("--tol", type=float, default=1e-9)
     common(sp, rep_args=True)
     sp.set_defaults(fn=cmd_rep_verify)
 
@@ -349,6 +348,7 @@ def build_parser():
                                            "scalar character family")
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--samples", type=int, default=2)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(fn=cmd_characters)
 
@@ -363,6 +363,7 @@ def build_parser():
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--cells", type=int, default=100)
     sp.add_argument("--depth", type=int, default=8)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
     sp.set_defaults(fn=cmd_sweep)
 

@@ -401,7 +401,6 @@ class HWModule:
     context: Context
     interior: np.ndarray
     interior_margin: int
-    finite: bool = False
 
     @property
     def dim(self) -> int:
@@ -434,10 +433,6 @@ class HWModule:
     @property
     def e(self) -> list:
         return [M.T for M in self.f]
-
-    def highest_weight_index(self) -> int:
-        zero = tuple(tuple([0] * k) for k in range(1, self.N))
-        return self.index[zero]
 
 
 def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
@@ -540,7 +535,6 @@ def detect_finite(spec: HWModuleSpec, margin_shells: int = 2):
     mod = build_hw_module(HWModuleSpec(N=spec.N, eps=spec.eps, r=spec.r,
                                        D=cutoff, q0=spec.q0), margin=0)
     mod.interior = np.ones(mod.dim, dtype=bool)
-    mod.finite = True
     return mod
 
 
@@ -565,10 +559,6 @@ class ScalingTrep:
     @property
     def dim(self) -> int:
         return 1
-
-    @property
-    def finite(self) -> bool:
-        return True
 
     @property
     def interior(self):

@@ -10,24 +10,30 @@ Z is held as one array of shape (N, N, dim, dim): Z[i - 1, j - 1] is the
 block Z_ij, and Z.transpose(0, 2, 1, 3).reshape(N * dim, N * dim) is the
 assembled operator on C^N ox C^dim.
 
-All residuals are Frobenius norms of defects applied to interior basis
-vectors, relative to the squared block scale.  A margin of at least twice
-the word length keeps truncation junk out of them.  On big-cell builds of
-mixed sign the assembly of Z cancels summands of size q^{-2s}, where s is
-the top interior shell, down to bounded entries; it runs in ``decimal`` at
-a precision derived from D, r and q (``gtrep._precision``) and is rounded
-to float64 once, so the residuals stay near machine precision at any depth
-(about 1e-15 at q=1/2 up to D=60 for N=2 and D=26 for N=3).  A build whose
-cancellation the precision does not cover raises ``PrecisionLoss``.
+Every check and every classifying datum is measured from Z, the same way
+for every source, on the interior columns: the basis vectors at least a
+margin below the truncation cap (basis vector 0, for a big cell the
+highest-weight vector, is the first).  All residuals are Frobenius norms
+of defects on them, relative to the squared block scale.  A margin of at
+least twice the word length keeps truncation junk out of them.  On
+big-cell builds of mixed sign the assembly of Z cancels summands of size
+q^{-2s}, where s is the top interior shell, down to bounded entries; it
+runs in ``decimal`` at a precision derived from D, r and q
+(``gtrep._precision``) and is rounded to float64 once, so the residuals
+stay near machine precision at any depth (about 1e-15 at q=1/2 up to D=60
+for N=2 and D=26 for N=3).  A build whose cancellation the precision does
+not cover raises ``PrecisionLoss``.
 
-One evaluator, ``eval_poly``, turns exact polynomials into operators: REA
-polynomials (central elements, leading minors) on Z, and FRT quantum minors
-on a module's T blocks, whose products give the minors of Z = T* E T.
+One evaluator, ``eval_poly``, applies exact polynomials to the columns of
+a mask: REA polynomials (central elements, leading minors) on Z, and FRT
+quantum minors on a module's T blocks, whose products give the minors of
+Z = T* E T.
 
-On signatures: the k-th leading minor acts with definite sign equal to the
-product eps_[1] ... eps_[k]; the classifying sign vector eta_k = eps_[k]
-is therefore the ratio of consecutive minor signs, and coincides with the
-signs of the spectral-weight roots.
+On signatures: the signature is measured, never copied from the input.
+On a big cell the k-th leading minor acts with definite sign
+eps_[1] ... eps_[k]; the classifying sign vector eta_k = eps_[k] is the
+ratio of consecutive minor signs, and coincides with the signs of the
+spectral-weight roots.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ __all__ = [
     "sigma_scalars",
     "spectral_data",
     "spectral_components",
-    "op_leading_minor",
     "op_minor_blocks",
     "adjoint_transport_T",
     "adjoint_transport_U",
@@ -81,10 +86,7 @@ class HermitianRep:
     Z: np.ndarray               # (N, N, dim, dim)
     interior: np.ndarray        # bool mask over the basis
     q0: float
-    source: dict = field(default_factory=dict)
     tmod: HWModule | None = None   # present for big-cell builds
-    rank: int | None = None
-    signature: tuple | None = None
     _znorm: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -168,22 +170,17 @@ def build_bigcell_rep(spec: HWModuleSpec, margin: int | None = None) -> Hermitia
     """Z = T^dagger E_eps T on a truncated highest-weight module.
 
     Entrywise Z_ij = sum over rows m <= min(i,j) of eps_[m] T[m,i]* T[m,j];
-    the signature is eta_k = eps_[k] for k up to the rank M.
+    its rank is M and its signature eta_k = eps_[k], k <= M, which
+    ``spectral_data`` measures from Z.
     """
     mod = build_hw_module(spec, margin=margin)
     lead = _leading_signs(spec.eps_padded)  # lead[m - 1] = eps_[m]
-    Mrank = spec.M
-    return HermitianRep(
-        N=spec.N, Z=_gram(mod, lead), interior=mod.interior.copy(), q0=spec.q0,
-        source={"kind": "bigcell", "eps": spec.eps, "r": [str(x) for x in spec.r],
-                "D": spec.D},
-        tmod=mod, rank=Mrank, signature=lead[:Mrank],
-    )
+    return HermitianRep(N=spec.N, Z=_gram(mod, lead), interior=mod.interior.copy(),
+                        q0=spec.q0, tmod=mod)
 
 
 def zero_rep(N: int, q0: float = 0.5) -> HermitianRep:
-    return HermitianRep(N=N, Z=np.zeros((N, N, 1, 1)), interior=np.array([True]), q0=q0,
-                        source={"kind": "zero"}, rank=0, signature=())
+    return HermitianRep(N=N, Z=np.zeros((N, N, 1, 1)), interior=np.array([True]), q0=q0)
 
 
 def _shift_family(zs, T0, D0, q0):
@@ -224,9 +221,7 @@ def n2_family(kind: str, D: int = 40, q0: float = 0.5, margin: int = 8, **params
         ph = np.exp(2j * np.pi * theta)
         Z = np.array([[0.0, q0 * c * np.conj(ph)],
                       [q0 * c * ph, q0 * c * (a - 1 / a)]]).reshape(2, 2, 1, 1)
-        return HermitianRep(N=2, Z=Z, interior=np.array([True]), q0=q0,
-                            source={"kind": "char", "theta": theta, "c": c, "a": a},
-                            rank=2, signature=(1, -1))
+        return HermitianRep(N=2, Z=Z, interior=np.array([True]), q0=q0)
     if kind == "S_pos":
         c, n = float(params["c"]), int(params["n"])
         if c == 0 or n < 0:
@@ -235,8 +230,6 @@ def n2_family(kind: str, D: int = 40, q0: float = 0.5, margin: int = 8, **params
         T0 = c * (q0 ** (n + 1) + q0 ** (-n - 1))
         D0 = c * c
         interior = np.ones(n + 1, dtype=bool)
-        sig = (int(np.sign(c)),) * 2
-        src = {"kind": "S_pos", "c": c, "n": n}
     elif kind == "S_zero":
         lam = float(params["lam"])
         if lam == 0:
@@ -244,8 +237,6 @@ def n2_family(kind: str, D: int = 40, q0: float = 0.5, margin: int = 8, **params
         zs = np.array([lam * q0 ** (2 * k + 1) for k in range(D + 1)])
         T0, D0 = lam, 0.0
         interior = np.arange(D + 1) <= D - margin
-        sig = (int(np.sign(lam)),)
-        src = {"kind": "S_zero", "lam": lam}
     elif kind in ("S_neg+", "S_neg-"):
         c, a = float(params["c"]), float(params["a"])
         if c <= 0 or a <= 0:
@@ -254,38 +245,37 @@ def n2_family(kind: str, D: int = 40, q0: float = 0.5, margin: int = 8, **params
         zs = np.array([s * c * a ** s * q0 ** (2 * k + 1) for k in range(D + 1)])
         T0, D0 = c * (a - 1 / a), -c * c
         interior = np.arange(D + 1) <= D - margin
-        sig = (int(s), int(-s))
-        src = {"kind": kind, "c": c, "a": a}
     else:
         raise DomainError(f"unknown family kind {kind!r}")
     z, v, u = _shift_family(zs, T0, D0, q0)
-    Z = np.array([[z, v.T], [v, u]])
-    rank = 2 if kind != "S_zero" else 1
-    return HermitianRep(N=2, Z=Z, interior=interior, q0=q0, source=src,
-                        rank=rank, signature=sig)
+    return HermitianRep(N=2, Z=np.array([[z, v.T], [v, u]]), interior=interior, q0=q0)
 
 
 # ---------------------------------------------------------------------------
 # evaluation of symbolic polynomials on blocks
 
 
-def eval_poly(p: NCPoly, blocks: np.ndarray, q0: float) -> np.ndarray:
-    """Evaluate an REA or FRT polynomial on an (N, N, dim, dim) block array.
+def eval_poly(p: NCPoly, blocks: np.ndarray, q0: float, cols: np.ndarray) -> np.ndarray:
+    """Evaluate an REA or FRT polynomial on the columns of an (N, N, dim, dim)
+    block array that the bool mask ``cols`` selects.
 
     The generator Z[i,j] or X[i,j] acts as ``blocks[i - 1, j - 1]`` (Z, or
-    the stacked T blocks of a module), words multiply left to right, and
-    coefficients are evaluated at q0.
+    the stacked T blocks of a module) and coefficients are evaluated at q0.
+    Each word is applied right to left to the selected columns, so the
+    result is the (dim, cols.sum()) matrix of those columns of the
+    polynomial; it is real when the blocks and the coefficients are.
     """
     if p.algebra not in ("REA", "FRT"):
         raise DomainError(f"cannot evaluate a {p.algebra} polynomial on blocks")
-    dim = blocks.shape[-1]
-    out = np.zeros((dim, dim), dtype=np.result_type(blocks.dtype, complex))
-    for word, coeff in p.terms.items():
-        factors = [blocks[((code >> 10) & 0x3FF) - 1, (code & 0x3FF) - 1] for code in word]
-        M = factors[0].astype(out.dtype) if factors else np.eye(dim, dtype=out.dtype)
-        for blk in factors[1:]:
-            M = M @ blk
-        out += complex(coeff.eval(q0)) * M
+    terms = [(word, coeff.eval(q0)) for word, coeff in p.terms.items()]
+    E = np.eye(blocks.shape[-1])[:, cols]
+    out = np.zeros(E.shape, dtype=np.result_type(blocks.dtype, *(c for _, c in terms)))
+    for word, c in terms:
+        M = E
+        for code in reversed(word):
+            blk = blocks[((code >> 10) & 0x3FF) - 1, (code & 0x3FF) - 1]
+            M = blk[:, cols] if M is E else blk @ M
+        out += c * M
     return out
 
 
@@ -325,17 +315,18 @@ def selfadj_residual(rep: HermitianRep) -> float:
 
 
 def sigma_scalars(rep: HermitianRep):
-    """Measured central scalars, their scalarness residuals, and operators."""
+    """Measured central scalars, their scalarness residuals, and the central
+    operators on the interior columns.  sigma_k is read at the first
+    interior basis vector."""
     N = rep.N
     mask = rep.interior
     ref = int(np.argmax(mask))
-    if rep.tmod is not None:
-        ref = rep.tmod.highest_weight_index()
+    E = np.eye(rep.dim)[:, mask]
     scalars, resids, ops = [], [], []
     for k in range(1, N + 1):
-        op = eval_poly(central_sigma(k, N), rep.Z, rep.q0)
-        s = complex(op[ref, ref])
-        resid = float(np.linalg.norm((op - s * np.eye(rep.dim))[:, mask]))
+        op = eval_poly(central_sigma(k, N), rep.Z, rep.q0, mask)
+        s = complex(op[ref, 0])
+        resid = float(np.linalg.norm(op - s * E))
         scalars.append(s)
         resids.append(resid / (1.0 + abs(s)))
         ops.append(op)
@@ -355,49 +346,17 @@ def hc_sigma_prediction(rep: HermitianRep):
     return [(-1) ** k * coeffs[k] for k in range(1, spec.N + 1)]
 
 
-def op_leading_minor(rep: HermitianRep, k: int) -> np.ndarray:
-    """The k-th leading minor as an operator.
-
-    For big-cell builds it is the sign-weighted product of squared diagonal
-    generators; in general it is the ordered permutation-sum word in the Z
-    blocks.  The two agree (tested) wherever both apply.
-    """
-    if rep.tmod is not None:
-        sgn = math.prod(_leading_signs(rep.tmod.spec.eps_padded)[:k])
-        diag = np.ones(rep.dim)
-        for m in range(1, k + 1):
-            diag = diag * rep.tmod.Tdiag[m - 1] ** 2
-        return sgn * np.diag(diag)
-    return eval_poly(leading_minor_Z(k, rep.N), rep.Z, rep.q0)
-
-
-def _interior_eigs(op: np.ndarray, rep: HermitianRep, tol: float = 1e-8):
-    """Eigenvalues harvested from interior-supported eigenvectors only."""
-    mask = rep.interior
-    sub = op[np.ix_(mask, mask)]
-    sub = (sub + sub.conj().T) / 2
-    vals, vecs = np.linalg.eigh(sub)
-    full = np.zeros((rep.dim, vecs.shape[1]), dtype=complex)
-    full[mask, :] = vecs
-    out = []
-    scale = max(1.0, float(np.linalg.norm(op[:, mask], 2)))
-    for t, lam in enumerate(vals):
-        resid = np.linalg.norm(op @ full[:, t] - lam * full[:, t])
-        if resid <= tol * scale:
-            out.append(float(lam))
-    return out
-
-
 def spectral_data(rep: HermitianRep, tol: float = 1e-8, sigma=None):
     """(roots, signature, extended signature, rank) of a factor representation.
 
     Requires the central elements to act as scalars to tolerance.  The
     rank is the number of nonzero roots of the characteristic polynomial.
-    For big-cell representations the signature is read off the leading
-    minors: eta_k is the ratio of the signs of the k-th and (k-1)-st minor
-    spectra; otherwise it falls back to the root signs in the canonical
-    decreasing-magnitude-per-class order.  ``sigma`` is the result of
-    ``sigma_scalars(rep)`` when the caller already has it.
+    The signature is read off the leading minors of Z, evaluated on the
+    interior columns: eta_k is the ratio of the signs of the k-th and
+    (k-1)-st minor spectra.  Where a minor has no definite sign it falls
+    back to the root signs in the canonical decreasing-magnitude-per-class
+    order.  ``sigma`` is the result of ``sigma_scalars(rep)`` when the
+    caller already has it.
     """
     scalars, resids, _ = sigma_scalars(rep) if sigma is None else sigma
     if max(resids) > tol:
@@ -412,25 +371,26 @@ def spectral_data(rep: HermitianRep, tol: float = 1e-8, sigma=None):
     roots = _roots_from_sigma(scalars, rank, N)
     ext = _classify.ext_signature(roots, rep.q0)
 
+    mask = rep.interior
     minor_sign = []
     for k in range(1, rank + 1):
-        op = op_leading_minor(rep, k)
-        nrm = float(np.linalg.norm(op[:, rep.interior], 2)) if rep.dim > 1 else abs(op[0, 0])
+        op = eval_poly(leading_minor_Z(k, N), rep.Z, rep.q0, mask)
+        nrm = float(np.linalg.norm(op, 2))
         if nrm <= tol * scale ** k:
             minor_sign.append(0)
             continue
-        eigs = [x for x in _interior_eigs(op, rep, tol) if abs(x) > tol * max(1.0, nrm)]
-        if eigs and all(x > 0 for x in eigs):
-            minor_sign.append(1)
-        elif eigs and all(x < 0 for x in eigs):
-            minor_sign.append(-1)
-        else:
-            minor_sign.append(0)
+        # the sign of the interior eigenvalues above tolerance whose
+        # eigenvectors op maps exactly, if they share one
+        sub = op[mask]
+        vals, vecs = np.linalg.eigh((sub + sub.conj().T) / 2)
+        defect = op @ vecs
+        defect[mask] -= vecs * vals
+        bound = tol * max(1.0, nrm)
+        signs = set(np.sign(vals[(np.linalg.norm(defect, axis=0) <= bound)
+                                 & (np.abs(vals) > bound)]).tolist())
+        minor_sign.append(int(signs.pop()) if len(signs) == 1 else 0)
     if all(minor_sign):
-        sig, prev = [], 1
-        for k in range(1, rank + 1):
-            sig.append(minor_sign[k - 1] * prev)
-            prev = minor_sign[k - 1]
+        sig = [a * b for a, b in zip(minor_sign, [1] + minor_sign)]
     else:
         sig = [1 if x > 0 else -1 for x in sorted(
             (x for x in roots if x != 0.0), key=abs, reverse=True)]
@@ -457,25 +417,23 @@ def spectral_components(rep: HermitianRep, tol: float = 1e-7):
     N = rep.N
     _, _, ops = sigma_scalars(rep)
     mask = rep.interior
-    sub_ops = [(op[np.ix_(mask, mask)] + op[np.ix_(mask, mask)].conj().T) / 2 for op in ops]
+    sub_ops = [(op[mask] + op[mask].conj().T) / 2 for op in ops]
     rng = np.random.default_rng(0)
     combo = sum(rng.standard_normal() * op for op in sub_ops)
-    vals, vecs = np.linalg.eigh(combo)
+    _, vecs = np.linalg.eigh(combo)
     scale = max(1.0, rep.znorm() ** N)
+    # one product per central operator: the joint eigenvalue of every
+    # eigenvector of the combination, and whether it is an exact one
+    exact = np.ones(vecs.shape[1], dtype=bool)
+    lams = []
+    for op in ops:
+        image = op @ vecs
+        lam = np.einsum("it,it->t", vecs.conj(), image[mask])
+        image[mask] -= vecs * lam
+        exact &= np.linalg.norm(image, axis=0) <= tol * scale
+        lams.append(lam.real)
     clusters = {}
-    for t in range(vecs.shape[1]):
-        v = np.zeros(rep.dim, dtype=complex)
-        v[mask] = vecs[:, t]
-        sig = []
-        ok = True
-        for op in ops:
-            lam = complex(v.conj() @ (op @ v))
-            if np.linalg.norm(op @ v - lam * v) > tol * scale:
-                ok = False
-                break
-            sig.append(lam.real)
-        if not ok:
-            continue
+    for sig in np.array(lams).T[exact].tolist():
         key = tuple(round(x, 6) for x in sig)
         clusters.setdefault(key, []).append(tuple(sig))
     out = []
@@ -504,7 +462,9 @@ def op_minor_blocks(rep: HermitianRep, k: int):
     lead = _leading_signs(rep.tmod.spec.eps_padded)
     T = _t_blocks(rep.tmod, rep.N)
     subsets = list(itertools.combinations(range(1, rep.N + 1), k))
-    X = np.array([[eval_poly(frt_minor(K, I), T, rep.q0) for I in subsets] for K in subsets])
+    every = np.ones(rep.dim, dtype=bool)
+    X = np.array([[eval_poly(frt_minor(K, I), T, rep.q0, every) for I in subsets]
+                  for K in subsets])
     w = np.array([math.prod(lead[t - 1] for t in K) for K in subsets], dtype=float)
     M = np.einsum("k,kiba,kjbc->ijac", w, X.conj(), X, optimize=True)
     return {(I, J): M[a, b] for a, I in enumerate(subsets) for b, J in enumerate(subsets)}
@@ -521,18 +481,15 @@ def _check_transport(rep: HermitianRep, n: int, wdim: int):
         raise DomainError(f"transport dimension {rep.dim * wdim} exceeds cap {TRANSPORT_DIM_CAP}")
 
 
-def _transport(rep: HermitianRep, W: np.ndarray, w_interior, kind: str) -> HermitianRep:
-    """Z'_ij = sum_kl Z_kl ox W_ki^dagger W_lj for an (N, N, m, m) block array W."""
+def _transport(rep: HermitianRep, W: np.ndarray, w_interior) -> HermitianRep:
+    """Z'_ij = sum_kl Z_kl ox W_ki^dagger W_lj for an (N, N, m, m) block array W;
+    real when Z and W are."""
     N = rep.N
     newdim = rep.dim * W.shape[-1]
-    C = np.einsum("kiba,ljbc->klijac", W.conj(), W).astype(complex)
-    Z = np.einsum("klab,klijcd->ijacbd", rep.Z, C)
-    return HermitianRep(
-        N=N, Z=Z.reshape(N, N, newdim, newdim),
-        interior=np.kron(rep.interior, w_interior).astype(bool), q0=rep.q0,
-        source={"kind": kind, "parent": rep.source},
-        rank=rep.rank, signature=rep.signature,
-    )
+    C = np.einsum("kiba,ljbc->klijac", W.conj(), W)
+    Z = np.ascontiguousarray(np.einsum("klab,klijcd->ijacbd", rep.Z, C, optimize=True))
+    return HermitianRep(N=N, Z=Z.reshape(N, N, newdim, newdim),
+                        interior=np.kron(rep.interior, w_interior).astype(bool), q0=rep.q0)
 
 
 def _t_blocks(trep, N: int) -> np.ndarray:
@@ -544,7 +501,7 @@ def _t_blocks(trep, N: int) -> np.ndarray:
 def adjoint_transport_T(rep: HermitianRep, trep) -> HermitianRep:
     """Transport Z -> T^dagger_13 Z_12 T_13 by a finite triangular rep."""
     _check_transport(rep, trep.N, trep.dim)
-    return _transport(rep, _t_blocks(trep, rep.N), trep.interior, "transported_T")
+    return _transport(rep, _t_blocks(trep, rep.N), trep.interior)
 
 
 def adjoint_transport_U(rep: HermitianRep, U, u_interior=None, tol: float = 1e-9) -> HermitianRep:
@@ -559,7 +516,7 @@ def adjoint_transport_U(rep: HermitianRep, U, u_interior=None, tol: float = 1e-9
     worst = float(np.linalg.norm(defect[:, :, u_interior][..., u_interior], axis=(2, 3)).max())
     if worst > tol:
         raise BadCorep(f"transport matrix unitarity residual {worst:.2e} > {tol:.2e}")
-    return _transport(rep, U, u_interior, "transported_U")
+    return _transport(rep, U, u_interior)
 
 
 def uchar_blocks(thetas) -> np.ndarray:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qrea.cli import main, parse_report
@@ -117,6 +118,19 @@ def test_negative_margin_is_usage_error(tmp_path, capsys, args):
     assert "margin -3 is negative" in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["transport", "--by", "scale:0.7", "--n", "2", "--eps", "+,-", "--r", "0.3,0.8",
+     "--tol", "1e-3"],
+    ["rep-verify", "--n", "2", "--eps", "+,-", "--r", "0.3,0.8", "--seed", "3"],
+    ["verify-algebra", "--tol", "1"],
+], ids=lambda args: args[0])
+def test_unread_flags_are_usage_errors(capsys, args):
+    """--tol is declared only where it is read (rep-verify), and --seed only
+    where it is read (characters, sweep)."""
+    assert main(args) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_module_entrypoint(tmp_path):
     out = tmp_path / "r.json"
     # Put this checkout's src first so the child imports it, installed or not.
@@ -140,10 +154,14 @@ DEEP_ROWS = [(2, "+,-", "3/10,4/5", D, 8) for D in (14, 24, 34, 44, 54, 60)] \
                          ids=[f"N{row[0]}-D{row[3]}" for row in DEEP_ROWS])
 def test_deep_builds_pass(tmp_path, n, eps, r, depth, margin):
     """Mixed-sign big cells keep their residuals at depth: the reflection
-    equation holds to 1e-9 and every finding passes up to D=60 (N=2) and
-    D=24 (N=3)."""
+    equation holds to 1e-9, the signature measured from Z is the prefix
+    products of eps, and every finding passes up to D=60 (N=2) and D=24
+    (N=3)."""
     code, doc = run_cli(["rep-verify", "--n", str(n), "--eps", eps, "--r", r,
                          "--depth", str(depth), "--margin", str(margin)], tmp_path)
+    signs = [1 if s == "+" else -1 for s in eps.split(",")]
+    assert doc["inputs"]["signature"] == [int(x) for x in np.cumprod(signs)]
+    assert doc["inputs"]["rank"] == n
     re_res = next(f["residual"] for f in doc["findings"] if f["name"] == "reflection_equation")
     assert re_res <= 1e-9
     assert doc["pass"] is True and code == 0, [f for f in doc["findings"] if not f["ok"]]

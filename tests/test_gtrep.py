@@ -250,9 +250,10 @@ def test_t1_eigenvalues_n2():
 
 def test_highest_weight_vector_killed_by_e():
     mod = build_hw_module(n2spec((1, -1), (0.3, 0.8), D=8), margin=0)
-    hw = mod.highest_weight_index()
+    # basis vector 0 is the zero pattern, the highest-weight vector
+    assert mod.basis[0] == ((0,),)
     for E in mod.e:
-        assert np.allclose(E[:, hw], 0.0)
+        assert np.allclose(E[:, 0], 0.0)
 
 
 @pytest.mark.parametrize(
@@ -403,7 +404,7 @@ def test_vector_trep():
     for N in (2, 3):
         mod = vector_trep(N, Q0)
         assert mod.dim == N
-        assert mod.finite
+        assert mod.interior.all()
         # T_1 acts with eigenvalues q^{-delta_{1j}} on the standard basis
         eigs = sorted(mod.Tdiag[0])
         want = sorted([1.0 / Q0] + [1.0] * (N - 1))

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,7 +15,6 @@ from qrea.hrep import (
     build_bigcell_rep,
     eval_poly,
     n2_family,
-    op_leading_minor,
     op_minor_blocks,
     re_residual,
     selfadj_residual,
@@ -136,7 +136,6 @@ def test_gt_rank_deficient_build():
     # M < N: padded module, zero rows kill the upper-left action
     spec = HWModuleSpec(N=2, eps=(1,), r=(Fraction(1, 4),), D=10, q0=Q0)
     rep = build_bigcell_rep(spec, margin=4)
-    assert rep.rank == 1
     assert re_residual(rep) < 1e-10
     roots, sig, ext, rank = spectral_data(rep)
     assert rank == 1
@@ -172,13 +171,73 @@ def test_spectral_data_gt():
     assert rmod1_equal(ext.rmod1, (beta + 1 - alpha) % 1.0)
 
 
+def _leading_minor_formula(rep, k):
+    """eps_[1] ... eps_[k] diag(prod_{m<k} Tdiag[m]^2): the k-th leading
+    minor of a big cell, on the whole module."""
+    lead = np.cumprod(rep.tmod.spec.eps_padded)
+    diag = np.prod([rep.tmod.Tdiag[m] ** 2 for m in range(k)], axis=0)
+    return np.prod(lead[:k]) * np.diag(diag)
+
+
 def test_minor_vs_symbolic_word():
+    """On the interior columns the k-th leading minor word in the Z blocks
+    is eps_[1] ... eps_[k] times the product of the squared diagonal
+    generators T[m,m], m <= k."""
     rep = gt_rep(eps=(1, -1), r=(0.25, 0.75), D=12, margin=6)
     mask = rep.interior
     for k in (1, 2):
-        a = op_leading_minor(rep, k)
-        b = eval_poly(leading_minor_Z(k, 2), rep.Z, rep.q0)
-        assert np.linalg.norm((a - b)[:, mask]) < 1e-10
+        want = _leading_minor_formula(rep, k)[:, mask]
+        got = eval_poly(leading_minor_Z(k, 2), rep.Z, rep.q0, mask)
+        assert np.linalg.norm(got - want) < 1e-10
+
+
+@pytest.mark.parametrize("N,eps,r,D,margin", [
+    (2, (1, -1), (Fraction(3, 10), Fraction(4, 5)), 14, 8),
+    (3, (1, -1, 1), (Fraction(3, 10), Fraction(4, 5), Fraction(4, 5)), 16, 12),
+])
+def test_signature_is_measured_from_z(N, eps, r, D, margin):
+    """-Z is a representation too; its signature is the negated one."""
+    rep = gt_rep(N=N, eps=eps, r=r, D=D, margin=margin)
+    want = tuple(int(x) for x in np.cumprod(eps))
+    flipped = dataclasses.replace(rep, Z=-rep.Z)
+    assert re_residual(flipped) < 1e-12
+    assert spectral_data(rep)[1] == want
+    assert spectral_data(flipped)[1] == tuple(-x for x in want)
+
+
+@pytest.mark.parametrize("algebra", ["REA", "FRT"])
+@pytest.mark.parametrize("N,dim,seed", [(2, 5, 7), (3, 4, 8)])
+def test_eval_poly_on_columns(algebra, N, dim, seed):
+    """The columns that a mixed mask selects equal those of the textbook
+    sum of coefficient times full block product, to rounding; the result is
+    real for real blocks."""
+    from qrea.ncalg import X
+    from qrea.scalars import qpow
+
+    rng = np.random.default_rng(seed)
+    gen = Z if algebra == "REA" else X
+    terms = []  # words of length 0 to 3 as (i, j) pairs, coefficients q^k n
+    for _ in range(6):
+        word = [tuple(int(x) for x in rng.integers(1, N + 1, size=2))
+                for _ in range(int(rng.integers(0, 4)))]
+        terms.append((word, qpow(int(rng.integers(-2, 3))) * int(rng.integers(1, 4))))
+    p = NCPoly.zero(algebra)
+    for word, coeff in terms:
+        p = p + NCPoly.word(algebra, [gen(i, j) for i, j in word], coeff)
+    cols = rng.permutation(dim) < (dim + 1) // 2
+    real = rng.standard_normal((N, N, dim, dim))
+    cplx = real + 1j * rng.standard_normal((N, N, dim, dim))
+    for blocks in (real, cplx):
+        want = np.zeros((dim, dim), dtype=complex)
+        for word, coeff in terms:
+            M = np.eye(dim)
+            for i, j in word:
+                M = M @ blocks[i - 1, j - 1]
+            want += coeff.eval(Q0) * M
+        got = eval_poly(p, blocks, Q0, cols)
+        assert got.shape == (dim, cols.sum())
+        assert np.isrealobj(got) == np.isrealobj(blocks)
+        assert np.linalg.norm(got - want[:, cols]) <= 1e-13 * np.linalg.norm(want)
 
 
 # --------------------------------------------------------------------------
@@ -252,11 +311,11 @@ def test_minor_qcommutation_operators():
     rep = gt_rep(N=3, eps=(1, -1, 1), r=(0.3, 0.8, 1.8), D=9, margin=5)
     mask = rep.interior
     scale = max(1.0, rep.znorm() ** 3)
+    blocks = {size: op_minor_blocks(rep, size) for size in (1, 2, 3)}
     for k in (1, 2, 3):
-        Mk = op_leading_minor(rep, k)
+        Mk = _leading_minor_formula(rep, k)
         for size in (1, 2, 3):
-            blocks = op_minor_blocks(rep, size)
-            for (I, J), Mij in blocks.items():
+            for (I, J), Mij in blocks[size].items():
                 e = 2 * len(set(I) & set(range(1, k + 1))) - 2 * len(set(J) & set(range(1, k + 1)))
                 R = Mk @ Mij - Q0 ** e * Mij @ Mk
                 assert np.linalg.norm(R[:, mask]) / scale < 1e-9, (k, I, J)
@@ -264,11 +323,13 @@ def test_minor_qcommutation_operators():
 
 def test_minor_blocks_match_leading():
     rep = gt_rep(N=3, eps=(1, -1, 1), r=(0.3, 0.8, 1.8), D=8, margin=4)
+    mask = rep.interior
     for k in (1, 2, 3):
         blocks = op_minor_blocks(rep, k)
-        lead = op_leading_minor(rep, k)
         I = tuple(range(1, k + 1))
-        assert np.linalg.norm(blocks[(I, I)] - lead) < 1e-9
+        assert np.linalg.norm(blocks[(I, I)] - _leading_minor_formula(rep, k)) < 1e-9
+        lead = eval_poly(leading_minor_Z(k, 3), rep.Z, rep.q0, mask)
+        assert np.linalg.norm(blocks[(I, I)][:, mask] - lead) < 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -389,8 +450,9 @@ def test_minor_braiding_exchange_with_operator_powers(N, eps, r, k, l):
     T = np.array([[rep.tmod.t_block(i, j) for j in range(1, N + 1)]
                   for i in range(1, N + 1)])
     bk, bl = exterior_power(N, k).basis, exterior_power(N, l).basis
-    Xk = {(A, C): eval_poly(frt_minor(A, C), T, Q0).real for A in bk for C in bk}
-    Xl = {(A, C): eval_poly(frt_minor(A, C), T, Q0).real for A in bl for C in bl}
+    every = np.ones(rep.dim, dtype=bool)
+    Xk = {(A, C): eval_poly(frt_minor(A, C), T, Q0, every) for A in bk for C in bk}
+    Xl = {(A, C): eval_poly(frt_minor(A, C), T, Q0, every) for A in bl for C in bl}
     B = minor_braiding(N, k, l)[0].to_numpy(Q0).real
     dim = rep.dim
     dk, dl = comb(N, k), comb(N, l)
@@ -446,8 +508,8 @@ def test_zero_test_agrees_with_numeric_evaluation():
 
     def numeric_zero(p):
         for rep in reps:
-            op = eval_poly(p, rep.Z, rep.q0)
-            if np.linalg.norm(op[:, rep.interior]) > 1e-8:
+            op = eval_poly(p, rep.Z, rep.q0, rep.interior)
+            if np.linalg.norm(op) > 1e-8:
                 return False
         return True
 
@@ -496,7 +558,7 @@ def test_eval_poly_rejects_tri_polynomials():
 
     rep = n2_family("char", theta=0.0, c=1.0)
     with pytest.raises(DomainError):
-        eval_poly(NCPoly.gen(Tplain(1, 2)), rep.Z, rep.q0)
+        eval_poly(NCPoly.gen(Tplain(1, 2)), rep.Z, rep.q0, rep.interior)
 
 
 def test_znorm_is_computed_once():
