@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from .braid import QMat, build_rhat, exterior_power, minor_braiding
@@ -216,7 +215,7 @@ def cmd_classify_roots(args):
 def cmd_characters(args):
     if args.n < 2 or args.samples < 1:
         raise DomainError("characters needs --n >= 2 and --samples >= 1")
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     findings = []
     count = 0
     for N in range(2, args.n + 1):
@@ -225,12 +224,12 @@ def cmd_characters(args):
                 if k + 2 * l > N:
                     continue
                 for _ in range(args.samples):
-                    a = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-                    c = Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-                    if rng.integers(0, 2):
+                    a = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
+                    c = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
+                    if rng.randrange(2):
                         c = -c
-                    y = tuple(unimodular_point(Fraction(int(rng.integers(-9, 9)),
-                                                        int(rng.integers(1, 9))))
+                    y = tuple(unimodular_point(Fraction(rng.randrange(-9, 9),
+                                                        rng.randrange(1, 9)))
                               for _ in range(l))
                     p = CharacterParams(k=k, l=l, a=a, c=c, y=y)
                     Z = star_character_exact(p, N)
@@ -279,15 +278,15 @@ def cmd_transport(args):
 
 
 def cmd_sweep(args):
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     # weights are sampled within [-L, L] with L tied to the depth, so that
     # a non-adapted cell always shows a negative norm inside the window
     L = max(1, (args.depth - args.n) // 2)
     findings = []
     for _ in range(args.cells):
-        eps = tuple(int(rng.choice([-1, 1])) for _ in range(args.n))
-        dens = [int(rng.integers(1, 5)) for _ in range(args.n)]
-        r = tuple(Fraction(int(rng.integers(-L * d, L * d + 1)), d) for d in dens)
+        eps = tuple(rng.choice((-1, 1)) for _ in range(args.n))
+        dens = [rng.randrange(1, 5) for _ in range(args.n)]
+        r = tuple(Fraction(rng.randrange(-L * d, L * d + 1), d) for d in dens)
         spec = HWModuleSpec(N=args.n, eps=eps, r=r, D=args.depth, q0=args.q)
         adapted = eps_adapted(r, eps)
         nonneg = bool((gt_norm_signs(spec) >= 0).all())
@@ -307,71 +306,68 @@ def cmd_sweep(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser():
+_COMMON = (
+    ("--q", {"type": _real, "default": "0.5",
+             "help": "deformation parameter, decimal or rational"}),
+    ("--out", {"type": str, "default": None}),
+)
+_REP = _COMMON + (
+    ("--n", {"type": int, "required": True}),
+    ("--eps", {"type": _parse_eps, "required": True, "help": "comma signs, e.g. +,-"}),
+    ("--r", {"type": _parse_reals, "required": True, "help": "comma reals, e.g. 0.3,0.8"}),
+    ("--depth", {"type": int, "default": 12}),
+    ("--margin", {"type": int, "default": None}),
+)
+
+# (name, help, handler, options) of each subcommand.  The handler is named,
+# not referenced, and looked up when a parser is built, so that a wrapper
+# installed on a cmd_* function after import is the one that runs.
+COMMANDS = (
+    ("verify-algebra", "exact identity suites", "cmd_verify_algebra",
+     (("--n", {"type": int, "default": 2}),) + _COMMON),
+    ("rep-build", "build a module and dump it as JSON", "cmd_rep_build", _REP),
+    ("rep-verify", "residuals and spectral data of a build", "cmd_rep_verify",
+     (("--tol", {"type": float, "default": 1e-9}),) + _REP),
+    ("classify-roots", "admissibility and extended signature", "cmd_classify_roots",
+     (("--roots", {"type": str, "required": True, "help": "comma reals"}),
+      ("--eps", {"type": _parse_eps, "default": None})) + _COMMON),
+    ("characters", "exact reflection-equation check of the scalar character family",
+     "cmd_characters",
+     (("--n", {"type": int, "default": 4}),
+      ("--samples", {"type": int, "default": 2}),
+      ("--seed", {"type": int, "default": 0})) + _COMMON),
+    ("transport", "adjoint transport and invariance of the extended signature",
+     "cmd_transport",
+     (("--by", {"type": str, "required": True,
+                "help": "scale:<c> | vector | uchar:<t1,t2,...> | s"}),) + _REP),
+    ("sweep", "norm-positivity vs adaptedness sweep", "cmd_sweep",
+     (("--n", {"type": int, "default": 2}),
+      ("--cells", {"type": int, "default": 100}),
+      ("--depth", {"type": int, "default": 8}),
+      ("--seed", {"type": int, "default": 0})) + _COMMON),
+)
+
+
+def build_parser(command=None):
+    """The argument parser.  Given a known command, only that subparser is
+    built (the others cost a cold process more than the parse); otherwise
+    all are, so that help and usage errors list every command."""
     p = argparse.ArgumentParser(prog="qrea", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, rep_args=False):
-        sp.add_argument("--q", type=_real, default="0.5",
-                        help="deformation parameter, decimal or rational")
-        sp.add_argument("--out", type=str, default=None)
-        if rep_args:
-            sp.add_argument("--n", type=int, required=True)
-            sp.add_argument("--eps", type=_parse_eps, required=True,
-                            help="comma signs, e.g. +,-")
-            sp.add_argument("--r", type=_parse_reals, required=True,
-                            help="comma reals, e.g. 0.3,0.8")
-            sp.add_argument("--depth", type=int, default=12)
-            sp.add_argument("--margin", type=int, default=None)
-
-    sp = sub.add_parser("verify-algebra", help="exact identity suites")
-    sp.add_argument("--n", type=int, default=2)
-    common(sp)
-    sp.set_defaults(fn=cmd_verify_algebra)
-
-    sp = sub.add_parser("rep-build", help="build a module and dump it as JSON")
-    common(sp, rep_args=True)
-    sp.set_defaults(fn=cmd_rep_build)
-
-    sp = sub.add_parser("rep-verify", help="residuals and spectral data of a build")
-    sp.add_argument("--tol", type=float, default=1e-9)
-    common(sp, rep_args=True)
-    sp.set_defaults(fn=cmd_rep_verify)
-
-    sp = sub.add_parser("classify-roots", help="admissibility and extended signature")
-    sp.add_argument("--roots", type=str, required=True, help="comma reals")
-    sp.add_argument("--eps", type=_parse_eps, default=None)
-    common(sp)
-    sp.set_defaults(fn=cmd_classify_roots)
-
-    sp = sub.add_parser("characters", help="exact reflection-equation check of the "
-                                           "scalar character family")
-    sp.add_argument("--n", type=int, default=4)
-    sp.add_argument("--samples", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(fn=cmd_characters)
-
-    sp = sub.add_parser("transport", help="adjoint transport and invariance of the "
-                                          "extended signature")
-    sp.add_argument("--by", type=str, required=True,
-                    help="scale:<c> | vector | uchar:<t1,t2,...> | s")
-    common(sp, rep_args=True)
-    sp.set_defaults(fn=cmd_transport)
-
-    sp = sub.add_parser("sweep", help="norm-positivity vs adaptedness sweep")
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--cells", type=int, default=100)
-    sp.add_argument("--depth", type=int, default=8)
-    sp.add_argument("--seed", type=int, default=0)
-    common(sp)
-    sp.set_defaults(fn=cmd_sweep)
-
+    rows = [row for row in COMMANDS if row[0] == command]
+    # a one-command parser still names every command in its usage line
+    metavar = "{" + ",".join(row[0] for row in COMMANDS) + "}" if rows else None
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, handler, options in rows or COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(fn=globals()[handler])
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

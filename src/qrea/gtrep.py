@@ -614,7 +614,7 @@ def hw_module_to_json(mod: HWModule) -> str:
     def mat(name, M):
         if not np.isfinite(M).all():
             raise PrecisionLoss(f"operator {name} has entries beyond the float64 range")
-        return [[[x, 0.0] for x in row] for row in M.tolist()]
+        return np.stack([M, np.zeros_like(M)], axis=-1).tolist()
 
     norms = []
     for P, c in zip(mod.basis, mod.norms):

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 
@@ -411,15 +412,17 @@ def spectral_components(rep: HermitianRep, tol: float = 1e-7):
 
     Transported representations decompose into factors with distinct
     central characters; this clusters interior-exact joint eigenvectors
-    and classifies each cluster.  Returns a list of
+    of one generic combination of the central operators, whose mixing
+    weights are fixed Gaussian draws from ``random.Random(0)``, and
+    classifies each cluster.  Returns a list of
     (sigma_tuple, roots, extended_signature, multiplicity).
     """
     N = rep.N
     _, _, ops = sigma_scalars(rep)
     mask = rep.interior
     sub_ops = [(op[mask] + op[mask].conj().T) / 2 for op in ops]
-    rng = np.random.default_rng(0)
-    combo = sum(rng.standard_normal() * op for op in sub_ops)
+    rng = random.Random(0)
+    combo = sum(rng.gauss(0.0, 1.0) * op for op in sub_ops)
     _, vecs = np.linalg.eigh(combo)
     scale = max(1.0, rep.znorm() ** N)
     # one product per central operator: the joint eigenvalue of every

@@ -52,14 +52,15 @@ def _part(x):
 
 
 def _gauss(re_part, im_part):
-    """Normalize to Fraction when the imaginary part vanishes."""
+    """Normalize to the real part, in stored form, when the imaginary part
+    vanishes."""
     if not im_part:
-        return Fraction(re_part)
+        return _part(re_part)
     return GaussRational(re_part, im_part)
 
 
 class GaussRational:
-    """Exact complex rational a + b*i; collapses to Fraction when b == 0.
+    """Exact complex rational a + b*i; collapses to its real part when b == 0.
 
     Each part is stored like a Laurent coefficient: an ``int`` when it is
     integral, else a ``Fraction``, so Gaussian-integer arithmetic never

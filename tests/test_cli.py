@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrea.cli import main, parse_report
+from qrea.cli import COMMANDS, build_parser, main, parse_report
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -131,16 +131,21 @@ def test_unread_flags_are_usage_errors(capsys, args):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_module_entrypoint(tmp_path):
-    out = tmp_path / "r.json"
-    # Put this checkout's src first so the child imports it, installed or not.
+def child_env():
+    """The environment of a child interpreter that imports this checkout's
+    src first, installed or not."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_entrypoint(tmp_path):
+    out = tmp_path / "r.json"
     proc = subprocess.run(
         [sys.executable, "-m", "qrea.cli", "classify-roots", "--roots", "1,0.25",
          "--out", str(out)],
-        capture_output=True, text=True, cwd=REPO_ROOT, env=env, timeout=120,
+        capture_output=True, text=True, cwd=REPO_ROOT, env=child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["pass"]
@@ -225,3 +230,58 @@ def test_q_accepts_rationals(tmp_path, args):
         reports.append(out.read_text())
     assert reports[0] == reports[1]
     assert main(args + ["--q", "abc"]) == 2
+
+
+TINY_REP = ["--n", "2", "--eps", "+,-", "--r", "0.3,0.8", "--depth", "10", "--margin", "6"]
+TINY_ARGVS = [
+    ["verify-algebra", "--n", "2"],
+    ["rep-build", *TINY_REP],
+    ["rep-verify", *TINY_REP],
+    ["classify-roots", "--roots", "1,0.25"],
+    ["characters", "--n", "2", "--samples", "1"],
+    ["transport", "--by", "uchar:0.3,0.7", *TINY_REP],
+    ["sweep", "--n", "2", "--cells", "3"],
+]
+
+TINY_CHILD = """
+import json, sys
+from qrea.cli import main
+codes = [main(argv + ["--out", f"{i}.json"]) for i, argv in enumerate(json.loads(sys.argv[1]))]
+print(json.dumps({"codes": codes, "numpy_random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    """Seeded draws come from the standard library's random module: importing
+    numpy.random would cost every cold invocation about 12 ms."""
+    assert sorted(argv[0] for argv in TINY_ARGVS) == sorted(row[0] for row in COMMANDS)
+    proc = subprocess.run([sys.executable, "-c", TINY_CHILD, json.dumps(TINY_ARGVS)],
+                          capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * len(TINY_ARGVS), "numpy_random": False}
+
+
+@pytest.mark.parametrize("argv", TINY_ARGVS, ids=lambda argv: argv[0])
+def test_single_command_parser(argv):
+    """The parser built for one command parses its argv as the full parser
+    does, and knows no other command."""
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+    other = next(row[0] for row in COMMANDS if row[0] != argv[0])
+    with pytest.raises(SystemExit):
+        build_parser(argv[0]).parse_args([other])
+
+
+def test_help_and_usage_errors_list_every_command(capsys):
+    assert main([]) == 2
+    assert main(["bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert main(["sweep", "--bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --bogus" in err
+    assert all(name in err for name, *_ in COMMANDS)
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name, *_ in COMMANDS)

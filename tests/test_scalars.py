@@ -192,10 +192,13 @@ def test_gauss_rational():
     assert z.conjugate() == laurent(y.conjugate(), 2)
     v = complex(y)
     assert math.isclose(abs(v), 1.0)
-    # collapses to Fraction when imaginary part cancels
-    assert isinstance(y * y.conjugate(), Fraction)
+    # collapses to its real part, an int when integral, when the imaginary
+    # part cancels
+    assert type(y * y.conjugate()) is int
     s = GaussRational(1, 1) + GaussRational(1, -1)
-    assert isinstance(s, Fraction) and s == 2
+    assert type(s) is int and s == 2
+    h = GaussRational(Fraction(1, 2), 1) + GaussRational(0, -1)
+    assert type(h) is Fraction and h == Fraction(1, 2)
 
 
 def test_gauss_render_parse():
