@@ -25,17 +25,19 @@ print("\nnorms for eps=(+,+), r=(0,0):",
 spec = HWModuleSpec(N=2, eps=(1, -1), r=(Fraction(3, 10), Fraction(4, 5)), D=12, q0=Q0)
 mod = build_hw_module(spec, margin=4)
 print(f"\nmixed-sign module: dimension {mod.dim} at truncation D={spec.D}")
-print("diagonal generator T_1 eigenvalues:", np.round(sorted(mod.Tdiag[0])[:5], 5), "...")
+T = mod.T  # T[i-1, j-1] is the generator T[i,j]
+print("diagonal generator T_1 eigenvalues:", np.round(sorted(np.diagonal(T[0, 0]))[:5], 5), "...")
 
-# the ladder operators are adjoint to each other and satisfy the deformed
-# commutation relation with the sign eps_(i,i+1]
+# the raising operators are the adjoints e_i = f_i^T of the lowering ones,
+# and they satisfy the deformed commutation relation with the sign eps_(i,i+1]
 i = 1
-E, F = mod.e[i - 1], mod.f[i - 1]
-print("e == f^T exactly:", np.array_equal(E, F.T))
-khat = mod.K[0] / mod.K[1]
+F = mod.f[i - 1]
+E = F.T
+K = [1 / np.diagonal(T[k, k]) for k in range(spec.N)]  # T[k,k] = K_k^{-1}
+khat = K[0] / K[1]
 target = (spec.eps_padded[1] * khat - 1 / khat) / (Q0 - 1 / Q0)
 resid = np.linalg.norm((E @ F - F @ E - np.diag(target))[:, mod.interior])
 print(f"deformed commutator residual on the interior: {float(resid):.2e}")
 
 # triangular generators: diagonal positive, strictly upper from the ladder
-print("\nT[1,2] nonzero entries:", int((np.abs(mod.t_block(1, 2)) > 1e-14).sum()))
+print("\nT[1,2] nonzero entries:", int((np.abs(T[0, 1]) > 1e-14).sum()))

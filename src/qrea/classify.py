@@ -19,8 +19,6 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .braid import QMat, _leading_signs, build_rhat
 from .errors import DomainError, NotAdmissible, SignMismatch
 from .scalars import GaussRational, laurent
@@ -33,7 +31,6 @@ __all__ = [
     "ext_signature",
     "rmod1_equal",
     "canonical_weight",
-    "star_character",
     "star_character_exact",
     "classification_rows",
     "rows_to_csv",
@@ -158,7 +155,8 @@ def canonical_weight(roots, eps, q0: float, tol: float = 1e-9):
 
 @dataclass(frozen=True)
 class CharacterParams:
-    """Parameters (k, l, a, c, y) of a scalar *-character of rank k + 2l."""
+    """Parameters (k, l, a, c, y) of a scalar *-character of rank k + 2l;
+    the phases y are unimodular ``GaussRational``s."""
 
     k: int
     l: int
@@ -178,33 +176,14 @@ class CharacterParams:
         if len(self.y) != self.l:
             raise DomainError("y must have length l")
         for yi in self.y:
-            if isinstance(yi, GaussRational):
-                if not yi.is_unimodular():
-                    raise DomainError("y entries must be unimodular")
-            elif abs(abs(complex(yi)) - 1.0) > 1e-12:
-                raise DomainError("y entries must be unimodular")
-
-
-def star_character(p: CharacterParams, N: int) -> np.ndarray:
-    """The scalar matrix of the *-character: a on the diagonal past k+l,
-    an extra -1/a on the last l slots, unimodular antidiagonal couplings,
-    everything scaled by c."""
-    p.validate(N)
-    M = np.zeros((N, N), dtype=complex)
-    a = float(p.a)
-    for i in range(p.k + p.l + 1, N + 1):
-        M[i - 1, i - 1] += a
-    for i in range(N - p.l + 1, N + 1):
-        M[i - 1, i - 1] -= 1.0 / a
-    for t in range(p.l):
-        yt = complex(p.y[t])
-        M[p.k + t, N - t - 1] += yt
-        M[N - t - 1, p.k + t] += np.conj(yt)
-    return float(p.c) * M
+            if not (isinstance(yi, GaussRational) and yi.is_unimodular()):
+                raise DomainError("y entries must be unimodular GaussRationals")
 
 
 def star_character_exact(p: CharacterParams, N: int):
-    """Exact-mode character matrix over Gaussian-rational Laurent scalars."""
+    """The scalar matrix of the *-character over Gaussian-rational Laurent
+    scalars: a on the diagonal past k+l, an extra -1/a on the last l slots,
+    the unimodular antidiagonal couplings y, everything scaled by c."""
     p.validate(N)
     a = Fraction(p.a)
     c = Fraction(p.c)
@@ -215,8 +194,6 @@ def star_character_exact(p: CharacterParams, N: int):
         M[(i - 1, i - 1)] = M[(i - 1, i - 1)] - laurent(1 / a)
     for t in range(p.l):
         yt = p.y[t]
-        if not isinstance(yt, GaussRational):
-            raise DomainError("exact mode needs GaussRational phases")
         M[(p.k + t, N - t - 1)] = M[(p.k + t, N - t - 1)] + laurent(yt)
         M[(N - t - 1, p.k + t)] = M[(N - t - 1, p.k + t)] + laurent(yt.conjugate())
     return M.scale(laurent(c))

@@ -38,17 +38,16 @@ from .gtrep import (
     eps_adapted,
     gt_norm_signs,
     hw_module_to_json,
-    scaling_trep,
+    scaling_blocks,
+    suq2_corep_blocks,
     vector_trep,
 )
 from .hrep import (
     adjoint_transport_T,
     adjoint_transport_U,
     build_bigcell_rep,
-    sigma_scalars,
     spectral_components,
     spectral_data,
-    suq2_corep_blocks,
     uchar_blocks,
     verify_rep,
 )
@@ -123,7 +122,7 @@ def parse_report(text: str) -> dict:
 def cmd_verify_algebra(args):
     findings = []
     n = args.n
-    rep = identity_suite(n, bound=max(3, n))
+    rep = identity_suite(n)
     for f in rep["findings"]:
         findings.append({"name": f"ncalg.{f['name']}", "ok": f["ok"],
                          "residual": None, "detail": f.get("detail", "")})
@@ -161,8 +160,7 @@ def cmd_rep_build(args):
 
 
 def _rep_findings(rep, tol):
-    sigma = sigma_scalars(rep)
-    rpt = verify_rep(rep, tol, sigma)
+    rpt = verify_rep(rep, tol)
     findings = [
         {"name": f["name"], "ok": f["ok"],
          "residual": float(f["residual"]) if f.get("residual") is not None else None}
@@ -170,7 +168,7 @@ def _rep_findings(rep, tol):
     ]
     extra = {}
     try:
-        roots, sig, ext, rank = spectral_data(rep, sigma=sigma)
+        roots, sig, ext, rank = spectral_data(rep)
         extra = {
             "roots": [float(x) for x in roots],
             "signature": list(sig),
@@ -252,15 +250,14 @@ def cmd_transport(args):
     q0 = args.q
     mode = args.by
     if mode.startswith("scale:"):
-        out = adjoint_transport_T(rep, scaling_trep(args.n, float(mode[6:])))
+        out = adjoint_transport_T(rep, *scaling_blocks(args.n, float(mode[6:])))
     elif mode == "vector":
-        out = adjoint_transport_T(rep, vector_trep(args.n, q0))
+        out = adjoint_transport_T(rep, *vector_trep(args.n, q0))
     elif mode.startswith("uchar:"):
         thetas = tuple(float(t) for t in mode[6:].split(","))
-        out = adjoint_transport_U(rep, uchar_blocks(thetas))
+        out = adjoint_transport_U(rep, *uchar_blocks(thetas))
     elif mode == "s":
-        U, u_int = suq2_corep_blocks(args.depth, 0.0, q0)
-        out = adjoint_transport_U(rep, U, u_int)
+        out = adjoint_transport_U(rep, *suq2_corep_blocks(args.depth, q0))
     else:
         raise argparse.ArgumentTypeError(f"unknown transport {mode!r}")
     comps = spectral_components(out)

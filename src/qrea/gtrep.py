@@ -1,5 +1,6 @@
 """Highest-weight modules for the deformed triangular *-algebra in their
-Gelfand-Tsetlin realization, plus the standard quantum-SU(2) representation.
+Gelfand-Tsetlin realization, and the transport parameters built from them
+and from the standard quantum-SU(2) corepresentation.
 
 A module is specified by (N, M, eps, r, D, q0): eps in {-1,0,1}^M and the
 highest weight r in R^M are zero/one padded to length N internally, D caps
@@ -46,16 +47,15 @@ __all__ = [
     "GTPattern",
     "HWModuleSpec",
     "HWModule",
-    "ScalingTrep",
     "eps_adapted",
     "patterns",
     "gt_norm",
     "gt_norm_sign",
     "gt_norm_signs",
     "build_hw_module",
-    "suq2_rep",
     "vector_trep",
-    "scaling_trep",
+    "scaling_blocks",
+    "suq2_corep_blocks",
     "hw_module_to_json",
 ]
 
@@ -387,9 +387,9 @@ class HWModule:
     ``tri[(i, j)]`` (i <= j) is T[i,j] and ``lower[i - 1]`` the lowering
     operator f_i, each a list of rows {column: Decimal} holding the
     nonzeros, computed in ``context``; ``norms`` are the Decimal squared norms
-    c_P.  The float64 views ``t_block``, ``Tdiag``, ``K``, ``e`` and
-    ``f = e^T`` are formed on demand.  ``interior`` marks basis vectors at
-    least ``interior_margin`` below the truncation cap.
+    c_P.  The float64 views ``T`` and ``f`` are formed on demand.
+    ``interior`` marks basis vectors at least ``interior_margin`` below the
+    truncation cap.
     """
 
     spec: HWModuleSpec
@@ -410,29 +410,19 @@ class HWModule:
     def N(self) -> int:
         return self.spec.N
 
-    def t_block(self, i: int, j: int) -> np.ndarray:
-        """Matrix of T[i,j] (i <= j); zero below the diagonal."""
-        if i > j:
-            return np.zeros((self.dim, self.dim))
-        return _dense(self.tri[(i, j)])
-
     @property
-    def Tdiag(self) -> list:
-        """Eigenvalues of the diagonal generators T[i,i] (positive)."""
-        return [np.array([float(row[t]) for t, row in enumerate(self.tri[(i, i)])])
-                for i in range(1, self.N + 1)]
-
-    @property
-    def K(self) -> list:
-        return [1.0 / t for t in self.Tdiag]
+    def T(self) -> np.ndarray:
+        """Every T[i,j] as one (N, N, dim, dim) block array, T[i,j] at
+        ``T[i - 1, j - 1]``; zero below the diagonal."""
+        T = np.zeros((self.N, self.N, self.dim, self.dim))
+        for (i, j), rows in self.tri.items():
+            T[i - 1, j - 1] = _dense(rows)
+        return T
 
     @property
     def f(self) -> list:
+        """The lowering operators f_i; the raising ones are e_i = f_i^T."""
         return [_dense(rows) for rows in self.lower]
-
-    @property
-    def e(self) -> list:
-        return [M.T for M in self.f]
 
 
 def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
@@ -514,10 +504,11 @@ def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
 
 
 # ---------------------------------------------------------------------------
-# finite-dimensional modules used as transport parameters
+# transport parameters: an (N, N, m, m) block array W, block W_ij at
+# W[i - 1, j - 1], and the bool mask of its interior basis vectors
 
 
-def detect_finite(spec: HWModuleSpec, margin_shells: int = 2):
+def detect_finite(spec: HWModuleSpec):
     """Truncate a module whose norms vanish above some shell.
 
     Returns the module restricted to the nonzero shells with interior =
@@ -530,7 +521,7 @@ def detect_finite(spec: HWModuleSpec, margin_shells: int = 2):
     if all(live):
         return None
     cutoff = live.index(False)
-    if any(live[cutoff:cutoff + margin_shells + 1]):
+    if any(live[cutoff:]):
         raise DomainError("norm support is not shell-convex; not a finite module")
     mod = build_hw_module(HWModuleSpec(N=spec.N, eps=spec.eps, r=spec.r,
                                        D=cutoff, q0=spec.q0), margin=0)
@@ -538,66 +529,44 @@ def detect_finite(spec: HWModuleSpec, margin_shells: int = 2):
     return mod
 
 
-def vector_trep(N: int, q0: float = 0.5) -> HWModule:
+def vector_trep(N: int, q0: float = 0.5):
     """The N-dimensional vector representation of the triangular algebra,
-    realized as the finite module with highest weight (-1, 0, ..., 0)."""
+    realized as the finite module with highest weight (-1, 0, ..., 0): its
+    T blocks and its interior (everything)."""
     spec = HWModuleSpec(N=N, eps=(1,) * N, r=(Fraction(-1),) + (Fraction(0),) * (N - 1),
                         D=2 * N + 2, q0=q0)
     mod = detect_finite(spec)
     if mod is None or mod.dim != N:
         raise DomainError("vector module detection failed")
-    return mod
+    return mod.T, mod.interior
 
 
-@dataclass
-class ScalingTrep:
-    """One-dimensional representation T[i,j] -> c * delta_ij (c > 0)."""
-
-    N: int
-    c: float
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    @property
-    def interior(self):
-        return np.array([True])
-
-    def t_block(self, i: int, j: int) -> np.ndarray:
-        return np.array([[self.c if i == j else 0.0]])
-
-
-def scaling_trep(N: int, c: float) -> ScalingTrep:
+def scaling_blocks(N: int, c: float):
+    """The one-dimensional representation T[i,j] -> c delta_ij (c > 0)."""
     if c <= 0:
         raise DomainError("scaling representations need c > 0")
-    return ScalingTrep(N=N, c=float(c))
+    return float(c) * np.eye(N)[:, :, None, None], np.ones(1, dtype=bool)
 
 
-# ---------------------------------------------------------------------------
-# the standard quantum-SU(2) representation
+def suq2_corep_blocks(D: int, q0: float = 0.5):
+    """The standard quantum-SU(2) corepresentation U = [[a, -q c*], [c, a*]]
+    on span(e_0..e_D), with a e_n = (1 - q^{2n})^{1/2} e_{n-1} and
+    c e_n = q^n e_n, and its interior: the levels n <= D - 2.
 
-
-def suq2_rep(D: int, theta: float = 0.0, q0: float = 0.5):
-    """Truncated standard representation on span(e_0..e_D) and the unitary
-    2x2 block, optionally composed with the diagonal circle character.
-
-    a e_n = (1 - q^{2n})^{1/2} e_{n-1},  c e_n = q^n e_n, and the block is
-    [[a, -q c*], [c, a*]] conjugated by phases exp(2 pi i theta).
+    U_lj moves the level by l + j - 3, so the transported letter
+    Z'_ij = sum_kl Z_kl ox U_ki^* U_lj moves it by (j - i) + (l - k).  The
+    words that verification reads (the central elements and the leading
+    minors: at most two letters, each index value as often a row as a
+    column) never reach more than L levels above the column that a word of
+    L letters starts from.  So the margin is the word length, 2: truncation
+    leaves the levels n <= D - 2 exact, and not level D - 1.
     """
-    if D < 1:
-        raise DomainError("D must be >= 1")
+    if D < 2:
+        raise DomainError("D must be >= 2")
     n = np.arange(D + 1)
-    a = np.zeros((D + 1, D + 1), dtype=complex)
-    for m in range(1, D + 1):
-        a[m - 1, m] = np.sqrt(1.0 - q0 ** (2 * m))
-    c = np.diag(q0 ** n).astype(complex)
-    phase = np.exp(2j * np.pi * theta)
-    U = [
-        [phase * a, -q0 * c.conj().T * np.conj(phase)],
-        [phase * c, a.conj().T * np.conj(phase)],
-    ]
-    return a, c, U
+    a = np.diag(np.sqrt(1.0 - q0 ** (2 * n[1:])), k=1)
+    c = np.diag(q0 ** n)  # a and c are real: a* = a^T and c* = c
+    return np.array([[a, -q0 * c], [c, a.T]]), n <= D - 2
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +590,7 @@ def hw_module_to_json(mod: HWModule) -> str:
         norms.append(float(c))
         if not math.isfinite(norms[-1]):
             raise PrecisionLoss(f"norm {c:.6e} of pattern {P} is beyond the float64 range")
-    spec = mod.spec
+    spec, T, f = mod.spec, mod.T, mod.f
     doc = {
         "spec": {
             "N": spec.N,
@@ -634,10 +603,10 @@ def hw_module_to_json(mod: HWModule) -> str:
         "basis": [[list(row) for row in P] for P in mod.basis],
         "norms": norms,
         "ops": {
-            **{f"T{i}{j}" if i < j else f"T{i}": mat(f"T[{i},{j}]", mod.t_block(i, j))
+            **{f"T{i}{j}" if i < j else f"T{i}": mat(f"T[{i},{j}]", T[i - 1, j - 1])
                for i, j in mod.tri},
-            **{f"e{i}": mat(f"e{i}", M) for i, M in enumerate(mod.e, start=1)},
-            **{f"f{i}": mat(f"f{i}", M) for i, M in enumerate(mod.f, start=1)},
+            **{f"e{i}": mat(f"e{i}", M.T) for i, M in enumerate(f, start=1)},
+            **{f"f{i}": mat(f"f{i}", M) for i, M in enumerate(f, start=1)},
         },
     }
     return json.dumps(doc, sort_keys=True)

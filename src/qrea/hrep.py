@@ -8,14 +8,21 @@ triangular or unitary quantum-group representations.
 
 Z is held as one array of shape (N, N, dim, dim): Z[i - 1, j - 1] is the
 block Z_ij, and Z.transpose(0, 2, 1, 3).reshape(N * dim, N * dim) is the
-assembled operator on C^N ox C^dim.
+assembled operator on C^N ox C^dim.  A transport parameter has the same
+layout: an (N, N, m, m) block array W and the bool mask of its interior
+basis vectors (``gtrep.scaling_blocks``, ``gtrep.vector_trep``,
+``uchar_blocks``, ``gtrep.suq2_corep_blocks``); the transported interior is
+the Kronecker product of the two masks.
 
 Every check and every classifying datum is measured from Z, the same way
 for every source, on the interior columns: the basis vectors at least a
 margin below the truncation cap (basis vector 0, for a big cell the
 highest-weight vector, is the first).  All residuals are Frobenius norms
 of defects on them, relative to the squared block scale.  A margin of at
-least twice the word length keeps truncation junk out of them.  On
+least twice the word length keeps truncation junk out of them.  The
+quantum-SU(2) corepresentation needs only the word length, 2: in the words
+read here its letters reach at most one level per letter above the column
+they start from (``gtrep.suq2_corep_blocks``).  On
 big-cell builds of mixed sign the assembly of Z cancels summands of size
 q^{-2s}, where s is the top interior shell, down to bounded entries; it
 runs in ``decimal`` at a precision derived from D, r and q
@@ -49,7 +56,7 @@ import numpy as np
 from . import classify as _classify
 from .braid import _leading_signs, build_rhat
 from .errors import BadCorep, DomainError, NotFactorial, PrecisionLoss
-from .gtrep import HWModule, HWModuleSpec, build_hw_module, suq2_rep
+from .gtrep import HWModule, HWModuleSpec, build_hw_module
 from .ncalg import NCPoly, central_sigma, frt_minor, leading_minor_Z
 
 __all__ = [
@@ -68,7 +75,6 @@ __all__ = [
     "adjoint_transport_T",
     "adjoint_transport_U",
     "uchar_blocks",
-    "suq2_corep_blocks",
 ]
 
 TRANSPORT_DIM_CAP = 20000
@@ -89,6 +95,7 @@ class HermitianRep:
     q0: float
     tmod: HWModule | None = None   # present for big-cell builds
     _znorm: float | None = field(default=None, init=False, repr=False, compare=False)
+    _sigma: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.Z = np.asarray(self.Z)
@@ -318,7 +325,10 @@ def selfadj_residual(rep: HermitianRep) -> float:
 def sigma_scalars(rep: HermitianRep):
     """Measured central scalars, their scalarness residuals, and the central
     operators on the interior columns.  sigma_k is read at the first
-    interior basis vector."""
+    interior basis vector.  Computed on the first call and kept on ``rep``,
+    like ``znorm``."""
+    if rep._sigma is not None:
+        return rep._sigma
     N = rep.N
     mask = rep.interior
     ref = int(np.argmax(mask))
@@ -331,7 +341,8 @@ def sigma_scalars(rep: HermitianRep):
         scalars.append(s)
         resids.append(resid / (1.0 + abs(s)))
         ops.append(op)
-    return scalars, resids, ops
+    rep._sigma = (scalars, resids, ops)
+    return rep._sigma
 
 
 def hc_sigma_prediction(rep: HermitianRep):
@@ -347,7 +358,7 @@ def hc_sigma_prediction(rep: HermitianRep):
     return [(-1) ** k * coeffs[k] for k in range(1, spec.N + 1)]
 
 
-def spectral_data(rep: HermitianRep, tol: float = 1e-8, sigma=None):
+def spectral_data(rep: HermitianRep, tol: float = 1e-8):
     """(roots, signature, extended signature, rank) of a factor representation.
 
     Requires the central elements to act as scalars to tolerance.  The
@@ -356,10 +367,9 @@ def spectral_data(rep: HermitianRep, tol: float = 1e-8, sigma=None):
     interior columns: eta_k is the ratio of the signs of the k-th and
     (k-1)-st minor spectra.  Where a minor has no definite sign it falls
     back to the root signs in the canonical decreasing-magnitude-per-class
-    order.  ``sigma`` is the result of ``sigma_scalars(rep)`` when the
-    caller already has it.
+    order.
     """
-    scalars, resids, _ = sigma_scalars(rep) if sigma is None else sigma
+    scalars, resids, _ = sigma_scalars(rep)
     if max(resids) > tol:
         raise NotFactorial(f"central elements are not scalar: residuals {resids}")
     N = rep.N
@@ -463,7 +473,7 @@ def op_minor_blocks(rep: HermitianRep, k: int):
     if rep.tmod is None:
         raise DomainError("operator minors need a triangular factorization")
     lead = _leading_signs(rep.tmod.spec.eps_padded)
-    T = _t_blocks(rep.tmod, rep.N)
+    T = rep.tmod.T
     subsets = list(itertools.combinations(range(1, rep.N + 1), k))
     every = np.ones(rep.dim, dtype=bool)
     X = np.array([[eval_poly(frt_minor(K, I), T, rep.q0, every) for I in subsets]
@@ -477,72 +487,55 @@ def op_minor_blocks(rep: HermitianRep, k: int):
 # adjoint transports
 
 
-def _check_transport(rep: HermitianRep, n: int, wdim: int):
-    if n != rep.N:
+def _transport(rep: HermitianRep, W: np.ndarray, interior: np.ndarray) -> HermitianRep:
+    """Z'_ij = sum_kl Z_kl ox W_ki^dagger W_lj for an (N, N, m, m) block array W
+    with interior mask ``interior``; real when Z and W are.  The sizes are
+    checked from ``W.shape`` before anything is allocated."""
+    N, m = rep.N, W.shape[-1]
+    if W.shape != (N, N, m, m) or len(interior) != m:
         raise DomainError("size mismatch between representation and transport")
-    if rep.dim * wdim > TRANSPORT_DIM_CAP:
-        raise DomainError(f"transport dimension {rep.dim * wdim} exceeds cap {TRANSPORT_DIM_CAP}")
-
-
-def _transport(rep: HermitianRep, W: np.ndarray, w_interior) -> HermitianRep:
-    """Z'_ij = sum_kl Z_kl ox W_ki^dagger W_lj for an (N, N, m, m) block array W;
-    real when Z and W are."""
-    N = rep.N
-    newdim = rep.dim * W.shape[-1]
+    newdim = rep.dim * m
+    if newdim > TRANSPORT_DIM_CAP:
+        raise DomainError(f"transport dimension {newdim} exceeds cap {TRANSPORT_DIM_CAP}")
     C = np.einsum("kiba,ljbc->klijac", W.conj(), W)
     Z = np.ascontiguousarray(np.einsum("klab,klijcd->ijacbd", rep.Z, C, optimize=True))
     return HermitianRep(N=N, Z=Z.reshape(N, N, newdim, newdim),
-                        interior=np.kron(rep.interior, w_interior).astype(bool), q0=rep.q0)
+                        interior=np.kron(rep.interior, interior).astype(bool), q0=rep.q0)
 
 
-def _t_blocks(trep, N: int) -> np.ndarray:
-    """The T blocks of a triangular representation as one (N, N, dim, dim) array."""
-    idx = range(1, N + 1)
-    return np.array([[trep.t_block(k, i) for i in idx] for k in idx], dtype=np.float64)
+def adjoint_transport_T(rep: HermitianRep, W: np.ndarray, interior: np.ndarray) -> HermitianRep:
+    """Transport Z -> T^dagger_13 Z_12 T_13 by a finite triangular representation,
+    given as the block array W of its T[i,j] and its interior mask."""
+    return _transport(rep, W, interior)
 
 
-def adjoint_transport_T(rep: HermitianRep, trep) -> HermitianRep:
-    """Transport Z -> T^dagger_13 Z_12 T_13 by a finite triangular rep."""
-    _check_transport(rep, trep.N, trep.dim)
-    return _transport(rep, _t_blocks(trep, rep.N), trep.interior)
+def adjoint_transport_U(rep: HermitianRep, W: np.ndarray, interior: np.ndarray) -> HermitianRep:
+    """Transport Z -> U^dagger_13 Z_12 U_13 by a unitary block corepresentation,
+    given as its block array W and its interior mask.  Raises BadCorep unless
+    sum_k W_ki^dagger W_kj = delta_ij on interior rows and columns to 1e-9."""
+    out = _transport(rep, W, interior)  # first, for its size checks
+    defect = (np.einsum("kiba,kjbc->ijac", W.conj(), W)
+              - np.eye(rep.N)[:, :, None, None] * np.eye(len(interior)))
+    worst = float(np.linalg.norm(defect[:, :, interior][..., interior], axis=(2, 3)).max())
+    if worst > 1e-9:
+        raise BadCorep(f"transport matrix unitarity residual {worst:.2e} exceeds 1e-9")
+    return out
 
 
-def adjoint_transport_U(rep: HermitianRep, U, u_interior=None, tol: float = 1e-9) -> HermitianRep:
-    """Transport Z -> U^dagger_13 Z_12 U_13 by a unitary block corepresentation."""
-    U = np.asarray(U)
-    _check_transport(rep, len(U), U.shape[-1])
-    if u_interior is None:
-        u_interior = np.ones(U.shape[-1], dtype=bool)
-    # sum_k U_ki^dagger U_kj - delta_ij, on interior rows and columns
-    defect = (np.einsum("kiba,kjbc->ijac", U.conj(), U)
-              - np.eye(rep.N)[:, :, None, None] * np.eye(U.shape[-1]))
-    worst = float(np.linalg.norm(defect[:, :, u_interior][..., u_interior], axis=(2, 3)).max())
-    if worst > tol:
-        raise BadCorep(f"transport matrix unitarity residual {worst:.2e} > {tol:.2e}")
-    return _transport(rep, U, u_interior)
-
-
-def uchar_blocks(thetas) -> np.ndarray:
-    """Diagonal character of the unitary quantum group as 1x1 blocks."""
-    return np.diag(np.exp(2j * np.pi * np.asarray(thetas, dtype=float)))[:, :, None, None]
-
-
-def suq2_corep_blocks(D: int, theta: float = 0.0, q0: float = 0.5):
-    """The standard quantum-SU(2) corepresentation block matrix and its
-    interior mask."""
-    _, _, U = suq2_rep(D, theta=theta, q0=q0)
-    interior = np.arange(D + 1) <= D - 1
-    return U, interior
+def uchar_blocks(thetas):
+    """Diagonal character of the unitary quantum group as 1x1 blocks, and
+    its interior."""
+    W = np.diag(np.exp(2j * np.pi * np.asarray(thetas, dtype=float)))[:, :, None, None]
+    return W, np.ones(1, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
 # verification report
 
 
-def verify_rep(rep: HermitianRep, tol: float = 1e-9, sigma=None) -> dict:
+def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> dict:
     """Reflection-equation, self-adjointness, central-scalar, and
-    Cayley-Hamilton checks; all findings are report rows.  ``sigma`` is the
-    result of ``sigma_scalars(rep)`` when the caller already has it."""
+    Cayley-Hamilton checks; all findings are report rows."""
     N = rep.N
     findings = []
     re_res = re_residual(rep)
@@ -550,7 +543,7 @@ def verify_rep(rep: HermitianRep, tol: float = 1e-9, sigma=None) -> dict:
     sa_res = selfadj_residual(rep)
     findings.append({"name": "self_adjoint", "residual": sa_res, "ok": bool(sa_res < tol)})
 
-    scalars, resids, _ = sigma_scalars(rep) if sigma is None else sigma
+    scalars, resids, _ = sigma_scalars(rep)
     for k in range(1, N + 1):
         findings.append({
             "name": f"sigma_{k}_scalar",

@@ -13,7 +13,6 @@ from qrea.classify import (
     admissible_roots,
     reflection_defect_exact,
     rmod1_equal,
-    star_character,
     star_character_exact,
 )
 from qrea.gtrep import (
@@ -21,7 +20,8 @@ from qrea.gtrep import (
     eps_adapted,
     gt_norm_sign,
     patterns,
-    scaling_trep,
+    scaling_blocks,
+    suq2_corep_blocks,
     vector_trep,
 )
 from qrea.hrep import (
@@ -33,7 +33,6 @@ from qrea.hrep import (
     selfadj_residual,
     spectral_components,
     spectral_data,
-    suq2_corep_blocks,
     uchar_blocks,
     verify_rep,
     zero_rep,
@@ -283,26 +282,26 @@ def test_criterion_11_sylvester_invariance():
     )
     _, _, ext0, rank0 = spectral_data(rep)
 
-    out = adjoint_transport_T(rep, scaling_trep(2, 0.7))
+    out = adjoint_transport_T(rep, *scaling_blocks(2, 0.7))
     _, _, ext1, rank1 = spectral_data(out)
     ok &= rank1 == rank0 and ext1.counts() == ext0.counts()
     ok &= rmod1_equal(ext1.rmod1, ext0.rmod1, 1e-8)
 
-    out = adjoint_transport_T(rep, vector_trep(2, Q0))
+    out = adjoint_transport_T(rep, *vector_trep(2, Q0))
     comps = spectral_components(out)
     ok &= len(comps) >= 2
     for _, _, ext, _ in comps:
         ok &= ext.counts() == ext0.counts()
         ok &= rmod1_equal(ext.rmod1, ext0.rmod1, 1e-8)
 
-    out = adjoint_transport_U(rep, uchar_blocks((0.2, 0.7)))
+    out = adjoint_transport_U(rep, *uchar_blocks((0.2, 0.7)))
     _, _, ext2, _ = spectral_data(out)
     ok &= ext2.counts() == ext0.counts() and rmod1_equal(ext2.rmod1, ext0.rmod1, 1e-8)
 
     # mixed-sign character transported by the standard quantum-SU(2)
     # representation exhibits both sign patterns in the Z_[1] spectrum
     char = n2_family("char", theta=0.0, c=1.0, a=2.0)
-    U, u_int = suq2_corep_blocks(40, 0.0, Q0)
+    U, u_int = suq2_corep_blocks(40, Q0)
     moved = adjoint_transport_U(char, U, u_int)
     eigs = np.linalg.eigvalsh(moved.block(1, 1)[np.ix_(moved.interior, moved.interior)])
     ok &= bool((eigs > 1e-8).any() and (eigs < -1e-8).any())
@@ -345,7 +344,7 @@ def test_criterion_12_character_generator():
     }
     for (k, l), want in shapes.items():
         y = tuple(unimodular_point(Fraction(1, t + 2)) for t in range(l))
-        M = star_character(CharacterParams(k=k, l=l, a=2.0, c=1.0, y=y), 4)
+        M = star_character_exact(CharacterParams(k=k, l=l, a=2, c=1, y=y), 4).to_numpy(Q0)
         got = {(i + 1, j + 1) for i in range(4) for j in range(4) if abs(M[i, j]) > 1e-14}
         ok &= got == want
     report(12, ok, f"{checked} exact reflection-equation checks of the character "

@@ -15,7 +15,6 @@ from qrea.classify import (
     rmod1_equal,
     rows_to_csv,
     rows_to_json,
-    star_character,
     star_character_exact,
 )
 from qrea.errors import DomainError, NotAdmissible, SignMismatch
@@ -82,9 +81,14 @@ def test_canonical_weight_examples():
         canonical_weight(roots, (1, -1), Q0)
 
 
+def character_matrix(N, **params):
+    return star_character_exact(CharacterParams(**params), N).to_numpy(Q0)
+
+
 def test_star_character_n4_shape():
-    y0 = np.exp(0.7j)
-    M = star_character(CharacterParams(k=0, l=1, a=2.0, c=3.0, y=(y0,)), 4)
+    y0 = unimodular_point(Fraction(1, 3))
+    M = character_matrix(4, k=0, l=1, a=2, c=3, y=(y0,))
+    y0 = complex(float(y0.re), float(y0.im))
     want = 3.0 * np.array([
         [0, 0, 0, y0],
         [0, 2.0, 0, 0],
@@ -95,26 +99,29 @@ def test_star_character_n4_shape():
 
 
 def test_star_character_zero_and_diagonal():
-    M = star_character(CharacterParams(k=4, l=0, a=1.0, c=5.0, y=()), 4)
+    M = character_matrix(4, k=4, l=0, a=1, c=5, y=())
     assert np.allclose(M, 0.0)
-    M = star_character(CharacterParams(k=0, l=0, a=2.0, c=1.0, y=()), 3)
+    M = character_matrix(3, k=0, l=0, a=2, c=1, y=())
     assert np.allclose(M, 2.0 * np.eye(3))
 
 
 def test_star_character_n2_matches_family_shape():
-    M = star_character(CharacterParams(k=0, l=1, a=1.0, c=1.0, y=(1 + 0j,)), 2)
+    M = character_matrix(2, k=0, l=1, a=1, c=1, y=(unimodular_point(0),))
     assert np.allclose(M, np.array([[0, 1], [1, 0]]))
 
 
 def test_star_character_param_validation():
+    one = unimodular_point(0)
     with pytest.raises(DomainError):
-        CharacterParams(k=2, l=1, a=1.0, c=1.0, y=(1 + 0j,)).validate(3)
+        CharacterParams(k=2, l=1, a=1, c=1, y=(one,)).validate(3)
     with pytest.raises(DomainError):
-        CharacterParams(k=0, l=1, a=-1.0, c=1.0, y=(1 + 0j,)).validate(4)
+        CharacterParams(k=0, l=1, a=-1, c=1, y=(one,)).validate(4)
     with pytest.raises(DomainError):
-        CharacterParams(k=0, l=1, a=1.0, c=0.0, y=(1 + 0j,)).validate(4)
+        CharacterParams(k=0, l=1, a=1, c=0, y=(one,)).validate(4)
     with pytest.raises(DomainError):
-        CharacterParams(k=0, l=1, a=1.0, c=1.0, y=(2 + 0j,)).validate(4)
+        CharacterParams(k=0, l=1, a=1, c=1, y=(GaussRational(2, 0),)).validate(4)
+    with pytest.raises(DomainError):  # phases are exact
+        CharacterParams(k=0, l=1, a=1, c=1, y=(1 + 0j,)).validate(4)
 
 
 def test_star_character_exact_reflection_equation():
@@ -231,7 +238,7 @@ def test_sylvester_chain_connects_equal_extsig():
     spectral weight"""
     from fractions import Fraction
 
-    from qrea.gtrep import HWModuleSpec, detect_finite, scaling_trep
+    from qrea.gtrep import HWModuleSpec, detect_finite, scaling_blocks
     from qrea.hrep import (adjoint_transport_T, build_bigcell_rep,
                            spectral_components, spectral_data)
 
@@ -250,11 +257,11 @@ def test_sylvester_chain_connects_equal_extsig():
     # scale so the positive roots align (alpha 0.3 -> 0.55), then transport
     # by the finite two-dimensional module with highest weight (0, 1),
     # which shifts one weight slot up by one
-    scaled = adjoint_transport_T(rep_a, scaling_trep(2, q0 ** 0.25))
+    scaled = adjoint_transport_T(rep_a, *scaling_blocks(2, q0 ** 0.25))
     trep = detect_finite(HWModuleSpec(N=2, eps=(1, 1), r=(Fraction(0), Fraction(1)),
                                       D=6, q0=q0))
     assert trep is not None and trep.dim == 2
-    moved = adjoint_transport_T(scaled, trep)
+    moved = adjoint_transport_T(scaled, trep.T, trep.interior)
     comps = spectral_components(moved)
     hit = any(
         np.allclose(sorted(roots, reverse=True), sorted(roots_b, reverse=True),

@@ -172,6 +172,28 @@ def test_deep_builds_pass(tmp_path, n, eps, r, depth, margin):
     assert doc["pass"] is True and code == 0, [f for f in doc["findings"] if not f["ok"]]
 
 
+S_TRANSPORTS = [("+,+", "1/5,6/5"), ("+,-", "3/10,4/5"), ("-,+", "-4/5,1/5"),
+                ("-,-", "-2/5,-1/2")]
+
+
+@pytest.mark.parametrize("depth", [14, 20])
+@pytest.mark.parametrize("eps,r", S_TRANSPORTS, ids=[eps for eps, _ in S_TRANSPORTS])
+def test_transport_by_s_passes(tmp_path, capsys, eps, r, depth):
+    """The quantum-SU(2) transport keeps the extended signature for every
+    sign pattern: no truncated corepresentation level counts as interior."""
+    out = tmp_path / "out.json"
+    code = main(["transport", "--by", "s", "--n", "2", f"--eps={eps}", f"--r={r}",
+                 "--depth", str(depth), "--margin", "6", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is True and doc["inputs"]["components"] >= 1, doc["findings"]
+
+
+def test_verify_algebra_refuses_n_above_limit(capsys):
+    assert main(["verify-algebra", "--n", "5"]) == 2
+    assert "limit N=4" in capsys.readouterr().err
+
+
 def test_rep_build_refuses_non_finite_norms(tmp_path, capsys):
     # c_P at m = 33 is about 6e311, beyond the float64 range
     out = tmp_path / "rep.json"
@@ -198,18 +220,17 @@ def test_rep_verify_evaluates_central_elements_once(tmp_path, monkeypatch):
     import qrea.hrep
 
     calls = []
-    real = qrea.hrep.sigma_scalars
+    real = qrea.hrep.central_sigma
 
-    def counted(rep):
-        calls.append(rep)
-        return real(rep)
+    def counted(k, N):
+        calls.append((k, N))
+        return real(k, N)
 
-    monkeypatch.setattr(qrea.hrep, "sigma_scalars", counted)
-    monkeypatch.setattr(qrea.cli, "sigma_scalars", counted, raising=False)
+    monkeypatch.setattr(qrea.hrep, "central_sigma", counted)
     code, doc = run_cli(["rep-verify", "--n", "2", "--eps", "+,-", "--r", "3/10,4/5",
                          "--depth", "20", "--margin", "8"], tmp_path)
     assert code == 0 and doc["inputs"]["rank"] == 2
-    assert len(calls) == 1
+    assert calls == [(1, 2), (2, 2)]
 
 
 @pytest.mark.parametrize("args", [

@@ -19,8 +19,8 @@ from qrea.gtrep import (
     gt_norm_signs,
     hw_module_to_json,
     patterns,
-    scaling_trep,
-    suq2_rep,
+    scaling_blocks,
+    suq2_corep_blocks,
     vector_trep,
 )
 from qrea.ncalg import NCPoly, Tplain, TriSystem
@@ -212,7 +212,7 @@ def test_deep_norms_leave_float64_but_stay_exact():
     spec = n2spec((1, -1), (Fraction(3, 10), Fraction(4, 5)), D=40)
     mod = build_hw_module(spec, margin=8)
     assert mod.norms[-1].adjusted() > 400
-    assert np.isfinite(mod.t_block(1, 2)).all()
+    assert np.isfinite(mod.T).all()
 
 
 # --------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def test_t1_eigenvalues_n2():
     alpha = 0.3
     mod = build_hw_module(n2spec((1, -1), (alpha, 0.8), D=10), margin=0)
     assert mod.dim == 11
-    got = sorted(mod.Tdiag[0])
+    got = sorted(np.diagonal(mod.T[0, 0]))
     want = sorted(Q0 ** (alpha + m) for m in range(11))
     assert np.allclose(got, want)
 
@@ -252,8 +252,8 @@ def test_highest_weight_vector_killed_by_e():
     mod = build_hw_module(n2spec((1, -1), (0.3, 0.8), D=8), margin=0)
     # basis vector 0 is the zero pattern, the highest-weight vector
     assert mod.basis[0] == ((0,),)
-    for E in mod.e:
-        assert np.allclose(E[:, 0], 0.0)
+    for F in mod.f:  # the raising operators are e_i = f_i^T
+        assert np.allclose(F[0], 0.0)
 
 
 @pytest.mark.parametrize(
@@ -275,20 +275,23 @@ def test_defining_relations(N, eps, r):
     assert mask.sum() > 0
     eps_pad = spec.eps_padded
     tol = 1e-10
+    f = mod.f
+    e = [F.T for F in f]
+    K = [1.0 / np.diagonal(mod.T[i, i]) for i in range(N)]  # T[i,i] = K_i^{-1}
     # weight relations
     for i in range(1, N + 1):
         for j in range(1, N):
             ph = Q0 ** ((i == j) - (i == j + 1))
-            M = np.diag(mod.K[i - 1]) @ mod.e[j - 1] - ph * mod.e[j - 1] @ np.diag(mod.K[i - 1])
+            M = np.diag(K[i - 1]) @ e[j - 1] - ph * e[j - 1] @ np.diag(K[i - 1])
             assert rel_residual(M, mask) < tol
     # deformed commutators
     for i in range(1, N):
         for j in range(1, N):
-            C = mod.e[i - 1] @ mod.f[j - 1] - mod.f[j - 1] @ mod.e[i - 1]
+            C = e[i - 1] @ f[j - 1] - f[j - 1] @ e[i - 1]
             if i != j:
                 assert rel_residual(C, mask) < tol
             else:
-                khat = mod.K[i - 1] / mod.K[i]
+                khat = K[i - 1] / K[i]
                 target = (eps_pad[i] * khat - 1.0 / khat) / (Q0 - 1.0 / Q0)
                 assert rel_residual(C - np.diag(target), mask) < tol
     # Serre relations
@@ -296,13 +299,10 @@ def test_defining_relations(N, eps, r):
         for j in range(1, N):
             if abs(i - j) != 1:
                 continue
-            for ops in (mod.e, mod.f):
+            for ops in (e, f):
                 A, B = ops[i - 1], ops[j - 1]
                 M = A @ A @ B - (Q0 + 1 / Q0) * A @ B @ A + B @ A @ A
                 assert rel_residual(M, mask) < tol
-    # unitarity is structural
-    for i in range(N - 1):
-        assert np.array_equal(mod.e[i], mod.f[i].T)
 
 
 @pytest.mark.parametrize(
@@ -320,7 +320,8 @@ def test_triangular_block_relations(N, eps, r):
     mod = build_hw_module(spec, margin=margin)
     mask = mod.interior
     tol = 1e-10
-    T = {(i, j): mod.t_block(i, j) for i in range(1, N + 1) for j in range(i, N + 1)}
+    T = {(i, j): mod.T[i - 1, j - 1] for i in range(1, N + 1) for j in range(i, N + 1)}
+    Tdiag = [np.diagonal(mod.T[i, i]) for i in range(N)]
     Tstar_ = {(i, j): T[(i, j)].T.conj() for (i, j) in T}
     q = Q0
 
@@ -328,7 +329,7 @@ def test_triangular_block_relations(N, eps, r):
     for i in range(1, N + 1):
         for (k, l), M in T.items():
             ph = q ** ((i == k) - (i == l))
-            R = np.diag(mod.Tdiag[i - 1]) @ M - ph * M @ np.diag(mod.Tdiag[i - 1])
+            R = np.diag(Tdiag[i - 1]) @ M - ph * M @ np.diag(Tdiag[i - 1])
             assert rel_residual(R, mask) < tol, ("diag", i, k, l)
 
     # plain exchange relations on strictly upper entries
@@ -346,7 +347,7 @@ def test_triangular_block_relations(N, eps, r):
                 if k < j:
                     corr = T[(i, l)] @ T[(k, j)]
                 elif k == j:
-                    corr = T[(i, l)] @ np.diag(mod.Tdiag[k - 1])
+                    corr = T[(i, l)] @ np.diag(Tdiag[k - 1])
                 else:
                     corr = np.zeros_like(A)
                 R = A @ B - B @ A - (q - 1 / q) * corr
@@ -402,33 +403,39 @@ def test_triangular_block_relations(N, eps, r):
 
 def test_vector_trep():
     for N in (2, 3):
-        mod = vector_trep(N, Q0)
-        assert mod.dim == N
-        assert mod.interior.all()
+        T, interior = vector_trep(N, Q0)
+        assert T.shape == (N, N, N, N)
+        assert interior.all()
+        assert not T[np.tril_indices(N, -1)].any()
         # T_1 acts with eigenvalues q^{-delta_{1j}} on the standard basis
-        eigs = sorted(mod.Tdiag[0])
+        eigs = sorted(np.diagonal(T[0, 0]))
         want = sorted([1.0 / Q0] + [1.0] * (N - 1))
         assert np.allclose(eigs, want)
 
 
 def test_scaling_trep():
-    t = scaling_trep(2, 0.7)
-    assert t.t_block(1, 1)[0, 0] == pytest.approx(0.7)
-    assert t.t_block(1, 2)[0, 0] == 0.0
+    W, interior = scaling_blocks(2, 0.7)
+    assert W.shape == (2, 2, 1, 1) and interior.tolist() == [True]
+    assert W[0, 0, 0, 0] == pytest.approx(0.7)
+    assert W[0, 1, 0, 0] == 0.0
     with pytest.raises(DomainError):
-        scaling_trep(2, -1.0)
+        scaling_blocks(2, -1.0)
 
 
 def test_suq2_rep():
     D = 20
-    a, c, U = suq2_rep(D, theta=0.0, q0=Q0)
+    U, interior = suq2_corep_blocks(D, q0=Q0)
+    assert U.shape == (2, 2, D + 1, D + 1)
+    a, c = U[0, 0], U[1, 0]
     e3 = np.zeros(D + 1)
     e3[3] = 1.0
     assert np.allclose(c @ e3, Q0 ** 3 * e3)
     e0 = np.zeros(D + 1)
     e0[0] = 1.0
     assert np.allclose(a @ e0, 0.0)
-    # unitarity on the interior
+    assert np.array_equal(U[0, 1], -Q0 * c.T) and np.array_equal(U[1, 1], a.T)
+    assert np.array_equal(interior, np.arange(D + 1) <= D - 2)
+    # unitarity below the top level
     UtU = [[sum(U[k][i].conj().T @ U[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
     inner = slice(0, D)  # n <= D-1
     for i in range(2):
@@ -443,7 +450,7 @@ def test_hw_module_json_roundtrip():
     assert doc["spec"]["N"] == 2
     assert len(doc["basis"]) == mod.dim
     T1 = np.array([[x + 1j * y for (x, y) in row] for row in doc["ops"]["T1"]])
-    assert np.allclose(T1, np.diag(mod.Tdiag[0]))
+    assert np.allclose(T1, mod.T[0, 0])
 
 
 def test_detect_finite_rejects_infinite():
@@ -466,10 +473,8 @@ def test_non_adapted_witness_within_depth_four():
 
 
 def test_suq2_domain():
-    from qrea.gtrep import suq2_rep
-
     with pytest.raises(DomainError):
-        suq2_rep(0)
+        suq2_corep_blocks(1)
 
 
 def test_spec_validation():

@@ -1,13 +1,12 @@
 import dataclasses
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qrea.classify import rmod1_equal
 from qrea.errors import BadCorep, DomainError, NotFactorial, PrecisionLoss
-from qrea.gtrep import HWModuleSpec, scaling_trep, vector_trep
+from qrea.gtrep import HWModuleSpec, scaling_blocks, suq2_corep_blocks, vector_trep
 from qrea.hrep import (
     HermitianRep,
     adjoint_transport_T,
@@ -21,12 +20,11 @@ from qrea.hrep import (
     sigma_scalars,
     spectral_components,
     spectral_data,
-    suq2_corep_blocks,
     uchar_blocks,
     verify_rep,
     zero_rep,
 )
-from qrea.ncalg import NCPoly, Z, frt_minor, leading_minor_Z
+from qrea.ncalg import NCPoly, Z, central_sigma, frt_minor, leading_minor_Z
 
 Q0 = 0.5
 
@@ -112,10 +110,11 @@ def test_gram_matches_dense_products(N, eps, r, D, margin):
     spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
     rep = build_bigcell_rep(spec, margin=margin)
     lead = np.cumprod(spec.eps_padded)
-    T = rep.tmod.t_block
+    T = rep.tmod.T
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            want = sum(lead[m - 1] * T(m, i).T @ T(m, j) for m in range(1, min(i, j) + 1))
+            want = sum(lead[m - 1] * T[m - 1, i - 1].T @ T[m - 1, j - 1]
+                       for m in range(1, min(i, j) + 1))
             scale = max(1.0, np.abs(want).max())
             assert np.abs(rep.block(i, j) - want).max() < 1e-13 * scale, (i, j)
 
@@ -172,10 +171,11 @@ def test_spectral_data_gt():
 
 
 def _leading_minor_formula(rep, k):
-    """eps_[1] ... eps_[k] diag(prod_{m<k} Tdiag[m]^2): the k-th leading
-    minor of a big cell, on the whole module."""
+    """eps_[1] ... eps_[k] prod_{m<=k} T[m,m]^2: the k-th leading minor of a
+    big cell, on the whole module."""
     lead = np.cumprod(rep.tmod.spec.eps_padded)
-    diag = np.prod([rep.tmod.Tdiag[m] ** 2 for m in range(k)], axis=0)
+    T = rep.tmod.T
+    diag = np.prod([np.diagonal(T[m, m]) ** 2 for m in range(k)], axis=0)
     return np.prod(lead[:k]) * np.diag(diag)
 
 
@@ -339,7 +339,7 @@ def test_minor_blocks_match_leading():
 def test_transport_scaling():
     rep = gt_rep(eps=(1, -1), r=(0.3, 0.8), D=14, margin=6)
     roots0, sig0, ext0, rank0 = spectral_data(rep)
-    out = adjoint_transport_T(rep, scaling_trep(2, 0.7))
+    out = adjoint_transport_T(rep, *scaling_blocks(2, 0.7))
     roots1, sig1, ext1, rank1 = spectral_data(out)
     assert rank1 == rank0 and sig1 == sig0
     assert np.allclose(roots1, [0.7 ** 2 * x for x in roots0], rtol=1e-8)
@@ -350,7 +350,7 @@ def test_transport_scaling():
 def test_transport_vector_corep_preserves_extsig():
     rep = gt_rep(eps=(1, -1), r=(0.3, 0.8), D=14, margin=6)
     _, _, ext0, rank0 = spectral_data(rep)
-    out = adjoint_transport_T(rep, vector_trep(2, Q0))
+    out = adjoint_transport_T(rep, *vector_trep(2, Q0))
     comps = spectral_components(out)
     assert len(comps) >= 2
     for sig, roots, ext, mult in comps:
@@ -361,7 +361,7 @@ def test_transport_vector_corep_preserves_extsig():
 def test_transport_uchar_preserves_weight():
     rep = gt_rep(eps=(1, -1), r=(0.3, 0.8), D=14, margin=6)
     roots0, _, ext0, _ = spectral_data(rep)
-    out = adjoint_transport_U(rep, uchar_blocks((0.2, 0.7)))
+    out = adjoint_transport_U(rep, *uchar_blocks((0.2, 0.7)))
     roots1, _, ext1, _ = spectral_data(out)
     assert np.allclose(roots0, roots1, rtol=1e-9)
     assert rmod1_equal(ext0.rmod1, ext1.rmod1)
@@ -371,33 +371,51 @@ def test_transport_s_mixes_signature():
     # the quantum-SU(2) transport of a mixed-sign character has Z_[1]
     # spectrum of both signs
     rep = n2_family("char", theta=0.0, c=1.0, a=2.0)
-    U, u_int = suq2_corep_blocks(40, theta=0.0, q0=Q0)
-    out = adjoint_transport_U(rep, U, u_int, tol=1e-9)
+    U, u_int = suq2_corep_blocks(40, q0=Q0)
+    out = adjoint_transport_U(rep, U, u_int)
     # Z'_11 = x a* c + y c* c + x c* a for the character [[0, x], [x, y]]
     x = rep.block(2, 1)[0, 0].real
     y = rep.block(2, 2)[0, 0].real
-    a, c, _ = __import__("qrea.gtrep", fromlist=["suq2_rep"]).suq2_rep(40, 0.0, Q0)
+    a, c = U[0, 0], U[1, 0]
     want = x * a.conj().T @ c + y * c.conj().T @ c + x * c.conj().T @ a
     assert np.linalg.norm(out.block(1, 1) - want) < 1e-12
     eigs = np.linalg.eigvalsh(out.block(1, 1)[np.ix_(out.interior, out.interior)])
     assert (eigs > 1e-8).any() and (eigs < -1e-8).any()
 
 
+def test_suq2_corep_interior_is_exact():
+    """The corepresentation's interior is its levels n <= D - 2: there the
+    central operators of a transport equal those of a deeper truncation,
+    and on level D - 1 they do not."""
+    D = 14
+    rep = gt_rep(eps=(-1, -1), r=(Fraction(-2, 5), Fraction(-1, 2)), D=D, margin=6)
+    outs = {d: adjoint_transport_U(rep, *suq2_corep_blocks(d, q0=Q0)) for d in (D, D + 4)}
+    assert np.array_equal(outs[D].interior, np.kron(rep.interior, np.arange(D + 1) <= D - 2))
+    assert max(sigma_scalars(outs[D])[1]) < 1e-9
+    for level, exact in ((D - 2, True), (D - 1, False)):
+        got = []
+        for d, out in outs.items():
+            cols = np.kron(rep.interior, np.arange(d + 1) == level)
+            rows = np.kron(np.ones(rep.dim, dtype=bool), np.arange(d + 1) <= D)
+            got.append(eval_poly(central_sigma(2, 2), out.Z, Q0, cols)[rows])
+        assert (np.linalg.norm(got[0] - got[1]) < 1e-12) == exact, level
+
+
 def test_transport_bad_corep():
     rep = n2_family("char", theta=0.0, c=1.0)
-    U = [[np.array([[2.0 + 0j]]), np.zeros((1, 1))],
-         [np.zeros((1, 1)), np.array([[1.0 + 0j]])]]
+    U = np.diag([2.0, 1.0])[:, :, None, None]
     with pytest.raises(BadCorep):
-        adjoint_transport_U(rep, U)
+        adjoint_transport_U(rep, U, np.ones(1, dtype=bool))
 
 
 def test_transport_dim_cap():
+    """The size check reads W.shape and runs before anything is allocated:
+    the 3000-dimensional parameter is a broadcast view of one number."""
     rep = gt_rep(eps=(1, -1), r=(0.3, 0.8), D=14, margin=6)
-    big = scaling_trep(2, 1.0)
-    big_dim = type("T", (), {"N": 2, "dim": 3000, "interior": np.ones(3000, bool),
-                             "t_block": lambda self, i, j: np.eye(3000)})()
-    with pytest.raises(DomainError):
-        adjoint_transport_T(rep, big_dim)
+    W = np.broadcast_to(1.0, (2, 2, 3000, 3000))
+    for transport in (adjoint_transport_T, adjoint_transport_U):
+        with pytest.raises(DomainError, match="exceeds cap"):
+            transport(rep, W, np.ones(3000, dtype=bool))
 
 
 @pytest.mark.parametrize("N,dim,m,seed", [(2, 3, 2, 5), (3, 4, 3, 6)])
@@ -410,14 +428,12 @@ def test_transports_match_textbook_kron_sum(N, dim, m, seed):
           for _ in range(N)] for _ in range(N)]
     rep = HermitianRep(N=N, Z=Z, interior=rng.permutation(dim) < (dim + 1) // 2, q0=Q0)
     w_interior = rng.permutation(m) < (m + 1) // 2
-    T = [[rng.standard_normal((m, m)) if k <= i else np.zeros((m, m)) for i in range(N)]
-         for k in range(N)]
-    trep = SimpleNamespace(N=N, dim=m, interior=w_interior,
-                           t_block=lambda k, i: T[k - 1][i - 1])
+    T = np.array([[rng.standard_normal((m, m)) if k <= i else np.zeros((m, m))
+                   for i in range(N)] for k in range(N)])
     Q, _ = np.linalg.qr(rng.standard_normal((N * m, N * m))
                         + 1j * rng.standard_normal((N * m, N * m)))
-    U = [[Q[k * m:(k + 1) * m, i * m:(i + 1) * m] for i in range(N)] for k in range(N)]
-    for W, out in ((T, adjoint_transport_T(rep, trep)),
+    U = Q.reshape(N, m, N, m).transpose(0, 2, 1, 3)
+    for W, out in ((T, adjoint_transport_T(rep, T, w_interior)),
                    (U, adjoint_transport_U(rep, U, w_interior))):
         assert np.array_equal(out.interior, np.kron(rep.interior, w_interior))
         for i in range(N):
@@ -447,8 +463,7 @@ def test_minor_braiding_exchange_with_operator_powers(N, eps, r, k, l):
     D, margin = (12, 6) if N == 2 else (8, 4)
     spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
     rep = build_bigcell_rep(spec, margin=margin)
-    T = np.array([[rep.tmod.t_block(i, j) for j in range(1, N + 1)]
-                  for i in range(1, N + 1)])
+    T = rep.tmod.T
     bk, bl = exterior_power(N, k).basis, exterior_power(N, l).basis
     every = np.ones(rep.dim, dtype=bool)
     Xk = {(A, C): eval_poly(frt_minor(A, C), T, Q0, every) for A in bk for C in bk}
@@ -548,9 +563,12 @@ def test_zero_test_agrees_with_numeric_evaluation():
 def test_transport_size_mismatch():
     rep = n2_family("char", theta=0.0, c=1.0)
     with pytest.raises(DomainError):
-        adjoint_transport_T(rep, vector_trep(3, Q0))
+        adjoint_transport_T(rep, *vector_trep(3, Q0))
     with pytest.raises(DomainError):
-        adjoint_transport_U(rep, uchar_blocks((0.1, 0.2, 0.3)))
+        adjoint_transport_U(rep, *uchar_blocks((0.1, 0.2, 0.3)))
+    W, _ = uchar_blocks((0.1, 0.2))
+    with pytest.raises(DomainError):
+        adjoint_transport_U(rep, W, np.ones(2, dtype=bool))
 
 
 def test_eval_poly_rejects_tri_polynomials():
@@ -564,3 +582,4 @@ def test_eval_poly_rejects_tri_polynomials():
 def test_znorm_is_computed_once():
     rep = gt_rep(eps=(1, -1), r=(0.3, 0.8), D=12, margin=4)
     assert rep.znorm() is rep.znorm()
+    assert sigma_scalars(rep) is sigma_scalars(rep)

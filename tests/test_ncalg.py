@@ -442,7 +442,7 @@ def test_identity_suite_n2():
 
 def test_identity_suite_bound():
     with pytest.raises(DomainError):
-        identity_suite(4)
+        identity_suite(5)
 
 
 # --------------------------------------------------------------------------
