@@ -12,11 +12,8 @@ is 0 whenever either sign is absent.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .braid import QMat, _leading_signs, build_rhat
@@ -32,9 +29,6 @@ __all__ = [
     "rmod1_equal",
     "canonical_weight",
     "star_character_exact",
-    "classification_rows",
-    "rows_to_csv",
-    "rows_to_json",
 ]
 
 
@@ -236,52 +230,3 @@ def reflection_defect_exact(Zmat, N: int):
     if d == 1 or defect.is_zero():
         return defect
     return defect.scale(laurent(Fraction(1, d * d)))
-
-
-# ---------------------------------------------------------------------------
-# table emitters
-
-
-def classification_rows(root_sets, q0: float):
-    """roots -> extended signature -> canonical weight, one row per multiset."""
-    rows = []
-    for roots in root_sets:
-        row = {"roots": list(map(float, roots))}
-        dec = admissible_roots(roots, q0)
-        if dec is None:
-            row.update({"admissible": False})
-        else:
-            ext = ext_signature(roots, q0)
-            npos, nneg = len(dec.ms), len(dec.ns)
-            eps = (1,) * npos + ((-1,) + (1,) * (nneg - 1) if nneg else ())
-            row.update({
-                "admissible": True,
-                "extsig": asdict(ext),
-                "canonical_weight": canonical_weight(roots, eps, q0) if npos + nneg else [],
-                "eps": list(eps),
-            })
-        rows.append(row)
-    return rows
-
-
-def rows_to_json(rows) -> str:
-    return json.dumps(rows, sort_keys=True, default=float)
-
-
-def rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["roots", "admissible", "rmod1", "nplus", "nminus", "nzero",
-                     "canonical_weight"])
-    for row in rows:
-        if row["admissible"]:
-            e = row["extsig"]
-            writer.writerow([
-                ";".join(f"{x:.12g}" for x in row["roots"]), 1,
-                f"{e['rmod1']:.12g}", e["nplus"], e["nminus"], e["nzero"],
-                ";".join(f"{x:.12g}" for x in row["canonical_weight"]),
-            ])
-        else:
-            writer.writerow([";".join(f"{x:.12g}" for x in row["roots"]), 0,
-                             "", "", "", "", ""])
-    return buf.getvalue()

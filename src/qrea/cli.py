@@ -14,6 +14,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -107,14 +108,6 @@ def emit_report(inputs: dict, findings: list, q0, out_path=None) -> dict:
     return doc
 
 
-def parse_report(text: str) -> dict:
-    doc = json.loads(text)
-    for key in ("tool_version", "q0", "inputs", "findings", "max_residual", "pass"):
-        if key not in doc:
-            raise ValueError(f"missing report field {key}")
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -160,12 +153,7 @@ def cmd_rep_build(args):
 
 
 def _rep_findings(rep, tol):
-    rpt = verify_rep(rep, tol)
-    findings = [
-        {"name": f["name"], "ok": f["ok"],
-         "residual": float(f["residual"]) if f.get("residual") is not None else None}
-        for f in rpt["findings"]
-    ]
+    findings = verify_rep(rep, tol)
     extra = {}
     try:
         roots, sig, ext, rank = spectral_data(rep)
@@ -363,6 +351,17 @@ def build_parser(command=None):
 
 
 def main(argv=None) -> int:
+    # What is imported by now lives until exit: frozen, it is not rescanned
+    # by the run's garbage collections.  Unfreezing at the end leaves a
+    # library caller's collector as it was.
+    gc.freeze()
+    try:
+        return _main(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _main(argv):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv else None)
     try:

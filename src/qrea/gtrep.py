@@ -108,6 +108,12 @@ def _tails(X, N: int):
     return S
 
 
+def _weight(x) -> Fraction:
+    """A weight entry as a Fraction; a float is read as the nearest fraction
+    with denominator at most 10^12."""
+    return Fraction(x).limit_denominator(10 ** 12) if isinstance(x, float) else Fraction(x)
+
+
 def eps_adapted(r, eps) -> bool:
     """Whether the weight r admits a unitary highest-weight module for eps.
 
@@ -116,8 +122,7 @@ def eps_adapted(r, eps) -> bool:
     """
     if len(r) != len(eps):
         raise DomainError("r and eps must have the same length")
-    r = [Fraction(x) if not isinstance(x, float) else Fraction(x).limit_denominator(10 ** 12)
-         for x in r]
+    r = [_weight(x) for x in r]
     M = len(r)
     for s in range(1, M + 1):
         prod = 1
@@ -150,15 +155,7 @@ class HWModuleSpec:
         if len(self.eps) > self.N:
             raise DomainError("M cannot exceed N")
         object.__setattr__(self, "eps", tuple(int(e) for e in self.eps))
-        object.__setattr__(
-            self,
-            "r",
-            tuple(
-                Fraction(x) if not isinstance(x, float)
-                else Fraction(x).limit_denominator(10 ** 12)
-                for x in self.r
-            ),
-        )
+        object.__setattr__(self, "r", tuple(_weight(x) for x in self.r))
 
     @property
     def M(self) -> int:
@@ -337,13 +334,6 @@ def gt_norm_sign(P: GTPattern, spec: HWModuleSpec) -> int:
 def gt_norm_signs(spec: HWModuleSpec) -> np.ndarray:
     """Exact signs of c_P for every pattern of ``patterns(spec.N, spec.D)``."""
     return _signs(_pattern_array(spec.N, spec.D), spec)
-
-
-def _raising_coeff(P: GTPattern, j: int, i: int, spec: HWModuleSpec) -> float:
-    """Coefficient of e_i moving one box out of P_{j,i} (see ``_Numbers.raising``)."""
-    num = _Numbers(spec)
-    with localcontext(num.context):
-        return float(num.raising(_flat(P), j, i))
 
 
 def _move_up(P: GTPattern, j: int, i: int):
@@ -574,16 +564,18 @@ def suq2_corep_blocks(D: int, q0: float = 0.5):
 
 
 def hw_module_to_json(mod: HWModule) -> str:
-    """Serialize spec, basis, and operator matrices (row-major re/im pairs).
+    """Serialize spec, basis, norms, and operator matrices.
 
-    Raises PrecisionLoss if a norm or an operator entry is not a finite
-    float64, so that the dump stays strict JSON.
+    Every operator of a module is real, and each is written as a real
+    row-major dim x dim list of rows.  Raises PrecisionLoss if a norm or an
+    operator entry is not a finite float64, so that the dump stays strict
+    JSON.
     """
 
     def mat(name, M):
         if not np.isfinite(M).all():
             raise PrecisionLoss(f"operator {name} has entries beyond the float64 range")
-        return np.stack([M, np.zeros_like(M)], axis=-1).tolist()
+        return M.tolist()
 
     norms = []
     for P, c in zip(mod.basis, mod.norms):

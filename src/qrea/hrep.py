@@ -45,8 +45,6 @@ spectral-weight roots.
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
@@ -57,7 +55,7 @@ from . import classify as _classify
 from .braid import _leading_signs, build_rhat
 from .errors import BadCorep, DomainError, NotFactorial, PrecisionLoss
 from .gtrep import HWModule, HWModuleSpec, build_hw_module
-from .ncalg import NCPoly, central_sigma, frt_minor, leading_minor_Z
+from .ncalg import NCPoly, central_sigma, leading_minor_Z, letter_indices
 
 __all__ = [
     "HermitianRep",
@@ -71,7 +69,6 @@ __all__ = [
     "sigma_scalars",
     "spectral_data",
     "spectral_components",
-    "op_minor_blocks",
     "adjoint_transport_T",
     "adjoint_transport_U",
     "uchar_blocks",
@@ -93,7 +90,7 @@ class HermitianRep:
     Z: np.ndarray               # (N, N, dim, dim)
     interior: np.ndarray        # bool mask over the basis
     q0: float
-    tmod: HWModule | None = None   # present for big-cell builds
+    spec: HWModuleSpec | None = None   # present for big-cell builds
     _znorm: float | None = field(default=None, init=False, repr=False, compare=False)
     _sigma: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -184,7 +181,7 @@ def build_bigcell_rep(spec: HWModuleSpec, margin: int | None = None) -> Hermitia
     mod = build_hw_module(spec, margin=margin)
     lead = _leading_signs(spec.eps_padded)  # lead[m - 1] = eps_[m]
     return HermitianRep(N=spec.N, Z=_gram(mod, lead), interior=mod.interior.copy(),
-                        q0=spec.q0, tmod=mod)
+                        q0=spec.q0, spec=spec)
 
 
 def zero_rep(N: int, q0: float = 0.5) -> HermitianRep:
@@ -281,7 +278,8 @@ def eval_poly(p: NCPoly, blocks: np.ndarray, q0: float, cols: np.ndarray) -> np.
     for word, c in terms:
         M = E
         for code in reversed(word):
-            blk = blocks[((code >> 10) & 0x3FF) - 1, (code & 0x3FF) - 1]
+            i, j = letter_indices(code)
+            blk = blocks[i - 1, j - 1]
             M = blk[:, cols] if M is E else blk @ M
         out += c * M
     return out
@@ -347,9 +345,9 @@ def sigma_scalars(rep: HermitianRep):
 
 def hc_sigma_prediction(rep: HermitianRep):
     """Diagonal-projection prediction e_k(eta_1 q^{2 r_1}, eta_2 q^{2 r_2 + 2}, ...)."""
-    if rep.tmod is None:
+    spec = rep.spec
+    if spec is None:
         return None
-    spec = rep.tmod.spec
     q0 = rep.q0
     lead = _leading_signs(spec.eps_padded)
     args = [lead[m - 1] * q0 ** float(2 * spec.r_padded[m - 1] + 2 * (m - 1))
@@ -462,28 +460,6 @@ def spectral_components(rep: HermitianRep, tol: float = 1e-7):
 
 
 # ---------------------------------------------------------------------------
-# operator-level quantum minors and their exchange structure
-
-
-def op_minor_blocks(rep: HermitianRep, k: int):
-    """Operator minors Z_{I,J} of a big-cell representation from its
-    triangular factorization: Z_{I,J} = sum over k-subsets K of
-    eps_K X_{K,I}^dagger X_{K,J}, with eps_K the product of eps_[m] over m in
-    K and X_{K,I} the quantum minor ``frt_minor(K, I)`` on the T blocks."""
-    if rep.tmod is None:
-        raise DomainError("operator minors need a triangular factorization")
-    lead = _leading_signs(rep.tmod.spec.eps_padded)
-    T = rep.tmod.T
-    subsets = list(itertools.combinations(range(1, rep.N + 1), k))
-    every = np.ones(rep.dim, dtype=bool)
-    X = np.array([[eval_poly(frt_minor(K, I), T, rep.q0, every) for I in subsets]
-                  for K in subsets])
-    w = np.array([math.prod(lead[t - 1] for t in K) for K in subsets], dtype=float)
-    M = np.einsum("k,kiba,kjbc->ijac", w, X.conj(), X, optimize=True)
-    return {(I, J): M[a, b] for a, I in enumerate(subsets) for b, J in enumerate(subsets)}
-
-
-# ---------------------------------------------------------------------------
 # adjoint transports
 
 
@@ -533,34 +509,24 @@ def uchar_blocks(thetas):
 # verification report
 
 
-def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> dict:
+def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> list:
     """Reflection-equation, self-adjointness, central-scalar, and
-    Cayley-Hamilton checks; all findings are report rows."""
+    Cayley-Hamilton checks, as the report rows {name, ok, residual}."""
     N = rep.N
-    findings = []
-    re_res = re_residual(rep)
-    findings.append({"name": "reflection_equation", "residual": re_res, "ok": bool(re_res < tol)})
-    sa_res = selfadj_residual(rep)
-    findings.append({"name": "self_adjoint", "residual": sa_res, "ok": bool(sa_res < tol)})
 
+    def row(name, residual, bound):
+        return {"name": name, "ok": bool(residual < bound), "residual": float(residual)}
+
+    findings = [row("reflection_equation", re_residual(rep), tol),
+                row("self_adjoint", selfadj_residual(rep), tol)]
     scalars, resids, _ = sigma_scalars(rep)
     for k in range(1, N + 1):
-        findings.append({
-            "name": f"sigma_{k}_scalar",
-            "residual": resids[k - 1],
-            "ok": resids[k - 1] < max(tol, 1e-8),
-            "value": scalars[k - 1].real,
-        })
+        findings.append(row(f"sigma_{k}_scalar", resids[k - 1], max(tol, 1e-8)))
     hc = hc_sigma_prediction(rep)
     if hc is not None:
         for k in range(1, N + 1):
             d = abs(scalars[k - 1] - hc[k - 1]) / (1.0 + abs(hc[k - 1]))
-            findings.append({
-                "name": f"sigma_{k}_hc_match",
-                "residual": d,
-                "ok": d < 1e-10,
-                "predicted": hc[k - 1].real,
-            })
+            findings.append(row(f"sigma_{k}_hc_match", d, 1e-10))
 
     # Cayley-Hamilton with the measured scalars, by Horner's rule on the
     # interior columns E of the assembled matrix
@@ -570,11 +536,5 @@ def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> dict:
     for k in range(1, N + 1):
         ch = Zb @ ch + (-1) ** k * scalars[k - 1] * E
     ch_res = np.linalg.norm(ch) / max(1.0, rep.znorm() ** N)
-    findings.append({"name": "cayley_hamilton", "residual": ch_res,
-                     "ok": bool(ch_res < max(tol, 1e-8))})
-
-    return {
-        "residuals": {"re": re_res, "selfadj": sa_res, "ch": ch_res},
-        "findings": findings,
-        "pass": all(f["ok"] for f in findings),
-    }
+    findings.append(row("cayley_hamilton", ch_res, max(tol, 1e-8)))
+    return findings

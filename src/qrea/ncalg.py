@@ -40,6 +40,7 @@ from .scalars import ONE, QQI, ZERO, LaurentScalar, laurent, qpow
 __all__ = [
     "GenId",
     "NCPoly",
+    "letter_indices",
     "FrtSystem",
     "TriSystem",
     "X",
@@ -76,6 +77,11 @@ def _diag(i, power):
 
 def _star(i, j):
     return (_STAR << 20) | ((_CMPL - i) << 10) | (_CMPL - j)
+
+
+def letter_indices(code) -> tuple:
+    """(i, j) of an FRT or REA letter, the generator X[i,j] or Z[i,j]."""
+    return (code >> 10) & 0x3FF, code & 0x3FF
 
 
 def _zone(code):
@@ -242,7 +248,7 @@ class NCPoly:
         if self.algebra == "REA":
             out = {}
             for m, c in self.terms.items():
-                rm = tuple((((cd & 0x3FF) << 10) | (cd >> 10)) for cd in reversed(m))
+                rm = tuple((j << 10) | i for i, j in map(letter_indices, reversed(m)))
                 out[rm] = c.conjugate()
             return NCPoly("REA", out)
         if self.algebra != "TRI":
@@ -264,7 +270,7 @@ class NCPoly:
             parts = []
             for code in m:
                 if self.algebra in ("FRT", "REA"):
-                    i, j = (code >> 10) & 0x3FF, code & 0x3FF
+                    i, j = letter_indices(code)
                     parts.append(f"{'X' if self.algebra == 'FRT' else 'Z'}[{i},{j}]")
                 else:
                     kind, i, j = _decode(code)
@@ -570,26 +576,6 @@ class TriSystem(_BaseSystem):
                     for m2, c2 in self._rightmul(m1, t2).items():
                         _acc(img, m2, ce * c1 * c2)
         return img
-
-    # -- normal-form helpers ------------------------------------------------
-
-    def hc_part(self, p: NCPoly) -> NCPoly:
-        """Terms of a normal form supported on the diagonal zone only."""
-        out = {m: c for m, c in p.terms.items() if all(_zone(g) == _DIAG for g in m)}
-        return NCPoly("TRI", out)
-
-    def eval_diagonal(self, p: NCPoly, weights, q0) -> complex:
-        """Evaluate a purely diagonal normal form at T[i] -> q0^{weights[i-1]}."""
-        total = 0.0 + 0.0j
-        for m, c in p.terms.items():
-            val = complex(c.eval(q0))
-            for g in m:
-                kind, i, s = _decode(g)
-                if kind != "Td":
-                    raise DomainError("nondiagonal term in eval_diagonal")
-                val *= float(q0) ** (s * float(weights[i - 1]))
-            total += val
-        return total
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ float/complex raises :class:`~qrea.errors.ModeMismatch`, and the only exact
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .errors import DomainError, ModeMismatch, NonInvertible
@@ -38,7 +37,6 @@ __all__ = [
     "QQI",
     "laurent",
     "qpow",
-    "parse_laurent",
 ]
 
 
@@ -364,7 +362,7 @@ class LaurentScalar:
                 out += float(c) * q0 ** k
         return out if has_im or out.imag != 0.0 else out.real
 
-    # -- rendering / parsing ----------------------------------------------
+    # -- rendering ------------------------------------------------------
 
     def render(self) -> str:
         """Deterministic sparse rendering, e.g. '3/2*q^-2 + 1 - 2*q^3'."""
@@ -392,54 +390,6 @@ class LaurentScalar:
         return out
 
     __repr__ = render
-
-
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-]?)\s*
-        (?:
-            (?:\((?P<gre>-?\d+(?:/\d+)?)(?P<gsign>[+-])(?P<gim>\d+(?:/\d+)?)i\)|
-               (?P<coef>\d+(?:/\d+)?))
-            (?:\s*\*\s*(?P<q1>q(?:\^(?P<exp1>-?\d+))?))?
-          | (?P<q2>q(?:\^(?P<exp2>-?\d+))?)
-        )\s*""",
-    re.VERBOSE,
-)
-
-
-def parse_laurent(text: str) -> LaurentScalar:
-    """Parse the grammar produced by :meth:`LaurentScalar.render`."""
-    text = text.strip()
-    if text in ("0", "-0", "+0"):
-        return ZERO
-    pos = 0
-    acc = {}
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise DomainError(f"cannot parse Laurent scalar at: {text[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("gre") is not None:
-            im = Fraction(m.group("gim"))
-            if m.group("gsign") == "-":
-                im = -im
-            coef = _gauss(Fraction(m.group("gre")), im)
-        elif m.group("coef") is not None:
-            coef = Fraction(m.group("coef"))
-        else:
-            coef = Fraction(1)
-        if m.group("q1") is not None:
-            k = int(m.group("exp1")) if m.group("exp1") else 1
-        elif m.group("q2") is not None:
-            k = int(m.group("exp2")) if m.group("exp2") else 1
-        else:
-            k = 0
-        s = acc.get(k, 0) + sign * coef
-        if s:
-            acc[k] = s
-        else:
-            acc.pop(k, None)
-        pos = m.end()
-    return LaurentScalar(acc)
 
 
 def laurent(c=1, k: int = 0) -> LaurentScalar:

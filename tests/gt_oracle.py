@@ -8,8 +8,11 @@ scalar q0 passed in.  Tests compare the package's bases, signs, norms and
 ladder coefficients with these functions.
 """
 
+from decimal import localcontext
+
 from qrea.braid import _eps_interval
 from qrea.errors import DomainError
+from qrea.gtrep import _flat, _Numbers
 
 
 def pattern_total(P):
@@ -169,3 +172,12 @@ def _raising_coeff(P, j, i, spec, q0=None):
             raise DomainError(f"coefficient pole at P={P}, (j,i)=({j},{i})")
         out = out / d
     return out
+
+
+def package_raising_coeff(P, j, i, spec):
+    """The package's coefficient of e_i moving one box out of P_{j,i}
+    (``gtrep._Numbers.raising``, in ``decimal``), as a float, for comparison
+    with ``_raising_coeff``."""
+    num = _Numbers(spec)
+    with localcontext(num.context):
+        return float(num.raising(_flat(P), j, i))

@@ -209,11 +209,10 @@ def test_criterion_08_harish_chandra_consistency():
     ok = True
     worst_s, worst_r = 0.0, 0.0
     for rep in _gt_reps():
-        rpt = verify_rep(rep)
-        for f in rpt["findings"]:
+        for f in verify_rep(rep):
             if f["name"].endswith("hc_match"):
                 worst_s = max(worst_s, f["residual"])
-        spec = rep.tmod.spec
+        spec = rep.spec
         roots, _, _, _ = spectral_data(rep)
         eps_pad = spec.eps_padded
         lead = 1
@@ -262,9 +261,9 @@ def test_criterion_10_n2_completeness():
         (zero_rep(2), [0.0, 0.0]),
     ]
     for rep, td_roots in cases:
-        rpt = verify_rep(rep, tol=1e-10)
-        worst = max(worst, rpt["residuals"]["re"], rpt["residuals"]["selfadj"],
-                    rpt["residuals"]["ch"])
+        res = {f["name"]: f["residual"] for f in verify_rep(rep, tol=1e-10)}
+        worst = max(worst, res["reflection_equation"], res["self_adjoint"],
+                    res["cayley_hamilton"])
         roots, _, _, _ = spectral_data(rep)
         want = sorted((Q0 * x for x in td_roots), reverse=True)
         ok &= np.allclose(roots, want, rtol=1e-8, atol=1e-10)

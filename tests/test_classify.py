@@ -9,12 +9,9 @@ from qrea.classify import (
     CharacterParams,
     admissible_roots,
     canonical_weight,
-    classification_rows,
     ext_signature,
     reflection_defect_exact,
     rmod1_equal,
-    rows_to_csv,
-    rows_to_json,
     star_character_exact,
 )
 from qrea.errors import DomainError, NotAdmissible, SignMismatch
@@ -194,15 +191,6 @@ def test_reflection_defect_matches_textbook(N):
     for Z in characters + perturbed + others:
         assert reflection_defect_exact(Z, N) == _textbook_defect(Z, N)
     assert all(_textbook_defect(Z, N).is_zero() for Z in characters)
-
-
-def test_emitters():
-    rows = classification_rows([[1.0, 0.25, 0.0], [1.0, 0.5, 0.0]], Q0)
-    assert rows[0]["admissible"] and not rows[1]["admissible"]
-    assert rows[0]["extsig"]["nplus"] == 2
-    assert "roots" in rows_to_json(rows)
-    csv_text = rows_to_csv(rows)
-    assert csv_text.splitlines()[1].startswith("1;0.25;0,1")
 
 
 def test_weight_roundtrip_through_spectral_data():

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,9 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrea.cli import COMMANDS, build_parser, main, parse_report
+from qrea.cli import COMMANDS, build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def parse_report(text: str) -> dict:
+    """A report, checked to carry every field of the stable schema."""
+    doc = json.loads(text)
+    for key in ("tool_version", "q0", "inputs", "findings", "max_residual", "pass"):
+        if key not in doc:
+            raise ValueError(f"missing report field {key}")
+    return doc
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -86,6 +96,7 @@ def test_sweep_deterministic(tmp_path):
 
 def test_report_schema_roundtrip(tmp_path):
     code, doc = run_cli(["verify-algebra", "--n", "2"], tmp_path)
+    assert gc.get_freeze_count() == 0  # main leaves the caller's collector as it was
     text = (tmp_path / "out.json").read_text()
     parsed = parse_report(text)
     assert parsed == doc

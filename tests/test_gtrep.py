@@ -10,7 +10,6 @@ from qrea.errors import DomainError, NegativeNorm, TruncationTooSmall
 from qrea.gtrep import (
     HWModuleSpec,
     _move_up,
-    _raising_coeff,
     build_hw_module,
     detect_finite,
     eps_adapted,
@@ -24,6 +23,7 @@ from qrea.gtrep import (
     vector_trep,
 )
 from qrea.ncalg import NCPoly, Tplain, TriSystem
+from verma_oracle import eval_diagonal, hc_part
 
 Q0 = 0.5
 
@@ -84,8 +84,8 @@ def test_gt_norm_matches_verma_gram_n2():
     sys = TriSystem(2, (1, -1))
     for m in range(4):
         word = NCPoly.word("TRI", (Tplain(1, 2),) * m)
-        gram = sys.eval_diagonal(
-            sys.hc_part(sys.straighten(word.star() * word)),
+        gram = eval_diagonal(
+            hc_part(sys.straighten(word.star() * word)),
             [float(x) for x in r], Q0,
         ).real
         factor = ((1 / Q0 - Q0) ** 2 * Q0 ** float(1 + r[0] + r[1])) ** m
@@ -95,7 +95,6 @@ def test_gt_norm_matches_verma_gram_n2():
 def test_gt_machinery_matches_verma_oracle_n3():
     """Norms and raising coefficients against the straightening-based
     Verma-module oracle, at generic weight and mixed deformation signs."""
-    from qrea.gtrep import _move_up, _raising_coeff  # noqa: test-only access
     from verma_oracle import build_oracle
 
     r = (Fraction(3, 10), Fraction(-17, 10), Fraction(4, 5))
@@ -117,7 +116,7 @@ def test_gt_machinery_matches_verma_oracle_n3():
                 want = raising(P, i, j, _move_up)
                 if want is None:
                     continue
-                got = _raising_coeff(P, j, i, spec)
+                got = gt_oracle.package_raising_coeff(P, j, i, spec)
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (P, i, j)
                 n_checked += 1
     assert n_checked >= 10
@@ -191,7 +190,8 @@ def test_values_match_fraction_oracle(N, eps, r, D):
                 if _move_up(P, j, i) not in mod.index:
                     continue
                 want = gt_oracle._raising_coeff(P, j, i, spec)
-                assert _raising_coeff(P, j, i, spec) == pytest.approx(want, rel=1e-12), (P, i, j)
+                got = gt_oracle.package_raising_coeff(P, j, i, spec)
+                assert got == pytest.approx(want, rel=1e-12), (P, i, j)
                 n_checked += 1
     assert n_checked >= mod.dim - 1
 
@@ -449,8 +449,33 @@ def test_hw_module_json_roundtrip():
     doc = json.loads(hw_module_to_json(mod))
     assert doc["spec"]["N"] == 2
     assert len(doc["basis"]) == mod.dim
-    T1 = np.array([[x + 1j * y for (x, y) in row] for row in doc["ops"]["T1"]])
-    assert np.allclose(T1, mod.T[0, 0])
+    assert np.allclose(np.array(doc["ops"]["T1"]), mod.T[0, 0])
+
+
+@pytest.mark.parametrize("N,eps,r,D,margin", [
+    (2, (1, -1), (Fraction(3, 10), Fraction(4, 5)), 8, 2),
+    (3, (-1, -1, 1), (Fraction(-2, 5), Fraction(-4, 5), Fraction(-4, 5)), 6, 3),
+])
+def test_hw_module_json_ops_are_real_rows(N, eps, r, D, margin):
+    """Every dumped operator is a dim x dim list of float rows, equal to the
+    module's T blocks and lowering operators, with e_i = f_i^T."""
+    mod = build_hw_module(HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0), margin=margin)
+    ops = json.loads(hw_module_to_json(mod))["ops"]
+    for name, rows in ops.items():
+        assert len(rows) == mod.dim, name
+        assert all(len(row) == mod.dim and all(type(x) is float for x in row)
+                   for row in rows), name
+    T, f = mod.T, mod.f
+    for i in range(1, N + 1):
+        for j in range(i, N + 1):
+            name = f"T{i}{j}" if i < j else f"T{i}"
+            assert np.array_equal(np.array(ops[name]), T[i - 1, j - 1]), name
+    for i in range(1, N):
+        assert np.array_equal(np.array(ops[f"f{i}"]), f[i - 1])
+        assert np.array_equal(np.array(ops[f"e{i}"]), f[i - 1].T)
+    assert set(ops) == ({f"T{i}" for i in range(1, N + 1)}
+                        | {f"T{i}{j}" for i in range(1, N + 1) for j in range(i + 1, N + 1)}
+                        | {f"{x}{i}" for x in "ef" for i in range(1, N)})
 
 
 def test_detect_finite_rejects_infinite():

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +8,14 @@ import pytest
 
 from qrea.classify import rmod1_equal
 from qrea.errors import BadCorep, DomainError, NotFactorial, PrecisionLoss
-from qrea.gtrep import HWModuleSpec, scaling_blocks, suq2_corep_blocks, vector_trep
+from qrea.braid import _leading_signs
+from qrea.gtrep import (
+    HWModuleSpec,
+    build_hw_module,
+    scaling_blocks,
+    suq2_corep_blocks,
+    vector_trep,
+)
 from qrea.hrep import (
     HermitianRep,
     adjoint_transport_T,
@@ -14,7 +23,6 @@ from qrea.hrep import (
     build_bigcell_rep,
     eval_poly,
     n2_family,
-    op_minor_blocks,
     re_residual,
     selfadj_residual,
     sigma_scalars,
@@ -32,6 +40,16 @@ Q0 = 0.5
 def gt_rep(N=2, eps=(1, -1), r=(0.3, 0.8), D=12, margin=None):
     spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
     return build_bigcell_rep(spec, margin=margin)
+
+
+def module_T(rep):
+    """The T blocks of the module that a big cell was built on."""
+    return build_hw_module(rep.spec, margin=0).T
+
+
+def residuals(rows):
+    """The residual of each verification row, by finding name."""
+    return {f["name"]: f["residual"] for f in rows}
 
 
 # --------------------------------------------------------------------------
@@ -96,7 +114,7 @@ def test_residuals_match_textbook_formulas(N, dim, seed):
     sigma = [1.0] + sigma_scalars(rep)[0]
     ch = sum((-1) ** k * sigma[k] * np.linalg.matrix_power(Zb, N - k) for k in range(N + 1))
     want = np.linalg.norm(ch[:, cols]) / max(1.0, znorm ** N)
-    assert verify_rep(rep)["residuals"]["ch"] == pytest.approx(want, rel=1e-12)
+    assert residuals(verify_rep(rep))["cayley_hamilton"] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("N,eps,r,D,margin", [
@@ -110,7 +128,7 @@ def test_gram_matches_dense_products(N, eps, r, D, margin):
     spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
     rep = build_bigcell_rep(spec, margin=margin)
     lead = np.cumprod(spec.eps_padded)
-    T = rep.tmod.T
+    T = build_hw_module(spec, margin=margin).T
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             want = sum(lead[m - 1] * T[m - 1, i - 1].T @ T[m - 1, j - 1]
@@ -151,12 +169,28 @@ def test_z11_spectrum_matches_t1():
 
 def test_sigma_scalars_and_hc():
     rep = gt_rep(N=3, eps=(1, -1, 1), r=(0.3, 0.8, 1.8), D=9, margin=5)
-    rpt = verify_rep(rep, tol=1e-9)
-    assert rpt["pass"], [f for f in rpt["findings"] if not f["ok"]]
+    rows = verify_rep(rep, tol=1e-9)
+    assert all(f["ok"] for f in rows), [f for f in rows if not f["ok"]]
     # both evaluation paths agree to 1e-11
-    for f in rpt["findings"]:
+    for f in rows:
         if f["name"].endswith("hc_match"):
             assert f["residual"] < 1e-11
+
+
+@pytest.mark.parametrize("rep,names", [
+    (gt_rep(N=3, eps=(1, -1, 1), r=(0.3, 0.8, 1.8), D=9, margin=5),
+     [f"sigma_{k}_{x}" for x in ("scalar", "hc_match") for k in (1, 2, 3)]),
+    (n2_family("S_neg+", c=1.0, a=2.0), ["sigma_1_scalar", "sigma_2_scalar"]),
+])
+def test_verify_rep_rows(rep, names):
+    """verify_rep returns the report rows themselves: exactly name, ok and a
+    Python float residual each; the HC rows need a big cell's weight."""
+    rows = verify_rep(rep)
+    want = ["reflection_equation", "self_adjoint", "cayley_hamilton"] + names
+    assert sorted(f["name"] for f in rows) == sorted(want)
+    for f in rows:
+        assert set(f) == {"name", "ok", "residual"}, f
+        assert type(f["residual"]) is float and type(f["ok"]) is bool, f
 
 
 def test_spectral_data_gt():
@@ -173,8 +207,8 @@ def test_spectral_data_gt():
 def _leading_minor_formula(rep, k):
     """eps_[1] ... eps_[k] prod_{m<=k} T[m,m]^2: the k-th leading minor of a
     big cell, on the whole module."""
-    lead = np.cumprod(rep.tmod.spec.eps_padded)
-    T = rep.tmod.T
+    lead = np.cumprod(rep.spec.eps_padded)
+    T = module_T(rep)
     diag = np.prod([np.diagonal(T[m, m]) ** 2 for m in range(k)], axis=0)
     return np.prod(lead[:k]) * np.diag(diag)
 
@@ -254,10 +288,10 @@ def test_eval_poly_on_columns(algebra, N, dim, seed):
 ])
 def test_n2_families(kind, params, tdroots):
     rep = n2_family(kind, D=40, q0=Q0, margin=8, **params)
-    rpt = verify_rep(rep, tol=1e-10)
-    assert rpt["residuals"]["re"] < 1e-10
-    assert rpt["residuals"]["selfadj"] < 1e-10
-    assert rpt["residuals"]["ch"] < 1e-10
+    res = residuals(verify_rep(rep, tol=1e-10))
+    assert res["reflection_equation"] < 1e-10
+    assert res["self_adjoint"] < 1e-10
+    assert res["cayley_hamilton"] < 1e-10
     roots, sig, ext, rank = spectral_data(rep)
     # the characteristic-polynomial roots are q times the trace/determinant
     # normalized pair
@@ -304,6 +338,23 @@ def test_not_factorial_on_direct_sum():
 
 # --------------------------------------------------------------------------
 # operator minors and their exchange relations
+
+
+def op_minor_blocks(rep, k):
+    """Operator minors Z_{I,J} of a big-cell representation from its
+    triangular factorization: Z_{I,J} = sum over k-subsets K of
+    eps_K X_{K,I}^dagger X_{K,J}, with eps_K the product of eps_[m] over m in
+    K and X_{K,I} the quantum minor ``frt_minor(K, I)`` on the T blocks."""
+    lead = _leading_signs(rep.spec.eps_padded)
+    T = module_T(rep)
+    subsets = list(itertools.combinations(range(1, rep.N + 1), k))
+    every = np.ones(rep.dim, dtype=bool)
+    X = np.array([[eval_poly(frt_minor(K, I), T, rep.q0, every) for I in subsets]
+                  for K in subsets])
+    w = np.array([math.prod(lead[t - 1] for t in K) for K in subsets], dtype=float)
+    M = np.einsum("k,kiba,kjbc->ijac", w, X.conj(), X, optimize=True)
+    return {(I, J): M[a, b] for a, I in enumerate(subsets) for b, J in enumerate(subsets)}
+
 
 
 def test_minor_qcommutation_operators():
@@ -463,7 +514,7 @@ def test_minor_braiding_exchange_with_operator_powers(N, eps, r, k, l):
     D, margin = (12, 6) if N == 2 else (8, 4)
     spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
     rep = build_bigcell_rep(spec, margin=margin)
-    T = rep.tmod.T
+    T = build_hw_module(spec, margin=margin).T
     bk, bl = exterior_power(N, k).basis, exterior_power(N, l).basis
     every = np.ones(rep.dim, dtype=bool)
     Xk = {(A, C): eval_poly(frt_minor(A, C), T, Q0, every) for A in bk for C in bk}

@@ -15,7 +15,6 @@ from qrea.scalars import (
     GaussRational,
     LaurentScalar,
     laurent,
-    parse_laurent,
     qpow,
     unimodular_point,
 )
@@ -171,17 +170,11 @@ def test_eval_is_ring_hom(a, b):
     assert abs((a + b).eval(q0) - (a.eval(q0) + b.eval(q0))) <= 1e-13 * add_scale
 
 
-@settings(max_examples=200, deadline=None)
-@given(scalars)
-def test_render_parse_roundtrip(a):
-    assert parse_laurent(a.render()) == a
-
-
 def test_render_examples():
     assert (Q - QINV).render() == "-q^-1 + q"
     assert ZERO.render() == "0"
     assert laurent(Fraction(3, 2), -2).render() == "3/2*q^-2"
-    assert parse_laurent("1 - 2*q^3 + 3/2*q^-2") == ONE - laurent(2, 3) + laurent(Fraction(3, 2), -2)
+    assert (ONE - laurent(2, 3) + laurent(Fraction(3, 2), -2)).render() == "3/2*q^-2 + 1 - 2*q^3"
 
 
 def test_gauss_rational():
@@ -204,4 +197,5 @@ def test_gauss_rational():
 def test_gauss_render_parse():
     y = unimodular_point(Fraction(1, 3))
     a = laurent(y, 1) + ONE
-    assert parse_laurent(a.render()) == a
+    assert a.render() == "1 + (4/5+3/5i)*q"
+    assert a.conjugate().render() == "1 + (4/5-3/5i)*q"

@@ -10,10 +10,29 @@ import itertools
 
 import numpy as np
 
-from qrea.ncalg import NCPoly, Tdiag, Tplain, Tstar, TriSystem
+from qrea.ncalg import _DIAG, NCPoly, Tdiag, Tplain, Tstar, TriSystem, _decode, _zone
 from qrea.scalars import qpow
 
 N = 3
+
+
+def hc_part(p):
+    """Terms of a TRI normal form supported on the diagonal zone only."""
+    return NCPoly("TRI", {m: c for m, c in p.terms.items() if all(_zone(g) == _DIAG for g in m)})
+
+
+def eval_diagonal(p, weights, q0):
+    """Evaluate a purely diagonal TRI normal form at T[i] -> q0^{weights[i-1]}."""
+    total = 0.0 + 0.0j
+    for m, c in p.terms.items():
+        val = complex(c.eval(q0))
+        for g in m:
+            kind, i, s = _decode(g)
+            if kind != "Td":
+                raise ValueError("nondiagonal term in eval_diagonal")
+            val *= float(q0) ** (s * float(weights[i - 1]))
+        total += val
+    return total
 
 
 def monomials(deg_max):
@@ -139,7 +158,7 @@ def build_oracle(r, eps, deg_max, q0):
         pa = NCPoly("TRI", {ma: qpow(0)}).star()
         for b, mb in enumerate(V.basis):
             s = sys.straighten(pa * NCPoly("TRI", {mb: qpow(0)}))
-            G[a, b] = sys.eval_diagonal(sys.hc_part(s), V.r, q0)
+            G[a, b] = eval_diagonal(hc_part(s), V.r, q0)
 
     def ip(u, v):
         return u.conj() @ G @ v
