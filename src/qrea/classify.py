@@ -56,25 +56,28 @@ class ExtendedSignature:
         return (self.nplus, self.nminus, self.nzero)
 
 
+ROOT_TOL = 1e-9   # relative to the largest |root| and to each exponent offset
+
+
 def rmod1_equal(x: float, y: float, tol: float = 1e-9) -> bool:
     d = (x - y) % 1.0
     return min(d, 1.0 - d) <= tol
 
 
-def admissible_roots(roots, q0: float, tol: float = 1e-9):
+def admissible_roots(roots, q0: float):
     """Decompose a root multiset, or return None if it is not a spectrum.
 
-    Uses base-q^2 logarithms with nearest-integer snapping at the given
-    tolerance; inputs farther than the tolerance are rejected, never
-    snapped silently.  Zero roots pass through as the rank defect.
+    Uses base-q^2 logarithms with nearest-integer snapping at ROOT_TOL;
+    inputs farther than that are rejected, never snapped silently.  Roots
+    at most ROOT_TOL * max |root| pass through as the rank defect.
     """
     if not 0.0 < q0 < 1.0:
         raise DomainError("q0 must lie in (0,1)")
     roots = [float(x) for x in roots]
-    scale = max([1.0] + [abs(x) for x in roots])
-    zeros = [x for x in roots if abs(x) <= tol * scale]
-    pos = [x for x in roots if x > tol * scale]
-    neg = [-x for x in roots if x < -tol * scale]
+    bound = ROOT_TOL * max((abs(x) for x in roots), default=0.0)
+    zeros = [x for x in roots if abs(x) <= bound]
+    pos = [x for x in roots if x > bound]
+    neg = [-x for x in roots if x < -bound]
 
     def decompose(vals):
         # vals = {q^{2 alpha + 2 m_i}}; returns (alpha, sorted distinct m)
@@ -85,7 +88,7 @@ def admissible_roots(roots, q0: float, tol: float = 1e-9):
         ms = []
         for x in a:
             m = round(x - base)
-            if abs(x - base - m) > tol * max(1.0, abs(x - base)):
+            if abs(x - base - m) > ROOT_TOL * (x - base):
                 return None
             ms.append(int(m))
         if len(set(ms)) != len(ms):
@@ -102,16 +105,15 @@ def admissible_roots(roots, q0: float, tol: float = 1e-9):
     return RootDecomposition(alpha=alpha, beta=beta, ms=ms, ns=ns, nzero=len(zeros))
 
 
-def ext_signature(roots, q0: float, tol: float = 1e-9) -> ExtendedSignature:
-    dec = admissible_roots(roots, q0, tol)
+def ext_signature(roots, q0: float) -> ExtendedSignature:
+    dec = admissible_roots(roots, q0)
     if dec is None:
         raise NotAdmissible(f"root multiset {list(roots)} is not a spectrum")
-    np_, nm = len(dec.ms), len(dec.ns)
-    r = (dec.beta - dec.alpha) % 1.0 if np_ * nm else 0.0
-    return ExtendedSignature(rmod1=r, nplus=np_, nminus=nm, nzero=dec.nzero)
+    return ExtendedSignature(rmod1=(dec.beta - dec.alpha) % 1.0, nplus=len(dec.ms),
+                             nminus=len(dec.ns), nzero=dec.nzero)
 
 
-def canonical_weight(roots, eps, q0: float, tol: float = 1e-9):
+def canonical_weight(roots, eps, q0: float):
     """The unique adapted weight r with roots eta_k q^{2(r_k + k) - 2}.
 
     eps is the sign vector of length M = number of nonzero roots; the
@@ -120,7 +122,7 @@ def canonical_weight(roots, eps, q0: float, tol: float = 1e-9):
     decreasing magnitude, which makes r_k + k strictly increase by
     integers along the class.
     """
-    dec = admissible_roots(roots, q0, tol)
+    dec = admissible_roots(roots, q0)
     if dec is None:
         raise NotAdmissible(f"root multiset {list(roots)} is not a spectrum")
     M = len(eps)

@@ -40,7 +40,9 @@ On signatures: the signature is measured, never copied from the input.
 On a big cell the k-th leading minor acts with definite sign
 eps_[1] ... eps_[k]; the classifying sign vector eta_k = eps_[k] is the
 ratio of consecutive minor signs, and coincides with the signs of the
-spectral-weight roots.
+spectral-weight roots.  Classification is scale-free, so Z -> c^2 Z keeps
+the class: a quantity of degree k in Z counts as zero when it is at most
+ZERO_TOL * znorm**k, and a root below about ZERO_TOL of the scale reads as 0.
 """
 
 from __future__ import annotations
@@ -75,6 +77,8 @@ __all__ = [
 ]
 
 TRANSPORT_DIM_CAP = 20000
+ZERO_TOL = 1e-8    # zero decisions, relative to znorm**k at degree k
+EXACT_TOL = 1e-7   # joint eigenvector defects, relative to znorm**k
 
 
 @dataclass
@@ -321,9 +325,9 @@ def selfadj_residual(rep: HermitianRep) -> float:
 
 
 def sigma_scalars(rep: HermitianRep):
-    """Measured central scalars, their scalarness residuals, and the central
-    operators on the interior columns.  sigma_k is read at the first
-    interior basis vector.  Computed on the first call and kept on ``rep``,
+    """Measured central scalars, the defects |op_k - sigma_k| of the central
+    operators op_k on the interior columns, and those operators.  sigma_k
+    is read at the first interior basis vector.  Computed on the first call and kept on ``rep``,
     like ``znorm``."""
     if rep._sigma is not None:
         return rep._sigma
@@ -331,15 +335,14 @@ def sigma_scalars(rep: HermitianRep):
     mask = rep.interior
     ref = int(np.argmax(mask))
     E = np.eye(rep.dim)[:, mask]
-    scalars, resids, ops = [], [], []
+    scalars, defects, ops = [], [], []
     for k in range(1, N + 1):
         op = eval_poly(central_sigma(k, N), rep.Z, rep.q0, mask)
         s = complex(op[ref, 0])
-        resid = float(np.linalg.norm(op - s * E))
         scalars.append(s)
-        resids.append(resid / (1.0 + abs(s)))
+        defects.append(float(np.linalg.norm(op - s * E)))
         ops.append(op)
-    rep._sigma = (scalars, resids, ops)
+    rep._sigma = (scalars, defects, ops)
     return rep._sigma
 
 
@@ -356,36 +359,40 @@ def hc_sigma_prediction(rep: HermitianRep):
     return [(-1) ** k * coeffs[k] for k in range(1, spec.N + 1)]
 
 
-def spectral_data(rep: HermitianRep, tol: float = 1e-8):
+def _character_class(sigma, znorm, q0):
+    """(rank, roots, extended signature) of a central character; the rank is
+    the largest k with |sigma_k| > ZERO_TOL * znorm**k."""
+    N = len(sigma)
+    rank = max((k for k in range(1, N + 1) if abs(sigma[k - 1]) > ZERO_TOL * znorm ** k),
+               default=0)
+    coeffs = [1.0] + [(-1) ** k * sigma[k - 1].real for k in range(1, rank + 1)]
+    roots = sorted([float(x.real) for x in np.roots(coeffs)] + [0.0] * (N - rank), reverse=True)
+    return rank, roots, _classify.ext_signature(roots, q0)
+
+
+def spectral_data(rep: HermitianRep):
     """(roots, signature, extended signature, rank) of a factor representation.
 
-    Requires the central elements to act as scalars to tolerance.  The
-    rank is the number of nonzero roots of the characteristic polynomial.
-    The signature is read off the leading minors of Z, evaluated on the
+    Requires the central elements to act as scalars.  The rank is the
+    number of nonzero roots of the characteristic polynomial.  The
+    signature is read off the leading minors M_k of Z, evaluated on the
     interior columns: eta_k is the ratio of the signs of the k-th and
-    (k-1)-st minor spectra.  Where a minor has no definite sign it falls
-    back to the root signs in the canonical decreasing-magnitude-per-class
-    order.
+    (k-1)-st minor spectra, where eigenvalues at most ZERO_TOL * |M_k|
+    count as zero.  Where a minor has no definite sign it falls back to the
+    root signs in the canonical decreasing-magnitude-per-class order.
     """
-    scalars, resids, _ = sigma_scalars(rep)
-    if max(resids) > tol:
-        raise NotFactorial(f"central elements are not scalar: residuals {resids}")
-    N = rep.N
-    scale = max(1.0, rep.znorm())
-    rank = 0
-    for k in range(N, 0, -1):
-        if abs(scalars[k - 1]) > tol * scale ** k:
-            rank = k
-            break
-    roots = _roots_from_sigma(scalars, rank, N)
-    ext = _classify.ext_signature(roots, rep.q0)
+    scalars, defects, _ = sigma_scalars(rep)
+    N, znorm = rep.N, rep.znorm()
+    if any(d > ZERO_TOL * znorm ** k for k, d in enumerate(defects, start=1)):
+        raise NotFactorial(f"central elements are not scalar: defects {defects}")
+    rank, roots, ext = _character_class(scalars, znorm, rep.q0)
 
     mask = rep.interior
     minor_sign = []
     for k in range(1, rank + 1):
         op = eval_poly(leading_minor_Z(k, N), rep.Z, rep.q0, mask)
         nrm = float(np.linalg.norm(op, 2))
-        if nrm <= tol * scale ** k:
+        if nrm <= ZERO_TOL * znorm ** k:
             minor_sign.append(0)
             continue
         # the sign of the interior eigenvalues above tolerance whose
@@ -394,7 +401,7 @@ def spectral_data(rep: HermitianRep, tol: float = 1e-8):
         vals, vecs = np.linalg.eigh((sub + sub.conj().T) / 2)
         defect = op @ vecs
         defect[mask] -= vecs * vals
-        bound = tol * max(1.0, nrm)
+        bound = ZERO_TOL * nrm
         signs = set(np.sign(vals[(np.linalg.norm(defect, axis=0) <= bound)
                                  & (np.abs(vals) > bound)]).tolist())
         minor_sign.append(int(signs.pop()) if len(signs) == 1 else 0)
@@ -406,55 +413,43 @@ def spectral_data(rep: HermitianRep, tol: float = 1e-8):
     return roots, tuple(sig), ext, rank
 
 
-def _roots_from_sigma(scalars, rank, N):
-    coeffs = [1.0]
-    for k in range(1, rank + 1):
-        coeffs.append((-1) ** k * scalars[k - 1].real)
-    roots = list(np.roots(coeffs)) if rank > 0 else []
-    roots = [float(x.real) for x in roots]
-    return sorted(roots + [0.0] * (N - rank), reverse=True)
-
-
-def spectral_components(rep: HermitianRep, tol: float = 1e-7):
+def spectral_components(rep: HermitianRep):
     """Spectral data per joint eigenspace of the central elements.
 
     Transported representations decompose into factors with distinct
     central characters; this clusters interior-exact joint eigenvectors
-    of one generic combination of the central operators, whose mixing
-    weights are fixed Gaussian draws from ``random.Random(0)``, and
-    classifies each cluster.  Returns a list of
-    (sigma_tuple, roots, extended_signature, multiplicity).
+    of one generic combination of the central operators, weighted by
+    1/znorm**k times fixed Gaussian draws from ``random.Random(0)``, keys
+    them by sigma_k / znorm**k and classifies each cluster.  Returns a list
+    of (sigma_tuple, roots, extended_signature, multiplicity).
     """
     N = rep.N
     _, _, ops = sigma_scalars(rep)
     mask = rep.interior
-    sub_ops = [(op[mask] + op[mask].conj().T) / 2 for op in ops]
+    znorm = rep.znorm()
+    unit = znorm or 1.0   # every operator of the zero representation is 0
     rng = random.Random(0)
-    combo = sum(rng.gauss(0.0, 1.0) * op for op in sub_ops)
+    combo = sum(rng.gauss(0.0, 1.0) / unit ** k * (op[mask] + op[mask].conj().T) / 2
+                for k, op in enumerate(ops, start=1))
     _, vecs = np.linalg.eigh(combo)
-    scale = max(1.0, rep.znorm() ** N)
     # one product per central operator: the joint eigenvalue of every
     # eigenvector of the combination, and whether it is an exact one
     exact = np.ones(vecs.shape[1], dtype=bool)
     lams = []
-    for op in ops:
+    for k, op in enumerate(ops, start=1):
         image = op @ vecs
         lam = np.einsum("it,it->t", vecs.conj(), image[mask])
         image[mask] -= vecs * lam
-        exact &= np.linalg.norm(image, axis=0) <= tol * scale
+        exact &= np.linalg.norm(image, axis=0) <= EXACT_TOL * znorm ** k
         lams.append(lam.real)
     clusters = {}
     for sig in np.array(lams).T[exact].tolist():
-        key = tuple(round(x, 6) for x in sig)
+        key = tuple(round(x / unit ** k, 6) for k, x in enumerate(sig, start=1))
         clusters.setdefault(key, []).append(tuple(sig))
     out = []
     for key, members in sorted(clusters.items()):
         sig = tuple(np.mean([m[k] for m in members]) for k in range(N))
-        rank = N
-        while rank > 0 and abs(sig[rank - 1]) <= 1e-7 * scale:
-            rank -= 1
-        roots = _roots_from_sigma([complex(x) for x in sig], rank, N)
-        ext = _classify.ext_signature(roots, rep.q0)
+        _, roots, ext = _character_class(sig, znorm, rep.q0)
         out.append((sig, roots, ext, len(members)))
     return out
 
@@ -519,9 +514,10 @@ def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> list:
 
     findings = [row("reflection_equation", re_residual(rep), tol),
                 row("self_adjoint", selfadj_residual(rep), tol)]
-    scalars, resids, _ = sigma_scalars(rep)
+    scalars, defects, _ = sigma_scalars(rep)
     for k in range(1, N + 1):
-        findings.append(row(f"sigma_{k}_scalar", resids[k - 1], max(tol, 1e-8)))
+        resid = defects[k - 1] / (1.0 + abs(scalars[k - 1]))
+        findings.append(row(f"sigma_{k}_scalar", resid, max(tol, 1e-8)))
     hc = hc_sigma_prediction(rep)
     if hc is not None:
         for k in range(1, N + 1):

@@ -562,7 +562,7 @@ class TriSystem(_BaseSystem):
         if img is not None:
             return img
         head = self._images[word[:-1]] = self.z_image(word[:-1])
-        i, j = (word[-1] >> 10) & 0x3FF, word[-1] & 0x3FF
+        i, j = letter_indices(word[-1])
         letter = []
         for m in range(1, min(i, j) + 1):
             e = self.eps_leading(m)
@@ -595,7 +595,7 @@ def embed_iT(p: NCPoly, eps, N: int | None = None) -> NCPoly:
         N = 0
         for m in p.terms:
             for code in m:
-                N = max(N, (code >> 10) & 0x3FF, code & 0x3FF)
+                N = max(N, *letter_indices(code))
         N = max(N, len(eps), 1)
     if len(eps) > N:
         raise DomainError("eps longer than N")

@@ -53,12 +53,13 @@ def test_ext_signature_examples():
 
 
 def test_ext_signature_scale_invariant():
-    roots = [Q0 ** 0.8, -Q0 ** 2.3, 0.0]
-    e1 = ext_signature(roots, Q0)
-    for t in (0.3, 2.0, 7.7):
-        e2 = ext_signature([t * x for x in roots], Q0)
-        assert rmod1_equal(e1.rmod1, e2.rmod1)
-        assert e1.counts() == e2.counts()
+    # in the second list one root is about 3e-8 of the largest
+    for roots in ([Q0 ** 0.8, -Q0 ** 2.3, 0.0], [Q0 ** 0.8, -Q0 ** 2.3, Q0 ** 24.8, 0.0]):
+        e1 = ext_signature(roots, Q0)
+        for t in (1e-6, 0.3, 2.0, 7.7, 1e6):
+            e2 = ext_signature([t * x for x in roots], Q0)
+            assert rmod1_equal(e1.rmod1, e2.rmod1)
+            assert e1.counts() == e2.counts()
 
 
 def test_canonical_weight_examples():

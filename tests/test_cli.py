@@ -200,6 +200,39 @@ def test_transport_by_s_passes(tmp_path, capsys, eps, r, depth):
     assert doc["pass"] is True and doc["inputs"]["components"] >= 1, doc["findings"]
 
 
+@pytest.mark.parametrize("args,rank,signature,counts,rmod1", [
+    (["--n", "2", "--eps", "+,-", "--r", "14,29/2", "--depth", "14", "--margin", "8"],
+     2, [1, -1], (1, 1, 0), 0.5),
+    (["--n", "3", "--eps", "+,+,-", "--r", "5,6,11/2", "--depth", "14", "--margin", "12"],
+     3, [1, 1, -1], (2, 1, 0), 0.5),
+    (["--n", "3", "--eps=-,+,+", "--r", "9,9,9", "--depth", "14", "--margin", "12"],
+     3, [-1, -1, -1], (0, 3, 0), 0.0),
+], ids=["N2-r14", "N3-r5", "N3-r9"])
+def test_rep_verify_small_block_scale(tmp_path, args, rank, signature, counts, rmod1):
+    """Big cells whose block scale is far below 1 keep their full rank and
+    class: no zero decision is absolute."""
+    code, doc = run_cli(["rep-verify", *args], tmp_path)
+    assert code == 0 and doc["pass"] is True, doc["findings"]
+    got = doc["inputs"]
+    ext = got["extsig"]
+    assert (got["rank"], got["signature"]) == (rank, signature)
+    assert (ext["nplus"], ext["nminus"], ext["nzero"]) == counts
+    assert abs(ext["rmod1"] - rmod1) < 1e-8
+
+
+@pytest.mark.parametrize("args", [
+    ["--n", "2", "--eps", "+,-", "--r", "3/10,4/5", "--depth", "14", "--by", "scale:0.02"],
+    ["--n", "2", "--eps", "+,+", "--r", "0,11", "--depth", "30", "--by", "uchar:0.1,0.2"],
+    ["--n", "2", "--eps=+,-", "--r=-9,-17/2", "--depth", "14", "--by", "scale:3"],
+], ids=["scale-0.02", "uchar-r11", "scale-3"])
+def test_transport_keeps_class_at_any_scale(tmp_path, args):
+    """A transport of a big cell by a scaling or a character is one factor
+    of the input's class, whatever the block scale."""
+    code, doc = run_cli(["transport", *args, "--margin", "6"], tmp_path)
+    assert code == 0 and doc["pass"] is True, doc["findings"]
+    assert doc["inputs"]["components"] == 1
+
+
 def test_verify_algebra_refuses_n_above_limit(capsys):
     assert main(["verify-algebra", "--n", "5"]) == 2
     assert "limit N=4" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -396,6 +397,57 @@ def test_transport_scaling():
     assert np.allclose(roots1, [0.7 ** 2 * x for x in roots0], rtol=1e-8)
     assert rmod1_equal(ext0.rmod1, ext1.rmod1)
     assert ext0.counts() == ext1.counts()
+
+
+# Big cells whose block scale is far from 1, and their exact classes:
+# (counts (N_+, N_-, N_0), [beta - alpha] mod 1).
+SCALED_CELLS = [
+    ((2, (1, -1), (Fraction(14), Fraction(29, 2)), 14, 8), ((1, 1, 0), 0.5)),
+    ((3, (1, 1, -1), (Fraction(5), Fraction(6), Fraction(11, 2)), 14, 12), ((2, 1, 0), 0.5)),
+    ((3, (-1, 1, 1), (Fraction(9), Fraction(9), Fraction(9)), 14, 12), ((0, 3, 0), 0.0)),
+    ((3, (-1, 1, -1), (Fraction(1, 2), Fraction(1, 2), Fraction(-5, 2)), 26, 12),
+     ((1, 2, 0), 0.0)),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def scaled_cell(cell):
+    N, eps, r, D, margin = cell
+    return gt_rep(N=N, eps=eps, r=r, D=D, margin=margin)
+
+
+@pytest.mark.parametrize("c", [0.02, 0.1, 3, 20])
+@pytest.mark.parametrize("cell,want", SCALED_CELLS,
+                         ids=["N2-r14", "N3-r5", "N3-r9", "N3-D26"])
+def test_class_is_scale_invariant(cell, want, c):
+    """Z -> c^2 Z is an adjoint transport, so it keeps the class: the rank,
+    root and component decisions are relative to the block scale."""
+    counts, rmod1 = want
+    rep = scaled_cell(cell)
+    _, sig, ext, rank = spectral_data(rep)
+    assert (ext.counts(), rank) == (counts, cell[0])
+    assert rmod1_equal(ext.rmod1, rmod1, 1e-8)
+    out = adjoint_transport_T(rep, *scaling_blocks(cell[0], c))
+    _, sig1, ext1, rank1 = spectral_data(out)
+    assert (sig1, ext1.counts(), rank1) == (sig, counts, rank)
+    assert rmod1_equal(ext1.rmod1, rmod1, 1e-8)
+    comps = spectral_components(out)
+    assert len(comps) == 1
+    assert comps[0][2].counts() == counts and rmod1_equal(comps[0][2].rmod1, rmod1, 1e-8)
+
+
+@pytest.mark.parametrize("t", [1e-4, 1e4])
+def test_not_factorial_at_any_scale(t):
+    """A direct sum of two characters is not a factor at any scale."""
+    a = n2_family("char", theta=0.0, c=t)
+    b = n2_family("char", theta=0.0, c=2 * t)
+    Z = np.zeros((2, 2, 2, 2))
+    Z[:, :, 0, 0] = a.Z[:, :, 0, 0].real
+    Z[:, :, 1, 1] = b.Z[:, :, 0, 0].real
+    rep = HermitianRep(N=2, Z=Z, interior=np.array([True, True]), q0=Q0)
+    with pytest.raises(NotFactorial):
+        spectral_data(rep)
+    assert len(spectral_components(rep)) == 2
 
 
 def test_transport_vector_corep_preserves_extsig():
