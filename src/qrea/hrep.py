@@ -17,19 +17,19 @@ the Kronecker product of the two masks.
 Every check and every classifying datum is measured from Z, the same way
 for every source, on the interior columns: the basis vectors at least a
 margin below the truncation cap (basis vector 0, for a big cell the
-highest-weight vector, is the first).  All residuals are Frobenius norms
-of defects on them, relative to the squared block scale.  A margin of at
-least twice the word length keeps truncation junk out of them.  The
-quantum-SU(2) corepresentation needs only the word length, 2: in the words
-read here its letters reach at most one level per letter above the column
-they start from (``gtrep.suq2_corep_blocks``).  On
-big-cell builds of mixed sign the assembly of Z cancels summands of size
-q^{-2s}, where s is the top interior shell, down to bounded entries; it
-runs in ``decimal`` at a precision derived from D, r and q
-(``gtrep._precision``) and is rounded to float64 once, so the residuals
-stay near machine precision at any depth (about 1e-15 at q=1/2 up to D=60
-for N=2 and D=26 for N=3).  A build whose cancellation the precision does
-not cover raises ``PrecisionLoss``.
+highest-weight vector, is the first).  A residual is the Frobenius norm of
+a defect of degree k in Z on them over znorm**k (``_relative``), so that
+Z -> c^2 Z keeps it at any scale.  A margin of at least twice the word
+length keeps truncation junk out of them.  The quantum-SU(2)
+corepresentation needs only the word length, 2: in the words read here its
+letters reach at most one level per letter above the column they start
+from (``gtrep.suq2_corep_blocks``).  On big-cell builds of mixed sign the
+assembly of Z cancels summands of size q^{-2s}, where s is the top interior
+shell, down to bounded entries; it runs in ``decimal`` at a precision
+derived from D, r and q (``gtrep._precision``) and is rounded to float64
+once, so the residuals stay near machine precision at any depth (about
+1e-15 at q=1/2 up to D=60 for N=2 and D=26 for N=3).  A build whose
+cancellation the precision does not cover raises ``PrecisionLoss``.
 
 One evaluator, ``eval_poly``, applies exact polynomials to the columns of
 a mask: REA polynomials (central elements, leading minors) on Z, and FRT
@@ -42,7 +42,8 @@ eps_[1] ... eps_[k]; the classifying sign vector eta_k = eps_[k] is the
 ratio of consecutive minor signs, and coincides with the signs of the
 spectral-weight roots.  Classification is scale-free, so Z -> c^2 Z keeps
 the class: a quantity of degree k in Z counts as zero when it is at most
-ZERO_TOL * znorm**k, and a root below about ZERO_TOL of the scale reads as 0.
+ZERO_TOL relative to znorm**k, by the same ``_relative`` rule, and a root
+below about ZERO_TOL of the scale reads as 0.
 """
 
 from __future__ import annotations
@@ -108,10 +109,6 @@ class HermitianRep:
     def block(self, i: int, j: int) -> np.ndarray:
         return self.Z[i - 1, j - 1]
 
-    def assembled(self) -> np.ndarray:
-        """Z as one (N dim) x (N dim) operator on C^N ox C^dim."""
-        return self.Z.transpose(0, 2, 1, 3).reshape(self.N * self.dim, self.N * self.dim)
-
     def znorm(self) -> float:
         """Largest block norm measured on interior columns (the boundary of
         a truncation carries unbounded triangular junk by design).  Computed
@@ -123,6 +120,11 @@ class HermitianRep:
                 for i in range(self.N) for j in range(self.N)
             )
         return self._znorm
+
+
+def _relative(defect, znorm: float, k: int):
+    """defect / znorm**k for a defect of degree k in Z (scale 1 for Z = 0)."""
+    return defect / (znorm or 1.0) ** k
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +140,12 @@ def _gram(mod: HWModule, lead) -> np.ndarray:
     Z_ij) the sums cancel summands far larger than the result, so
     PrecisionLoss is raised when the largest such summand, at the context's
     precision, could move an entry by more than 1e-17 of the largest such
-    entry (or of 1).
+    entry.
     """
     N, dim = mod.N, mod.dim
     inner = mod.interior.tolist()
     Z = np.zeros((N, N, dim, dim))
-    biggest, scale = Decimal(0), Decimal(1)
+    biggest, scale = Decimal(0), Decimal(0)
     with localcontext(mod.context):
         for i in range(1, N + 1):
             for j in range(i, N + 1):
@@ -298,7 +300,8 @@ def re_residual(rep: HermitianRep) -> float:
 
     Block (x, y) of either side, with x and y row-major index pairs, is a
     fixed combination of the N^4 products Z_bc Z_fh whose coefficients are
-    quadratic in R; the products are formed on interior columns only.
+    quadratic in R; the products are formed on interior columns only, in one
+    broadcast matmul, and combined by one (N^4, N^4) coefficient matrix.
     """
     N = rep.N
     R = build_rhat(N)[0].to_numpy(rep.q0).real.reshape(N, N, N, N)
@@ -307,17 +310,15 @@ def re_residual(rep: HermitianRep) -> float:
     lhs = np.einsum("xXab,acef,gh->xXegbcfh", R, R, one)
     # (Z2 R Z2 R)[(x, X), y] = sum Z_Xc R[(x, c), (v, f)] Z_fh R[(v, h), y]
     rhs = np.einsum("xcvf,vhyz,Xb->xXyzbcfh", R, R, one)
-    coeff = (lhs - rhs).reshape(N * N, N * N, N, N, N, N)
-    defect = np.einsum("xybcfh,bcik,fhkj->xyij", coeff, rep.Z, rep.Z[..., rep.interior],
-                       optimize=True)
-    return np.linalg.norm(defect) / max(1.0, rep.znorm() ** 2)
+    coeff = (lhs - rhs).reshape(N ** 4, N ** 4)
+    products = rep.Z[:, :, None, None] @ rep.Z[None, None, ..., rep.interior]
+    return _relative(np.linalg.norm(coeff @ products.reshape(N ** 4, -1)), rep.znorm(), 2)
 
 
 def selfadj_residual(rep: HermitianRep) -> float:
     """Relative residual of Z_ij - Z_ji^dagger on interior rows and columns."""
-    Zb = rep.assembled()
-    cols = np.tile(rep.interior, rep.N)
-    return np.linalg.norm((Zb - Zb.conj().T)[np.ix_(cols, cols)]) / max(1.0, rep.znorm())
+    inner = rep.Z[:, :, rep.interior][..., rep.interior]
+    return _relative(np.linalg.norm(inner - inner.transpose(1, 0, 3, 2).conj()), rep.znorm(), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +362,9 @@ def hc_sigma_prediction(rep: HermitianRep):
 
 def _character_class(sigma, znorm, q0):
     """(rank, roots, extended signature) of a central character; the rank is
-    the largest k with |sigma_k| > ZERO_TOL * znorm**k."""
+    the largest k with |sigma_k| > ZERO_TOL relative to znorm**k."""
     N = len(sigma)
-    rank = max((k for k in range(1, N + 1) if abs(sigma[k - 1]) > ZERO_TOL * znorm ** k),
+    rank = max((k for k in range(1, N + 1) if _relative(abs(sigma[k - 1]), znorm, k) > ZERO_TOL),
                default=0)
     coeffs = [1.0] + [(-1) ** k * sigma[k - 1].real for k in range(1, rank + 1)]
     roots = sorted([float(x.real) for x in np.roots(coeffs)] + [0.0] * (N - rank), reverse=True)
@@ -383,7 +384,7 @@ def spectral_data(rep: HermitianRep):
     """
     scalars, defects, _ = sigma_scalars(rep)
     N, znorm = rep.N, rep.znorm()
-    if any(d > ZERO_TOL * znorm ** k for k, d in enumerate(defects, start=1)):
+    if any(_relative(d, znorm, k) > ZERO_TOL for k, d in enumerate(defects, start=1)):
         raise NotFactorial(f"central elements are not scalar: defects {defects}")
     rank, roots, ext = _character_class(scalars, znorm, rep.q0)
 
@@ -392,7 +393,7 @@ def spectral_data(rep: HermitianRep):
     for k in range(1, rank + 1):
         op = eval_poly(leading_minor_Z(k, N), rep.Z, rep.q0, mask)
         nrm = float(np.linalg.norm(op, 2))
-        if nrm <= ZERO_TOL * znorm ** k:
+        if _relative(nrm, znorm, k) <= ZERO_TOL:
             minor_sign.append(0)
             continue
         # the sign of the interior eigenvalues above tolerance whose
@@ -427,9 +428,8 @@ def spectral_components(rep: HermitianRep):
     _, _, ops = sigma_scalars(rep)
     mask = rep.interior
     znorm = rep.znorm()
-    unit = znorm or 1.0   # every operator of the zero representation is 0
     rng = random.Random(0)
-    combo = sum(rng.gauss(0.0, 1.0) / unit ** k * (op[mask] + op[mask].conj().T) / 2
+    combo = sum(_relative(rng.gauss(0.0, 1.0), znorm, k) * (op[mask] + op[mask].conj().T) / 2
                 for k, op in enumerate(ops, start=1))
     _, vecs = np.linalg.eigh(combo)
     # one product per central operator: the joint eigenvalue of every
@@ -440,11 +440,11 @@ def spectral_components(rep: HermitianRep):
         image = op @ vecs
         lam = np.einsum("it,it->t", vecs.conj(), image[mask])
         image[mask] -= vecs * lam
-        exact &= np.linalg.norm(image, axis=0) <= EXACT_TOL * znorm ** k
+        exact &= _relative(np.linalg.norm(image, axis=0), znorm, k) <= EXACT_TOL
         lams.append(lam.real)
     clusters = {}
     for sig in np.array(lams).T[exact].tolist():
-        key = tuple(round(x / unit ** k, 6) for k, x in enumerate(sig, start=1))
+        key = tuple(round(_relative(x, znorm, k), 6) for k, x in enumerate(sig, start=1))
         clusters.setdefault(key, []).append(tuple(sig))
     out = []
     for key, members in sorted(clusters.items()):
@@ -507,7 +507,8 @@ def uchar_blocks(thetas):
 def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> list:
     """Reflection-equation, self-adjointness, central-scalar, and
     Cayley-Hamilton checks, as the report rows {name, ok, residual}."""
-    N = rep.N
+    N, dim, znorm = rep.N, rep.dim, rep.znorm()
+    loose = max(tol, ZERO_TOL)
 
     def row(name, residual, bound):
         return {"name": name, "ok": bool(residual < bound), "residual": float(residual)}
@@ -515,22 +516,19 @@ def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> list:
     findings = [row("reflection_equation", re_residual(rep), tol),
                 row("self_adjoint", selfadj_residual(rep), tol)]
     scalars, defects, _ = sigma_scalars(rep)
-    for k in range(1, N + 1):
-        resid = defects[k - 1] / (1.0 + abs(scalars[k - 1]))
-        findings.append(row(f"sigma_{k}_scalar", resid, max(tol, 1e-8)))
-    hc = hc_sigma_prediction(rep)
-    if hc is not None:
-        for k in range(1, N + 1):
-            d = abs(scalars[k - 1] - hc[k - 1]) / (1.0 + abs(hc[k - 1]))
-            findings.append(row(f"sigma_{k}_hc_match", d, 1e-10))
+    for k, d in enumerate(defects, start=1):
+        findings.append(row(f"sigma_{k}_scalar", _relative(d, znorm, k), loose))
+    for k, (s, h) in enumerate(zip(scalars, hc_sigma_prediction(rep) or ()), start=1):
+        findings.append(row(f"sigma_{k}_hc_match", _relative(abs(s - h), znorm, k), 1e-10))
 
     # Cayley-Hamilton with the measured scalars, by Horner's rule on the
-    # interior columns E of the assembled matrix
-    Zb = rep.assembled()
-    E = np.eye(N * rep.dim)[:, np.tile(rep.interior, N)]
+    # interior columns E of Z as one (N dim) x (N dim) operator; its arrays
+    # are made only after the RE row has freed its products
+    Zb = rep.Z.transpose(0, 2, 1, 3).reshape(N * dim, N * dim)
+    cols = np.flatnonzero(np.tile(rep.interior, N))
+    E = (np.arange(N * dim)[:, None] == cols).astype(float)
     ch = E
     for k in range(1, N + 1):
         ch = Zb @ ch + (-1) ** k * scalars[k - 1] * E
-    ch_res = np.linalg.norm(ch) / max(1.0, rep.znorm() ** N)
-    findings.append(row("cayley_hamilton", ch_res, max(tol, 1e-8)))
+    findings.append(row("cayley_hamilton", _relative(np.linalg.norm(ch), znorm, N), loose))
     return findings

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,7 @@ def test_zero_rep_exact():
     rep = zero_rep(2)
     assert re_residual(rep) == 0.0
     assert selfadj_residual(rep) == 0.0
+    assert all(f["ok"] and f["residual"] == 0.0 for f in verify_rep(rep))
     roots, sig, ext, rank = spectral_data(rep)
     assert roots == [0.0, 0.0]
     assert rank == 0 and sig == ()
@@ -93,29 +95,32 @@ def _rhat_textbook(N, q):
 @pytest.mark.parametrize("N,dim,seed", [(2, 3, 1), (2, 6, 2), (3, 4, 3), (3, 5, 4)])
 def test_residuals_match_textbook_formulas(N, dim, seed):
     """On random complex blocks, far from any representation, every
-    residual equals its defining formula on the assembled N*dim matrix."""
+    residual equals its defining formula on the assembled N*dim matrix, a
+    defect of degree k over znorm**k, at block scales above and below 1."""
     rng = np.random.default_rng(seed)
-    Z = [[rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-          for _ in range(N)] for _ in range(N)]
+    blocks = [[rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+               for _ in range(N)] for _ in range(N)]
     interior = rng.permutation(dim) < (dim + 1) // 2
-    rep = HermitianRep(N=N, Z=Z, interior=interior, q0=Q0)
-    Zb = np.block(Z)
-    znorm = max(np.linalg.norm(Z[i][j][:, interior], 2) for i in range(N) for j in range(N))
     cols = np.tile(interior, N)
-
     R = np.kron(_rhat_textbook(N, Q0), np.eye(dim))
-    Z2 = np.kron(np.eye(N), Zb)
-    defect = R @ Z2 @ R @ Z2 - Z2 @ R @ Z2 @ R
-    want = np.linalg.norm(defect[:, np.tile(interior, N * N)]) / max(1.0, znorm ** 2)
-    assert re_residual(rep) == pytest.approx(want, rel=1e-12)
+    for scale in (1.0, 1e-3):
+        Z = [[scale * blk for blk in line] for line in blocks]
+        rep = HermitianRep(N=N, Z=Z, interior=interior, q0=Q0)
+        Zb = np.block(Z)
+        znorm = max(np.linalg.norm(Z[i][j][:, interior], 2) for i in range(N) for j in range(N))
 
-    want = np.linalg.norm((Zb - Zb.conj().T)[np.ix_(cols, cols)]) / max(1.0, znorm)
-    assert selfadj_residual(rep) == pytest.approx(want, rel=1e-12)
+        Z2 = np.kron(np.eye(N), Zb)
+        defect = R @ Z2 @ R @ Z2 - Z2 @ R @ Z2 @ R
+        want = np.linalg.norm(defect[:, np.tile(interior, N * N)]) / znorm ** 2
+        assert re_residual(rep) == pytest.approx(want, rel=1e-12)
 
-    sigma = [1.0] + sigma_scalars(rep)[0]
-    ch = sum((-1) ** k * sigma[k] * np.linalg.matrix_power(Zb, N - k) for k in range(N + 1))
-    want = np.linalg.norm(ch[:, cols]) / max(1.0, znorm ** N)
-    assert residuals(verify_rep(rep))["cayley_hamilton"] == pytest.approx(want, rel=1e-12)
+        want = np.linalg.norm((Zb - Zb.conj().T)[np.ix_(cols, cols)]) / znorm
+        assert selfadj_residual(rep) == pytest.approx(want, rel=1e-12)
+
+        sigma = [1.0] + sigma_scalars(rep)[0]
+        ch = sum((-1) ** k * sigma[k] * np.linalg.matrix_power(Zb, N - k) for k in range(N + 1))
+        want = np.linalg.norm(ch[:, cols]) / znorm ** N
+        assert residuals(verify_rep(rep))["cayley_hamilton"] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("N,eps,r,D,margin", [
@@ -421,7 +426,8 @@ def scaled_cell(cell):
                          ids=["N2-r14", "N3-r5", "N3-r9", "N3-D26"])
 def test_class_is_scale_invariant(cell, want, c):
     """Z -> c^2 Z is an adjoint transport, so it keeps the class: the rank,
-    root and component decisions are relative to the block scale."""
+    root and component decisions are relative to the block scale, and so is
+    every residual."""
     counts, rmod1 = want
     rep = scaled_cell(cell)
     _, sig, ext, rank = spectral_data(rep)
@@ -434,6 +440,37 @@ def test_class_is_scale_invariant(cell, want, c):
     comps = spectral_components(out)
     assert len(comps) == 1
     assert comps[0][2].counts() == counts and rmod1_equal(comps[0][2].rmod1, rmod1, 1e-8)
+    # a transport has no weight, so no Harish-Chandra rows
+    before = residuals(verify_rep(rep))
+    after = residuals(verify_rep(out))
+    assert after.keys() == {k for k in before if "hc_match" not in k}
+    for name, resid in after.items():
+        assert resid == pytest.approx(before[name], abs=1e-13), name
+
+
+def test_residuals_are_relative_below_scale_one():
+    """A cell of block scale 3.7e-9 reports residuals near machine precision,
+    not their absolute size of about 1e-33."""
+    rep = scaled_cell(SCALED_CELLS[0][0])
+    assert rep.znorm() < 1e-8
+    assert 1e-18 < max(residuals(verify_rep(rep)).values()) < 1e-12
+
+
+def test_verify_rep_memory():
+    """verify_rep's temporaries stay a few times the size of Z: the RE
+    products are formed on interior columns and freed before the
+    Cayley-Hamilton arrays are made."""
+    built = scaled_cell(SCALED_CELLS[3][0])
+    # a fresh representation, so that no cached scalar or norm is reused
+    rep = HermitianRep(N=built.N, Z=built.Z, interior=built.interior, q0=built.q0,
+                       spec=built.spec)
+    tracemalloc.start()
+    try:
+        verify_rep(rep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * rep.Z.nbytes
 
 
 @pytest.mark.parametrize("t", [1e-4, 1e4])
