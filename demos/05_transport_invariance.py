@@ -26,8 +26,9 @@ roots0, _, ext0, _ = spectral_data(rep)
 print("base representation roots", np.round(roots0, 6),
       "extsig", (round(ext0.rmod1, 6), ext0.nplus, ext0.nminus, ext0.nzero))
 
-# every transport parameter is an (N, N, m, m) block array and its interior
-# mask; a scaling transport multiplies every root by c^2 and keeps the class
+# every transport parameter is a small dense (N, N, m, m) block array and its
+# interior mask, and the transported Z is sparse like the input; a scaling
+# transport multiplies every root by c^2 and keeps the class
 out = adjoint_transport_T(rep, *scaling_blocks(2, 0.7))
 roots1, _, ext1, _ = spectral_data(out)
 print("\nscaling by 0.7:   roots", np.round(roots1, 6),

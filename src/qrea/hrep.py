@@ -1,18 +1,25 @@
 """Operator representations of the quantized Hermitian matrix algebra.
 
-A representation is an N x N block matrix Z of dense operators on a
-truncated space, self-adjoint on the interior, satisfying the reflection
-equation.  Sources: big-cell builds from highest-weight modules, the
-explicit N=2 families, scalar *-characters, and adjoint transports by
-triangular or unitary quantum-group representations.
+A representation is an N x N block matrix Z of operators on a truncated
+space, self-adjoint on the interior, satisfying the reflection equation.
+Sources: big-cell builds from highest-weight modules, the explicit N=2
+families, scalar *-characters, and adjoint transports by triangular or
+unitary quantum-group representations.
 
-Z is held as one array of shape (N, N, dim, dim): Z[i - 1, j - 1] is the
-block Z_ij, and Z.transpose(0, 2, 1, 3).reshape(N * dim, N * dim) is the
-assembled operator on C^N ox C^dim.  A transport parameter has the same
-layout: an (N, N, m, m) block array W and the bool mask of its interior
-basis vectors (``gtrep.scaling_blocks``, ``gtrep.vector_trep``,
-``uchar_blocks``, ``gtrep.suq2_corep_blocks``); the transported interior is
-the Kronecker product of the two masks.
+Z is sparse (a big cell's blocks are about 1% dense, with a few nonzeros per
+row) and is held as one ``RowBlocks`` layout: for each block Z_ij and each
+row, the column indices and values of its nonzeros, padded with value 0 to
+the width of the widest row, in two (N, N, dim, w) arrays.  A block acts on
+a dense (dim, k) matrix by gathering the rows of the matrix that its
+nonzeros name (``RowBlocks.__matmul__``).  Dense arrays are made only of
+interior columns, and the block products of ``re_residual`` and of the
+Cayley-Hamilton check are formed a chunk of interior columns at a time, so
+that their temporaries stay near CHUNK_FLOATS numbers.
+
+A transport parameter is a small dense (N, N, m, m) block array W and the
+bool mask of its interior basis vectors (``gtrep.scaling_blocks``,
+``gtrep.vector_trep``, ``uchar_blocks``, ``gtrep.suq2_corep_blocks``); the
+transported interior is the Kronecker product of the two masks.
 
 Every check and every classifying datum is measured from Z, the same way
 for every source, on the interior columns: the basis vectors at least a
@@ -33,8 +40,8 @@ cancellation the precision does not cover raises ``PrecisionLoss``.
 
 One evaluator, ``eval_poly``, applies exact polynomials to the columns of
 a mask: REA polynomials (central elements, leading minors) on Z, and FRT
-quantum minors on a module's T blocks, whose products give the minors of
-Z = T* E T.
+quantum minors on a module's T blocks in the same layout, whose products
+give the minors of Z = T* E T.
 
 On signatures: the signature is measured, never copied from the input.
 On a big cell the k-th leading minor acts with definite sign
@@ -61,6 +68,7 @@ from .gtrep import HWModule, HWModuleSpec, build_hw_module
 from .ncalg import NCPoly, central_sigma, leading_minor_Z, letter_indices
 
 __all__ = [
+    "RowBlocks",
     "HermitianRep",
     "build_bigcell_rep",
     "n2_family",
@@ -80,19 +88,90 @@ __all__ = [
 TRANSPORT_DIM_CAP = 20000
 ZERO_TOL = 1e-8    # zero decisions, relative to znorm**k at degree k
 EXACT_TOL = 1e-7   # joint eigenvector defects, relative to znorm**k
+CHUNK_FLOATS = 1 << 18  # numbers in the largest temporary of a chunk of block products
+
+
+@dataclass(frozen=True)
+class RowBlocks:
+    """Sparse square blocks of one size as padded rows.
+
+    ``cols`` and ``vals`` have one shape (..., dim, w): row a of a block has
+    its nonzeros at the columns ``cols[..., a, :]``, each at most once, with
+    the values ``vals[..., a, :]``, and is padded with value 0 (at column 0)
+    to the width w of the widest row.  Indexing the leading axes gives the
+    layout of those blocks, so ``Z[i - 1, j - 1]`` is the block Z_ij.
+    """
+
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def from_coo(cls, shape, rows, cols, vals) -> RowBlocks:
+        """The blocks whose rows have the shape ``shape`` (the leading axes,
+        then dim), from their entries at flat row indices ``rows`` over
+        ``shape`` and columns ``cols``; entries at one position are summed
+        and zeros dropped."""
+        dim = shape[-1]
+        key = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], np.asarray(vals)[order]
+        if len(key):
+            start = np.flatnonzero(np.diff(key, prepend=-1))
+            key, vals = key[start], np.add.reduceat(vals, start)
+        keep = vals != 0
+        row, col = np.divmod(key[keep], dim)
+        vals = vals[keep]
+        count = np.bincount(row, minlength=int(np.prod(shape)))
+        at = np.arange(len(row)) - (np.cumsum(count) - count)[row]  # place in its row
+        width = int(count.max(initial=0))
+        C = np.zeros((len(count), width), dtype=np.intp)
+        V = np.zeros((len(count), width), dtype=vals.dtype)
+        C[row, at], V[row, at] = col, vals
+        return cls(C.reshape(*shape, width), V.reshape(*shape, width))
+
+    @classmethod
+    def from_dense(cls, Z) -> RowBlocks:
+        """The nonzeros of a dense (..., dim, dim) block array."""
+        Z = np.asarray(Z)
+        *rows, col = nz = np.nonzero(Z)
+        return cls.from_coo(Z.shape[:-1], np.ravel_multi_index(rows, Z.shape[:-1]), col, Z[nz])
+
+    def __getitem__(self, key) -> RowBlocks:
+        return RowBlocks(self.cols[key], self.vals[key])
+
+    @property
+    def dim(self) -> int:
+        return self.cols.shape[-2]
+
+    def __matmul__(self, M: np.ndarray) -> np.ndarray:
+        """Z @ M for one block Z and a dense (dim, k) matrix M, row by row:
+        sum_t vals[:, t] * M[cols[:, t]], over the slots t of this block's
+        widest row (rows hold their nonzeros first)."""
+        width = np.count_nonzero(self.vals.any(axis=0))
+        return np.einsum("rt,rtk->rk", self.vals[:, :width], M[self.cols[:, :width]])
+
+    def columns(self, mask: np.ndarray) -> np.ndarray:
+        """The columns that the bool mask selects, dense: the blocks'
+        (..., dim, mask.sum()) array."""
+        place = np.cumsum(mask) - 1
+        hit = np.nonzero(mask[self.cols] & (self.vals != 0))
+        out = np.zeros(self.cols.shape[:-1] + (int(mask.sum()),), dtype=self.vals.dtype)
+        out[hit[:-1] + (place[self.cols[hit]],)] = self.vals[hit]
+        return out
 
 
 @dataclass
 class HermitianRep:
     """Block operator matrix Z with truncation-interior bookkeeping.
 
-    ``Z`` has shape (N, N, dim, dim), block Z_ij at ``Z[i - 1, j - 1]``; a
-    nested list of blocks is converted on construction.  ``Z`` and
-    ``interior`` are not mutated after construction.
+    ``Z`` is a ``RowBlocks`` layout of shape (N, N, dim, w), block Z_ij at
+    ``Z[i - 1, j - 1]``; a dense (N, N, dim, dim) array or a nested list of
+    blocks is converted on construction, and ``block`` gives one block
+    dense.  ``Z`` and ``interior`` are not mutated after construction.
     """
 
     N: int
-    Z: np.ndarray               # (N, N, dim, dim)
+    Z: RowBlocks
     interior: np.ndarray        # bool mask over the basis
     q0: float
     spec: HWModuleSpec | None = None   # present for big-cell builds
@@ -100,25 +179,25 @@ class HermitianRep:
     _sigma: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.Z = np.asarray(self.Z)
+        if not isinstance(self.Z, RowBlocks):
+            self.Z = RowBlocks.from_dense(self.Z)
 
     @property
     def dim(self) -> int:
-        return self.Z.shape[-1]
+        return self.Z.dim
 
     def block(self, i: int, j: int) -> np.ndarray:
-        return self.Z[i - 1, j - 1]
+        return self.Z[i - 1, j - 1].columns(np.ones(self.dim, dtype=bool))
 
     def znorm(self) -> float:
         """Largest block norm measured on interior columns (the boundary of
-        a truncation carries unbounded triangular junk by design).  Computed
-        on the first call and kept, since Z and ``interior`` do not change."""
+        a truncation carries unbounded triangular junk by design), from the
+        nonzero rows of each block.  Computed on the first call and kept,
+        since Z and ``interior`` do not change."""
         if self._znorm is None:
-            mask = self.interior
-            self._znorm = max(
-                np.linalg.norm(self.Z[i, j][:, mask], 2)
-                for i in range(self.N) for j in range(self.N)
-            )
+            inner = self.Z.columns(self.interior)
+            self._znorm = max(np.linalg.norm(blk[blk.any(axis=1)], 2)
+                              for line in inner for blk in line)
         return self._znorm
 
 
@@ -127,24 +206,36 @@ def _relative(defect, znorm: float, k: int):
     return defect / (znorm or 1.0) ** k
 
 
+def _column_chunks(n: int, per_column: int) -> list:
+    """Slices of n columns such that a temporary of per_column numbers for
+    each column stays below CHUNK_FLOATS (at least one column each)."""
+    step = max(1, CHUNK_FLOATS // max(1, per_column))
+    return [slice(k, k + step) for k in range(0, n, step)]
+
+
+def _identity_entries(mask: np.ndarray):
+    """Where the columns of the identity that the bool mask selects are 1."""
+    return np.flatnonzero(mask), np.arange(np.count_nonzero(mask))
+
+
 # ---------------------------------------------------------------------------
 # constructions
 
 
-def _gram(mod: HWModule, lead) -> np.ndarray:
+def _gram(mod: HWModule, lead) -> RowBlocks:
     """Z_ij = sum over rows m <= min(i,j) of eps_[m] T[m,i]^T T[m,j].
 
     The sums run over the nonzeros of the T blocks in the module's decimal
     context, and Z_ij (i <= j) is rounded once to float64; Z_ji = Z_ij^T.
-    Where verification reads Z (entries in an interior row or column of
-    Z_ij) the sums cancel summands far larger than the result, so
-    PrecisionLoss is raised when the largest such summand, at the context's
-    precision, could move an entry by more than 1e-17 of the largest such
-    entry.
+    Only the nonzeros are kept.  Where verification reads Z (entries in an
+    interior row or column of Z_ij) the sums cancel summands far larger than
+    the result, so PrecisionLoss is raised when the largest such summand, at
+    the context's precision, could move an entry by more than 1e-17 of the
+    largest such entry.
     """
     N, dim = mod.N, mod.dim
     inner = mod.interior.tolist()
-    Z = np.zeros((N, N, dim, dim))
+    rows, cols, vals = [], [], []   # each nonzero of Z, at a flat row over (N, N, dim)
     biggest, scale = Decimal(0), Decimal(0)
     with localcontext(mod.context):
         for i in range(1, N + 1):
@@ -162,19 +253,22 @@ def _gram(mod: HWModule, lead) -> np.ndarray:
                                 out[b] = out.get(b, 0) + p
                                 if inner[a] or inner[b]:
                                     biggest = max(biggest, abs(p))
-                block = Z[i - 1, j - 1]
                 for a, out in enumerate(acc):
                     for b, v in out.items():
-                        block[a, b] = v
+                        rows.append(((i - 1) * N + j - 1) * dim + a)
+                        cols.append(b)
+                        vals.append(float(v))
+                        if i < j:
+                            rows.append(((j - 1) * N + i - 1) * dim + b)
+                            cols.append(a)
+                            vals.append(vals[-1])
                         if inner[a] or inner[b]:
                             scale = max(scale, abs(v))
-                if i < j:
-                    Z[j - 1, i - 1] = block.T
         if biggest.scaleb(-mod.context.prec) > scale * Decimal("1e-17"):
             raise PrecisionLoss(
                 f"Z cancels summands up to {biggest:.2e} at {mod.context.prec} digits; "
                 f"its interior entries (up to {scale:.2e}) are not accurate to 1e-17")
-    return Z
+    return RowBlocks.from_coo((N, N, dim), rows, cols, np.array(vals, dtype=float))
 
 
 def build_bigcell_rep(spec: HWModuleSpec, margin: int | None = None) -> HermitianRep:
@@ -266,28 +360,31 @@ def n2_family(kind: str, D: int = 40, q0: float = 0.5, margin: int = 8, **params
 # evaluation of symbolic polynomials on blocks
 
 
-def eval_poly(p: NCPoly, blocks: np.ndarray, q0: float, cols: np.ndarray) -> np.ndarray:
-    """Evaluate an REA or FRT polynomial on the columns of an (N, N, dim, dim)
-    block array that the bool mask ``cols`` selects.
+def eval_poly(p: NCPoly, blocks: RowBlocks, q0: float, cols: np.ndarray) -> np.ndarray:
+    """Evaluate an REA or FRT polynomial on the columns that the bool mask
+    ``cols`` selects, for an (N, N, dim, w) ``RowBlocks`` layout.
 
     The generator Z[i,j] or X[i,j] acts as ``blocks[i - 1, j - 1]`` (Z, or
     the stacked T blocks of a module) and coefficients are evaluated at q0.
-    Each word is applied right to left to the selected columns, so the
-    result is the (dim, cols.sum()) matrix of those columns of the
+    Each word is applied right to left: its last letter gives the selected
+    columns of that block, and each other letter acts on them by gather.
+    So the result is the (dim, cols.sum()) matrix of those columns of the
     polynomial; it is real when the blocks and the coefficients are.
     """
     if p.algebra not in ("REA", "FRT"):
         raise DomainError(f"cannot evaluate a {p.algebra} polynomial on blocks")
     terms = [(word, coeff.eval(q0)) for word, coeff in p.terms.items()]
-    E = np.eye(blocks.shape[-1])[:, cols]
-    out = np.zeros(E.shape, dtype=np.result_type(blocks.dtype, *(c for _, c in terms)))
+    first = blocks.columns(cols)
+    out = np.zeros(first.shape[2:], dtype=np.result_type(first, *(c for _, c in terms)))
     for word, c in terms:
-        M = E
+        M = None
         for code in reversed(word):
             i, j = letter_indices(code)
-            blk = blocks[i - 1, j - 1]
-            M = blk[:, cols] if M is E else blk @ M
-        out += c * M
+            M = first[i - 1, j - 1] if M is None else blocks[i - 1, j - 1] @ M
+        if M is None:  # the empty word: the selected columns of the identity
+            out[_identity_entries(cols)] += c
+        else:
+            out += c * M
     return out
 
 
@@ -300,10 +397,11 @@ def re_residual(rep: HermitianRep) -> float:
 
     Block (x, y) of either side, with x and y row-major index pairs, is a
     fixed combination of the N^4 products Z_bc Z_fh whose coefficients are
-    quadratic in R; the products are formed on interior columns only, in one
-    broadcast matmul, and combined by one (N^4, N^4) coefficient matrix.
+    quadratic in R; the products are formed on a chunk of interior columns
+    at a time and combined by one (N^4, N^4) coefficient matrix, and only
+    the squared norm of the result is kept.
     """
-    N = rep.N
+    N, dim = rep.N, rep.dim
     R = build_rhat(N)[0].to_numpy(rep.q0).real.reshape(N, N, N, N)
     one = np.eye(N)
     # (R Z2 R Z2)[x, (e, g)] = sum R[x, (a, b)] Z_bc R[(a, c), (e, f)] Z_fg
@@ -311,13 +409,23 @@ def re_residual(rep: HermitianRep) -> float:
     # (Z2 R Z2 R)[(x, X), y] = sum Z_Xc R[(x, c), (v, f)] Z_fh R[(v, h), y]
     rhs = np.einsum("xcvf,vhyz,Xb->xXyzbcfh", R, R, one)
     coeff = (lhs - rhs).reshape(N ** 4, N ** 4)
-    products = rep.Z[:, :, None, None] @ rep.Z[None, None, ..., rep.interior]
-    return _relative(np.linalg.norm(coeff @ products.reshape(N ** 4, -1)), rep.znorm(), 2)
+    inner = rep.Z.columns(rep.interior)  # Z_fh[:, interior]
+    total = 0.0
+    for part in _column_chunks(inner.shape[-1], N ** 4 * dim):
+        M = inner[..., part].transpose(2, 0, 1, 3).reshape(dim, -1)
+        products = np.empty((N, N, N, N, dim, M.shape[1] // N ** 2),
+                            dtype=np.result_type(rep.Z.vals, M))
+        for b in range(N):
+            for c in range(N):
+                products[b, c] = (rep.Z[b, c] @ M).reshape(dim, N, N, -1).transpose(1, 2, 0, 3)
+        defect = coeff @ products.reshape(N ** 4, -1)
+        total += np.vdot(defect, defect).real
+    return _relative(np.sqrt(total), rep.znorm(), 2)
 
 
 def selfadj_residual(rep: HermitianRep) -> float:
     """Relative residual of Z_ij - Z_ji^dagger on interior rows and columns."""
-    inner = rep.Z[:, :, rep.interior][..., rep.interior]
+    inner = rep.Z.columns(rep.interior)[:, :, rep.interior]
     return _relative(np.linalg.norm(inner - inner.transpose(1, 0, 3, 2).conj()), rep.znorm(), 1)
 
 
@@ -334,14 +442,15 @@ def sigma_scalars(rep: HermitianRep):
         return rep._sigma
     N = rep.N
     mask = rep.interior
-    ref = int(np.argmax(mask))
-    E = np.eye(rep.dim)[:, mask]
+    rows, cols = _identity_entries(mask)
     scalars, defects, ops = [], [], []
     for k in range(1, N + 1):
         op = eval_poly(central_sigma(k, N), rep.Z, rep.q0, mask)
-        s = complex(op[ref, 0])
-        scalars.append(s)
-        defects.append(float(np.linalg.norm(op - s * E)))
+        s = op[rows[0], 0]
+        defect = op.copy()
+        defect[rows, cols] -= s
+        scalars.append(complex(s))
+        defects.append(float(np.linalg.norm(defect)))
         ops.append(op)
     rep._sigma = (scalars, defects, ops)
     return rep._sigma
@@ -460,18 +569,31 @@ def spectral_components(rep: HermitianRep):
 
 def _transport(rep: HermitianRep, W: np.ndarray, interior: np.ndarray) -> HermitianRep:
     """Z'_ij = sum_kl Z_kl ox W_ki^dagger W_lj for an (N, N, m, m) block array W
-    with interior mask ``interior``; real when Z and W are.  The sizes are
-    checked from ``W.shape`` before anything is allocated."""
+    with interior mask ``interior``; real when Z and W are.
+
+    Entry ((a, c), (b, d)) of Z'_ij sums Z_kl[a, b] C_klij[c, d] over k, l,
+    with C_klij = W_ki^dagger W_lj: Z' is built from the products of the
+    nonzeros of Z and of C, with the products at one position summed.  The
+    sizes are checked from ``W.shape`` before anything is allocated."""
     N, m = rep.N, W.shape[-1]
     if W.shape != (N, N, m, m) or len(interior) != m:
         raise DomainError("size mismatch between representation and transport")
     newdim = rep.dim * m
     if newdim > TRANSPORT_DIM_CAP:
         raise DomainError(f"transport dimension {newdim} exceeds cap {TRANSPORT_DIM_CAP}")
-    C = np.einsum("kiba,ljbc->klijac", W.conj(), W)
-    Z = np.ascontiguousarray(np.einsum("klab,klijcd->ijacbd", rep.Z, C, optimize=True))
-    return HermitianRep(N=N, Z=Z.reshape(N, N, newdim, newdim),
-                        interior=np.kron(rep.interior, interior).astype(bool), q0=rep.q0)
+    C = RowBlocks.from_dense(np.einsum("kiba,ljbc->klijac", W.conj(), W))
+    # axes (k, l, i, j, a, c, t, s): the t-th nonzero of row a of Z_kl times
+    # the s-th nonzero of row c of C_klij, at row (a, c) of Z'_ij
+    zc, zv = (x[:, :, None, None, :, None, :, None] for x in (rep.Z.cols, rep.Z.vals))
+    cc, cv = (x[:, :, :, :, None, :, None, :] for x in (C.cols, C.vals))
+    vals = zv * cv
+    hit = np.nonzero(vals)
+    rows = np.arange(N * N * newdim).reshape(N, N, rep.dim, m, 1, 1)
+    cols = np.broadcast_to(zc * m, vals.shape)[hit] + np.broadcast_to(cc, vals.shape)[hit]
+    Z = RowBlocks.from_coo((N, N, newdim), np.broadcast_to(rows, vals.shape)[hit], cols,
+                           vals[hit])
+    return HermitianRep(N=N, Z=Z, interior=np.kron(rep.interior, interior).astype(bool),
+                        q0=rep.q0)
 
 
 def adjoint_transport_T(rep: HermitianRep, W: np.ndarray, interior: np.ndarray) -> HermitianRep:
@@ -507,7 +629,7 @@ def uchar_blocks(thetas):
 def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> list:
     """Reflection-equation, self-adjointness, central-scalar, and
     Cayley-Hamilton checks, as the report rows {name, ok, residual}."""
-    N, dim, znorm = rep.N, rep.dim, rep.znorm()
+    N, znorm = rep.N, rep.znorm()
     loose = max(tol, ZERO_TOL)
 
     def row(name, residual, bound):
@@ -522,13 +644,24 @@ def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> list:
         findings.append(row(f"sigma_{k}_hc_match", _relative(abs(s - h), znorm, k), 1e-10))
 
     # Cayley-Hamilton with the measured scalars, by Horner's rule on the
-    # interior columns E of Z as one (N dim) x (N dim) operator; its arrays
-    # are made only after the RE row has freed its products
-    Zb = rep.Z.transpose(0, 2, 1, 3).reshape(N * dim, N * dim)
-    cols = np.flatnonzero(np.tile(rep.interior, N))
-    E = (np.arange(N * dim)[:, None] == cols).astype(float)
-    ch = E
-    for k in range(1, N + 1):
-        ch = Zb @ ch + (-1) ** k * scalars[k - 1] * E
-    findings.append(row("cayley_hamilton", _relative(np.linalg.norm(ch), znorm, N), loose))
+    # interior columns of Z as one N x N block operator, a chunk of them at a
+    # time: ch[i] is block row i, and column q of the identity is 1 in block
+    # row blk[q] at row row_of[q]
+    Z, dim = rep.Z, rep.dim
+    idx = np.flatnonzero(rep.interior)
+    n = len(idx)
+    blk, row_of = np.repeat(np.arange(N), n), np.tile(idx, N)
+    sigma = np.array(scalars)
+    sigma = sigma if sigma.imag.any() else sigma.real  # real Z: real arrays
+    columns = Z.columns(rep.interior).transpose(0, 2, 1, 3).reshape(N, dim, N * n)
+    total = 0.0
+    for part in _column_chunks(N * n, N * dim):
+        ch = columns[..., part].astype(np.result_type(Z.vals, sigma))
+        eye = (blk[part], row_of[part], np.arange(ch.shape[-1]))
+        ch[eye] -= sigma[0]
+        for k in range(2, N + 1):
+            ch = np.array([sum(Z[i, j] @ ch[j] for j in range(N)) for i in range(N)])
+            ch[eye] += (-1) ** k * sigma[k - 1]
+        total += np.vdot(ch, ch).real
+    findings.append(row("cayley_hamilton", _relative(np.sqrt(total), znorm, N), loose))
     return findings

@@ -20,6 +20,7 @@ from qrea.gtrep import (
 )
 from qrea.hrep import (
     HermitianRep,
+    RowBlocks,
     adjoint_transport_T,
     adjoint_transport_U,
     build_bigcell_rep,
@@ -92,7 +93,7 @@ def _rhat_textbook(N, q):
     return R
 
 
-@pytest.mark.parametrize("N,dim,seed", [(2, 3, 1), (2, 6, 2), (3, 4, 3), (3, 5, 4)])
+@pytest.mark.parametrize("N,dim,seed", [(2, 3, 1), (2, 6, 2), (3, 4, 3), (3, 5, 4), (4, 3, 5)])
 def test_residuals_match_textbook_formulas(N, dim, seed):
     """On random complex blocks, far from any representation, every
     residual equals its defining formula on the assembled N*dim matrix, a
@@ -239,7 +240,7 @@ def test_signature_is_measured_from_z(N, eps, r, D, margin):
     """-Z is a representation too; its signature is the negated one."""
     rep = gt_rep(N=N, eps=eps, r=r, D=D, margin=margin)
     want = tuple(int(x) for x in np.cumprod(eps))
-    flipped = dataclasses.replace(rep, Z=-rep.Z)
+    flipped = dataclasses.replace(rep, Z=dataclasses.replace(rep.Z, vals=-rep.Z.vals))
     assert re_residual(flipped) < 1e-12
     assert spectral_data(rep)[1] == want
     assert spectral_data(flipped)[1] == tuple(-x for x in want)
@@ -274,10 +275,52 @@ def test_eval_poly_on_columns(algebra, N, dim, seed):
             for i, j in word:
                 M = M @ blocks[i - 1, j - 1]
             want += coeff.eval(Q0) * M
-        got = eval_poly(p, blocks, Q0, cols)
+        got = eval_poly(p, RowBlocks.from_dense(blocks), Q0, cols)
         assert got.shape == (dim, cols.sum())
         assert np.isrealobj(got) == np.isrealobj(blocks)
         assert np.linalg.norm(got - want[:, cols]) <= 1e-13 * np.linalg.norm(want)
+
+
+# --------------------------------------------------------------------------
+# the padded-row block layout
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("N,dim,seed", [(2, 7, 11), (3, 5, 12)])
+def test_row_blocks_match_dense(N, dim, seed, dtype):
+    """Random sparse blocks with rows of unequal width and one all-zero block:
+    the layout applies by gather as the dense blocks multiply, gives their
+    masked columns, and gives each block back."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((N, N, dim, dim)).astype(dtype)
+    if dtype is complex:
+        Z += 1j * rng.standard_normal((N, N, dim, dim))
+    Z *= rng.random((N, N, dim, 1)) > rng.random((N, N, dim, dim))  # row densities differ
+    Z[N - 1, 0] = 0.0
+    layout = RowBlocks.from_dense(Z)
+    widths = np.count_nonzero(Z, axis=-1)
+    assert layout.cols.shape == (N, N, dim, widths.max()) and len(set(widths.flat)) > 2
+    rep = HermitianRep(N=N, Z=Z, interior=np.ones(dim, dtype=bool), q0=Q0)
+    mask = rng.permutation(dim) < (dim + 1) // 2
+    M = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
+    assert np.array_equal(layout.columns(mask), Z[..., mask])
+    for i in range(N):
+        for j in range(N):
+            assert np.array_equal(rep.block(i + 1, j + 1), Z[i, j])
+            assert np.abs(layout[i, j] @ M - Z[i, j] @ M).max() <= 1e-14 * np.abs(Z).max()
+            assert np.isrealobj(layout[i, j] @ M.real) == (dtype is float)
+
+
+def test_row_blocks_from_coo_sums_repeats():
+    """Entries at one position are summed, and sums that cancel are dropped."""
+    rows = [0, 0, 0, 3, 3, 5]
+    cols = [1, 1, 2, 0, 0, 2]
+    vals = [1.0, 2.0, 4.0, 5.0, -5.0, 7.0]
+    layout = RowBlocks.from_coo((2, 3), rows, cols, vals)
+    want = np.zeros((2, 3, 3))
+    np.add.at(want.reshape(6, 3), (rows, cols), vals)
+    assert layout.cols.shape == (2, 3, 2)
+    assert np.array_equal(layout.columns(np.ones(3, dtype=bool)), want)
 
 
 # --------------------------------------------------------------------------
@@ -332,8 +375,8 @@ def test_not_factorial_on_direct_sum():
     Zs = [[np.zeros((2, 2), dtype=complex) for _ in range(2)] for _ in range(2)]
     for i in range(2):
         for j in range(2):
-            Zs[i][j][0, 0] = a.Z[i][j][0, 0]
-            Zs[i][j][1, 1] = b.Z[i][j][0, 0]
+            Zs[i][j][0, 0] = a.block(i + 1, j + 1)[0, 0]
+            Zs[i][j][1, 1] = b.block(i + 1, j + 1)[0, 0]
     from qrea.hrep import HermitianRep
     rep = HermitianRep(N=2, Z=Zs, interior=np.array([True, True]), q0=Q0)
     with pytest.raises(NotFactorial):
@@ -352,7 +395,7 @@ def op_minor_blocks(rep, k):
     eps_K X_{K,I}^dagger X_{K,J}, with eps_K the product of eps_[m] over m in
     K and X_{K,I} the quantum minor ``frt_minor(K, I)`` on the T blocks."""
     lead = _leading_signs(rep.spec.eps_padded)
-    T = module_T(rep)
+    T = RowBlocks.from_dense(module_T(rep))
     subsets = list(itertools.combinations(range(1, rep.N + 1), k))
     every = np.ones(rep.dim, dtype=bool)
     X = np.array([[eval_poly(frt_minor(K, I), T, rep.q0, every) for I in subsets]
@@ -456,12 +499,9 @@ def test_residuals_are_relative_below_scale_one():
     assert 1e-18 < max(residuals(verify_rep(rep)).values()) < 1e-12
 
 
-def test_verify_rep_memory():
-    """verify_rep's temporaries stay a few times the size of Z: the RE
-    products are formed on interior columns and freed before the
-    Cayley-Hamilton arrays are made."""
-    built = scaled_cell(SCALED_CELLS[3][0])
-    # a fresh representation, so that no cached scalar or norm is reused
+def verify_peak(built):
+    """The tracemalloc peak of verify_rep, on a fresh copy of a representation
+    so that no cached scalar or norm is reused."""
     rep = HermitianRep(N=built.N, Z=built.Z, interior=built.interior, q0=built.q0,
                        spec=built.spec)
     tracemalloc.start()
@@ -470,7 +510,21 @@ def test_verify_rep_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 7 * rep.Z.nbytes
+    return peak
+
+
+def test_verify_rep_memory():
+    """verify_rep's temporaries stay a few times the size of a dense Z,
+    8 N^2 dim^2 bytes: only interior columns are made dense."""
+    rep = scaled_cell(SCALED_CELLS[3][0])
+    assert verify_peak(rep) <= 7 * 8 * rep.N ** 2 * rep.dim ** 2
+
+
+def test_verify_rep_memory_n4():
+    """At N=4, dim 1,405, verify_rep peaks below what a dense Z alone takes."""
+    rep = gt_rep(N=4, eps=(1, 1, -1, -1), r=(Fraction(1, 10),) * 4, D=16, margin=8)
+    assert rep.dim == 1405
+    assert verify_peak(rep) < 8 * rep.N ** 2 * rep.dim ** 2
 
 
 @pytest.mark.parametrize("t", [1e-4, 1e4])
@@ -479,8 +533,9 @@ def test_not_factorial_at_any_scale(t):
     a = n2_family("char", theta=0.0, c=t)
     b = n2_family("char", theta=0.0, c=2 * t)
     Z = np.zeros((2, 2, 2, 2))
-    Z[:, :, 0, 0] = a.Z[:, :, 0, 0].real
-    Z[:, :, 1, 1] = b.Z[:, :, 0, 0].real
+    for i in range(2):
+        for j in range(2):
+            Z[i, j] = np.diag([a.block(i + 1, j + 1)[0, 0].real, b.block(i + 1, j + 1)[0, 0].real])
     rep = HermitianRep(N=2, Z=Z, interior=np.array([True, True]), q0=Q0)
     with pytest.raises(NotFactorial):
         spectral_data(rep)
@@ -584,6 +639,28 @@ def test_transports_match_textbook_kron_sum(N, dim, m, seed):
                     <= 1e-13 * np.linalg.norm(want), (i, j)
 
 
+@pytest.mark.parametrize("N,kind", [(2, "scale"), (2, "vector"), (3, "vector"),
+                                    (2, "uchar"), (2, "s")])
+def test_transport_kinds_match_dense_kron_sum(N, kind):
+    """Each transport of the command line, assembled from the nonzeros of Z
+    and of W_ki^dagger W_lj, equals the dense textbook kron sum
+    Z'_ij = sum_kl Z_kl ox W_ki^dagger W_lj on a big cell."""
+    eps, r = ((1, -1), (0.3, 0.8)) if N == 2 else ((1, -1, 1), (0.3, 0.8, 1.8))
+    rep = gt_rep(N=N, eps=eps, r=r, D=8, margin=4)
+    W, interior = {"scale": lambda: scaling_blocks(N, 0.7),
+                   "vector": lambda: vector_trep(N, Q0),
+                   "uchar": lambda: uchar_blocks((0.2, 0.7)),
+                   "s": lambda: suq2_corep_blocks(6, q0=Q0)}[kind]()
+    transport = adjoint_transport_T if kind in ("scale", "vector") else adjoint_transport_U
+    out = transport(rep, W, interior)
+    assert np.iscomplexobj(out.Z.vals) == (kind == "uchar")
+    for i in range(N):
+        for j in range(N):
+            want = sum(np.kron(rep.block(k + 1, l + 1), W[k, i].conj().T @ W[l, j])
+                       for k in range(N) for l in range(N))
+            assert np.abs(out.block(i + 1, j + 1) - want).max() <= 1e-14 * np.abs(want).max()
+
+
 # --------------------------------------------------------------------------
 # minor braiding against operator exterior powers, and zero-test consistency
 
@@ -603,7 +680,7 @@ def test_minor_braiding_exchange_with_operator_powers(N, eps, r, k, l):
     D, margin = (12, 6) if N == 2 else (8, 4)
     spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
     rep = build_bigcell_rep(spec, margin=margin)
-    T = build_hw_module(spec, margin=margin).T
+    T = RowBlocks.from_dense(build_hw_module(spec, margin=margin).T)
     bk, bl = exterior_power(N, k).basis, exterior_power(N, l).basis
     every = np.ones(rep.dim, dtype=bool)
     Xk = {(A, C): eval_poly(frt_minor(A, C), T, Q0, every) for A in bk for C in bk}
@@ -636,7 +713,7 @@ def test_minor_braiding_exchange_with_operator_powers(N, eps, r, k, l):
 def test_rank_zero_build():
     spec = HWModuleSpec(N=2, eps=(), r=(), D=4, q0=Q0)
     rep = build_bigcell_rep(spec, margin=0)
-    assert all(np.linalg.norm(rep.Z[i][j]) == 0.0 for i in range(2) for j in range(2))
+    assert all(np.linalg.norm(rep.block(i, j)) == 0.0 for i in (1, 2) for j in (1, 2))
     assert re_residual(rep) == 0.0
     roots, sig, ext, rank = spectral_data(rep)
     assert rank == 0 and ext.nzero == 2
