@@ -43,10 +43,6 @@ class QMat:
     def eye(n: int) -> "QMat":
         return QMat(n, n, {(i, i): ONE for i in range(n)})
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "QMat":
-        return QMat(rows, cols)
-
     def __getitem__(self, ij):
         return self.entries.get(ij, ZERO)
 
@@ -150,6 +146,14 @@ def _inversions(word) -> int:
     )
 
 
+def _q_antisymmetrizer(I):
+    """The orderings w of the word I with their weights (-q)^{inv(w)}, in
+    the order of ``itertools.permutations``."""
+    for word in itertools.permutations(I):
+        inv = _inversions(word)
+        yield word, laurent((-1) ** inv, inv)
+
+
 def build_rhat(N: int, eps=None):
     """Braid operator on C^N tensor C^N and its explicit inverse.
 
@@ -230,10 +234,8 @@ def exterior_power(N: int, k: int) -> ExtBasis:
     embed = QMat(dim_tensor, len(subsets))
     project = QMat(len(subsets), dim_tensor)
     for col, I in enumerate(subsets):
-        for w in itertools.permutations(range(k)):
-            word = tuple(I[p] for p in w)
-            inv = _inversions(word)
-            embed[(_word_index(word, N), col)] = laurent((-1) ** inv, inv)
+        for word, c in _q_antisymmetrizer(I):
+            embed[(_word_index(word, N), col)] = c
         project[(col, _word_index(I, N))] = ONE
     return ExtBasis(N=N, k=k, basis=subsets, embed=embed, project=project)
 
@@ -259,23 +261,16 @@ def minor_braiding(N: int, k: int, l: int):
     Returns (B, Binv) where B maps Ext^k ox Ext^l -> Ext^l ox Ext^k.  Row
     index pairs run over basis(l) x basis(k), columns over basis(k) x
     basis(l), row-major.  Computed by conjugating the chain of braid
-    factors on (C^N)^{otimes (k+l)} by the exterior-power embeddings.
+    factors on (C^N)^{otimes (k+l)} by the exterior-power embeddings; the
+    inverse moves the l strands back past the k strands with inverse factors.
     """
     if not (1 <= k <= N and 1 <= l <= N):
         raise DomainError("k, l must lie in [1, N]")
     R, Rinv = build_rhat(N)
     ek, el = exterior_power(N, k), exterior_power(N, l)
-    fwd = _block_swap_braid(N, k, l, R)
-    B = (el.project.kron(ek.project)) @ fwd @ (ek.embed.kron(el.embed))
-    # inverse braid: inverse factors in reverse order
-    total = k + l
-    bwd = QMat.eye(N ** total)
-    for s in range(k, 0, -1):
-        chain = QMat.eye(N ** total)
-        for pos in range(s + l - 1, s - 1, -1):
-            chain = _embedded_factor(N, total, pos, Rinv) @ chain
-        bwd = bwd @ chain
-    Binv = (ek.project.kron(el.project)) @ bwd @ (el.embed.kron(ek.embed))
+    fwd, bwd = _block_swap_braid(N, k, l, R), _block_swap_braid(N, l, k, Rinv)
+    B = el.project.kron(ek.project) @ fwd @ ek.embed.kron(el.embed)
+    Binv = ek.project.kron(el.project) @ bwd @ el.embed.kron(ek.embed)
     return B, Binv
 
 

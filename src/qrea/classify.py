@@ -219,14 +219,7 @@ def reflection_defect_exact(Zmat, N: int):
     if R is None:
         R = _RHAT[N] = build_rhat(N)[0]
     d = math.lcm(1, *(_denominator(c) for v in Zmat.entries.values() for c in v.terms.values()))
-    dZ = Zmat.scale(laurent(d))
-    Z2 = QMat(N * N, N * N)
-    for a in range(N):
-        for b in range(N):
-            for e in range(N):
-                v = dZ[(b, e)]
-                if v:
-                    Z2[(a * N + b, a * N + e)] = v
+    Z2 = QMat.eye(N).kron(Zmat.scale(laurent(d)))
     RZ2, Z2R = R @ Z2, Z2 @ R
     defect = RZ2 @ RZ2 - Z2R @ Z2R
     if d == 1 or defect.is_zero():

@@ -501,8 +501,9 @@ def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
 def detect_finite(spec: HWModuleSpec):
     """Truncate a module whose norms vanish above some shell.
 
-    Returns the module restricted to the nonzero shells with interior =
-    everything, or None if no fully-zero shell occurs within D.
+    Returns the module restricted to the nonzero shells, built with margin
+    0 so that every vector is interior, or None if no fully-zero shell
+    occurs within D.
     """
     A = _pattern_array(spec.N, spec.D)
     nonzero = _signs(A, spec) != 0
@@ -513,10 +514,8 @@ def detect_finite(spec: HWModuleSpec):
     cutoff = live.index(False)
     if any(live[cutoff:]):
         raise DomainError("norm support is not shell-convex; not a finite module")
-    mod = build_hw_module(HWModuleSpec(N=spec.N, eps=spec.eps, r=spec.r,
-                                       D=cutoff, q0=spec.q0), margin=0)
-    mod.interior = np.ones(mod.dim, dtype=bool)
-    return mod
+    return build_hw_module(HWModuleSpec(N=spec.N, eps=spec.eps, r=spec.r,
+                                        D=cutoff, q0=spec.q0), margin=0)
 
 
 def vector_trep(N: int, q0: float = 0.5):

@@ -110,9 +110,12 @@ class RowBlocks:
         """The blocks whose rows have the shape ``shape`` (the leading axes,
         then dim), from their entries at flat row indices ``rows`` over
         ``shape`` and columns ``cols``; entries at one position are summed
-        and zeros dropped."""
-        dim = shape[-1]
-        key = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
+        and zeros dropped.  An index outside the shape is a DomainError."""
+        dim, nrows = shape[-1], int(np.prod(shape))
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        if ((rows < 0) | (rows >= nrows)).any() or ((cols < 0) | (cols >= dim)).any():
+            raise DomainError(f"entry index outside the shape {tuple(shape)}")
+        key = rows * dim + cols
         order = np.argsort(key, kind="stable")
         key, vals = key[order], np.asarray(vals)[order]
         if len(key):
@@ -121,7 +124,7 @@ class RowBlocks:
         keep = vals != 0
         row, col = np.divmod(key[keep], dim)
         vals = vals[keep]
-        count = np.bincount(row, minlength=int(np.prod(shape)))
+        count = np.bincount(row, minlength=nrows)
         at = np.arange(len(row)) - (np.cumsum(count) - count)[row]  # place in its row
         width = int(count.max(initial=0))
         C = np.zeros((len(count), width), dtype=np.intp)

@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .braid import _eps_interval, _inversions
+from .braid import _eps_interval, _inversions, _q_antisymmetrizer
 from .errors import AlgebraMismatch, DomainError, NonterminationGuard
 from .scalars import ONE, QQI, ZERO, LaurentScalar, laurent, qpow
 
@@ -413,6 +413,13 @@ class FrtSystem(_BaseSystem):
         return _exchange(a, b, _plain)
 
 
+def _padded_eps(eps, N: int) -> tuple:
+    """eps as Fractions, zero-padded to length N."""
+    if len(eps) > N:
+        raise DomainError("eps longer than N")
+    return tuple(Fraction(e) for e in eps) + (Fraction(0),) * (N - len(eps))
+
+
 class TriSystem(_BaseSystem):
     """Plain/diagonal/star straightening for the deformed triangular algebra.
 
@@ -425,21 +432,8 @@ class TriSystem(_BaseSystem):
     def __init__(self, N: int, eps=None):
         super().__init__()
         self.N = N
-        if eps is None:
-            eps = (1,) * N
-        eps = tuple(Fraction(e) for e in eps)
-        if len(eps) < N:
-            eps = eps + (Fraction(0),) * (N - len(eps))
-        if len(eps) != N:
-            raise DomainError("eps longer than N")
-        self.eps = eps
+        self.eps = _padded_eps((1,) * N if eps is None else eps, N)
         self._images = {(): {(): ONE}}
-
-    def eps_interval(self, lo: int, hi: int) -> Fraction:
-        return _eps_interval(self.eps, lo, hi)
-
-    def eps_leading(self, k: int) -> Fraction:
-        return _eps_interval(self.eps, 0, k)
 
     def _bad(self, a, b):
         za, zb = _zone(a), _zone(b)
@@ -522,7 +516,7 @@ class TriSystem(_BaseSystem):
             #                  - (1-q^2) sum_{k<m<=min(i,j)} eps_(k,m] T*[m,i] T[m,j]
             out = [(qpow(1), (b, a))]
             for m in range(k + 1, min(i, j) + 1):
-                e = self.eps_interval(k, m)
+                e = _eps_interval(self.eps, k, m)
                 if not e:
                     continue
                 t1 = self._star_or_diag(m, i)
@@ -537,7 +531,7 @@ class TriSystem(_BaseSystem):
         #                            - sum_{k<=m<j} T[k,m] T*[k,m] )
         out = [(ONE, (b, a))]
         for m in range(k + 1, j + 1):
-            e = self.eps_interval(k, m)
+            e = _eps_interval(self.eps, k, m)
             if not e:
                 continue
             t1 = self._star_or_diag(m, j)
@@ -565,7 +559,7 @@ class TriSystem(_BaseSystem):
         i, j = letter_indices(word[-1])
         letter = []
         for m in range(1, min(i, j) + 1):
-            e = self.eps_leading(m)
+            e = _eps_interval(self.eps, 0, m)
             if e:
                 letter.append((self._star_or_diag(m, i), self._plain_or_diag(m, j), laurent(e)))
         img = {}
@@ -582,7 +576,7 @@ class TriSystem(_BaseSystem):
 # the Cholesky-type embedding and the zero test
 
 
-def embed_iT(p: NCPoly, eps, N: int | None = None) -> NCPoly:
+def embed_iT(p: NCPoly, eps, N: int) -> NCPoly:
     """Image of a Z-polynomial in the deformed triangular algebra, straightened.
 
     Each Z[i,j] becomes  sum_{m <= min(i,j)} eps_[m] T[m,i]* T[m,j]  with
@@ -591,15 +585,7 @@ def embed_iT(p: NCPoly, eps, N: int | None = None) -> NCPoly:
     """
     if p.algebra != "REA":
         raise AlgebraMismatch("embed_iT expects a Z-polynomial")
-    if N is None:
-        N = 0
-        for m in p.terms:
-            for code in m:
-                N = max(N, *letter_indices(code))
-        N = max(N, len(eps), 1)
-    if len(eps) > N:
-        raise DomainError("eps longer than N")
-    key = (N, tuple(Fraction(e) for e in eps) + (Fraction(0),) * (N - len(eps)))
+    key = (N, _padded_eps(eps, N))
     sys = _ZERO_TEST_SYSTEMS.get(key)
     if sys is None:
         sys = _ZERO_TEST_SYSTEMS[key] = TriSystem(N, key[1])
@@ -659,17 +645,11 @@ def quantum_det_Z(N: int) -> NCPoly:
 
 
 def leading_minor_Z(k: int, N: int) -> NCPoly:
-    """Leading quantum minor in the Z generators, rows/columns [k]."""
+    """The k-th leading quantum minor of Z (rows and columns [k]): the
+    quantum determinant of its top-left k x k corner."""
     if not 1 <= k <= N:
         raise DomainError(f"k={k} out of range for N={N}")
-    terms = {}
-    for perm in itertools.permutations(range(1, k + 1)):
-        inv = _inversions(perm)
-        ae = sum(1 for src in range(1, k + 1) if perm[src - 1] < src)
-        word = tuple((r << 10) | perm[r - 1] for r in range(k, 0, -1))
-        coeff = laurent((-1) ** inv, -inv - ae)
-        terms[word] = terms.get(word, ZERO) + coeff
-    return NCPoly("REA", terms)
+    return quantum_det_Z(k)
 
 
 def frt_minor(I, J) -> NCPoly:
@@ -679,18 +659,11 @@ def frt_minor(I, J) -> NCPoly:
     X[i_{w(k)}, j_k]; this is the matrix coefficient of the coaction on
     the embedded exterior power.
     """
-    I, J = tuple(I), tuple(J)
     if len(I) != len(J):
         raise DomainError("minor needs |I| == |J|")
-    k = len(I)
-    if k == 0:
-        return NCPoly.one("FRT")
     terms = {}
-    for w in itertools.permutations(range(k)):
-        rows = tuple(I[w[p]] for p in range(k))
-        inv = _inversions(rows)
-        word = tuple((rows[p] << 10) | J[p] for p in range(k))
-        coeff = laurent((-1) ** inv, inv)
+    for rows, coeff in _q_antisymmetrizer(I):
+        word = tuple((i << 10) | j for i, j in zip(rows, J))
         terms[word] = terms.get(word, ZERO) + coeff
     return NCPoly("FRT", terms)
 

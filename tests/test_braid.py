@@ -86,6 +86,15 @@ def test_exterior_power_dims():
         exterior_power(3, 4)
 
 
+def test_exterior_power_embed_golden():
+    """The wedge vectors of Ext^2 C^3: e_i ox e_j - q e_j ox e_i for i < j."""
+    e = exterior_power(3, 2)
+    got = {ij: v.render() for ij, v in e.embed.entries.items()}
+    assert (e.embed.rows, e.embed.cols) == (9, 3)
+    assert got == {(1, 0): "1", (3, 0): "-q", (2, 1): "1", (6, 1): "-q",
+                   (5, 2): "1", (7, 2): "-q"}
+
+
 def test_exterior_power_project_embed_identity():
     for N, k in [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2)]:
         e = exterior_power(N, k)
@@ -115,11 +124,14 @@ def test_minor_braiding_degree_one_is_rhat():
         assert Binv == Rinv
 
 
-@pytest.mark.parametrize("N,k,l", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 2), (3, 2, 3)])
+@pytest.mark.parametrize("N,k,l", [(2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 2), (3, 2, 3),
+                                   (3, 3, 1), (4, 1, 3), (4, 3, 1)])
 def test_minor_braiding_inverse(N, k, l):
+    """Binv is a two-sided inverse, for k < l, k == l and k > l."""
     B, Binv = minor_braiding(N, k, l)
     dim = exterior_power(N, k).dim * exterior_power(N, l).dim
     assert Binv @ B == QMat.eye(dim)
+    assert B @ Binv == QMat.eye(dim)
 
 
 @pytest.mark.parametrize("N,k,l", [(2, 1, 2), (3, 2, 2), (3, 1, 2), (3, 2, 3)])

@@ -297,6 +297,16 @@ def test_q_accepts_rationals(tmp_path, args):
     assert main(args + ["--q", "abc"]) == 2
 
 
+def test_weights_are_read_exactly(tmp_path):
+    """A decimal weight is the exact rational it spells, not a nearby one
+    of smaller denominator."""
+    code, doc = run_cli(["rep-verify", "--n", "2", "--eps", "+,-",
+                         "--r", "0.1234567891234,1.1234567891234",
+                         "--depth", "12", "--margin", "6"], tmp_path)
+    assert code == 0
+    assert doc["inputs"]["r"] == ["617283945617/5000000000000", "5617283945617/5000000000000"]
+
+
 TINY_REP = ["--n", "2", "--eps", "+,-", "--r", "0.3,0.8", "--depth", "10", "--margin", "6"]
 TINY_ARGVS = [
     ["verify-algebra", "--n", "2"],

@@ -323,6 +323,16 @@ def test_row_blocks_from_coo_sums_repeats():
     assert np.array_equal(layout.columns(np.ones(3, dtype=bool)), want)
 
 
+def test_row_blocks_from_coo_rejects_indices_outside_the_shape():
+    """A column at or past dim would be read as a column of a later row."""
+    rows = np.arange(4)
+    with pytest.raises(DomainError):
+        RowBlocks.from_coo((2, 2, 25), rows, [0, 33, 66, 99], np.ones(4))
+    for rows, cols in (([0, 100], [0, 1]), ([-1, 0], [0, 1]), ([0, 1], [-1, 0])):
+        with pytest.raises(DomainError):
+            RowBlocks.from_coo((2, 2, 25), rows, cols, np.ones(2))
+
+
 # --------------------------------------------------------------------------
 # the N=2 families
 

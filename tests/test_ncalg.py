@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qrea import ncalg
-from qrea.braid import exterior_power
+from qrea.braid import _eps_interval, exterior_power
 from qrea.errors import AlgebraMismatch, DomainError
 from qrea.ncalg import (
     FrtSystem,
@@ -248,7 +248,7 @@ def _embed_letter_by_letter(p, eps, N):
             nxt = {}
             for mono, c in cur.items():
                 for m in range(1, min(i, j) + 1):
-                    e = ts.eps_leading(m)
+                    e = _eps_interval(ts.eps, 0, m)
                     if not e:
                         continue
                     for m1, c1 in ts._rightmul(mono, ts._star_or_diag(m, i)).items():
@@ -350,6 +350,8 @@ def test_leading_minors():
     assert leading_minor_Z(1, 2) == P(Z(1, 1))
     assert leading_minor_Z(2, 2) == quantum_det_Z(2)
     assert leading_minor_Z(3, 3) == quantum_det_Z(3)
+    # below the full size: the quantum determinant of the top-left corner
+    assert leading_minor_Z(2, 4).render() == "(-q^-2)·Z[2,1]*Z[1,2] + (1)·Z[2,2]*Z[1,1]"
 
 
 def test_det_form_under_embedding():
@@ -403,6 +405,14 @@ def test_det_q_formula():
         "FRT", (X(1, 2), X(2, 1)), qpow(1)
     )
     assert fs.straighten(det) == fs.straighten(alt)
+
+
+def test_frt_minor_golden():
+    """The 3 x 3 quantum determinant, summed over the row orderings."""
+    want = ("(1)·X[1,1]*X[2,2]*X[3,3] + (-q)·X[1,1]*X[3,2]*X[2,3]"
+            " + (-q)·X[2,1]*X[1,2]*X[3,3] + (q^2)·X[2,1]*X[3,2]*X[1,3]"
+            " + (q^2)·X[3,1]*X[1,2]*X[2,3] + (-q^3)·X[3,1]*X[2,2]*X[1,3]")
+    assert frt_minor((1, 2, 3), (1, 2, 3)).render() == want
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])

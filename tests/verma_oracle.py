@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 
+from qrea.braid import _eps_interval
 from qrea.ncalg import _DIAG, NCPoly, Tdiag, Tplain, Tstar, TriSystem, _decode, _zone
 from qrea.scalars import qpow
 
@@ -127,7 +128,7 @@ def build_oracle(r, eps, deg_max, q0):
         emat.append(q0 ** (-0.5) * Khalf[k - 1] @ Fs)
 
     def bracket(i, k, shift):
-        e = sys.eps_interval(i + 1, k)
+        e = _eps_interval(sys.eps, i + 1, k)
 
         def fun(w):
             a = q0 ** (-w[i] + w[k - 1] + shift)
