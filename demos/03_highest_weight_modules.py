@@ -25,13 +25,15 @@ print("\nnorms for eps=(+,+), r=(0,0):",
 spec = HWModuleSpec(N=2, eps=(1, -1), r=(Fraction(3, 10), Fraction(4, 5)), D=12, q0=Q0)
 mod = build_hw_module(spec, margin=4)
 print(f"\nmixed-sign module: dimension {mod.dim} at truncation D={spec.D}")
-T = mod.T  # T[i-1, j-1] is the generator T[i,j]
+# the operators are sparse layouts; ``columns`` gives their dense blocks
+every = np.ones(mod.dim, dtype=bool)
+T = mod.T.columns(every)  # T[i-1, j-1] is the generator T[i,j]
 print("diagonal generator T_1 eigenvalues:", np.round(sorted(np.diagonal(T[0, 0]))[:5], 5), "...")
 
 # the raising operators are the adjoints e_i = f_i^T of the lowering ones,
 # and they satisfy the deformed commutation relation with the sign eps_(i,i+1]
 i = 1
-F = mod.f[i - 1]
+F = mod.f[i - 1].columns(every)
 E = F.T
 K = [1 / np.diagonal(T[k, k]) for k in range(spec.N)]  # T[k,k] = K_k^{-1}
 khat = K[0] / K[1]

@@ -244,14 +244,14 @@ def _block_swap_braid(N: int, k: int, l: int, R: QMat) -> QMat:
     """Product of adjacent braid factors moving the first k strands past
     the last l strands of (C^N)^{otimes (k+l)}."""
     total = k + l
-    out = QMat.eye(N ** total)
+    out = None
     # strand k moves first (factors at positions k..k+l-1, applied in that
     # order), then strand k-1, ..., finally strand 1.
     for s in range(1, k + 1):
-        chain = QMat.eye(N ** total)
-        for pos in range(s, s + l):
+        chain = _embedded_factor(N, total, s, R)
+        for pos in range(s + 1, s + l):
             chain = _embedded_factor(N, total, pos, R) @ chain
-        out = out @ chain
+        out = chain if out is None else out @ chain
     return out
 
 

@@ -16,8 +16,10 @@ Every exponent of q is a fixed rational per slot plus an integer linear
 form in the pattern entries, held exactly as an integer in units of
 1/(2 lcm of the denominators of r).  The basis and every sign of c_P are
 integer comparisons on those exponents, made for all patterns at once; the
-values (norms, ladder coefficients, the T blocks as sparse nonzeros) are
-``decimal`` numbers, computed for the kept patterns only.
+values (norms, ladder coefficients, T blocks) are ``decimal`` numbers,
+computed for the kept patterns only.  Every sparse block operator of the
+package is a ``RowBlocks`` layout of padded rows, defined here: a module's
+operators hold Decimals and are read as float64 views, and Z is one too.
 
 Conventions fixed here (the two displays that feed them admit more than one
 reading; these are the ones under which the defining relations hold, which
@@ -45,6 +47,7 @@ from .errors import DomainError, NegativeNorm, PrecisionLoss, TruncationTooSmall
 
 __all__ = [
     "GTPattern",
+    "RowBlocks",
     "HWModuleSpec",
     "HWModule",
     "eps_adapted",
@@ -336,6 +339,78 @@ def gt_norm_signs(spec: HWModuleSpec) -> np.ndarray:
     return _signs(_pattern_array(spec.N, spec.D), spec)
 
 
+@dataclass(frozen=True)
+class RowBlocks:
+    """Sparse square blocks of one size as padded rows.
+
+    ``cols`` and ``vals`` have one shape (..., dim, w): row a of a block has
+    its nonzeros at the columns ``cols[..., a, :]``, each at most once, with
+    the values ``vals[..., a, :]``, and is padded with value 0 (at column 0)
+    to the width w of the widest row.  Indexing the leading axes gives the
+    layout of those blocks, so ``Z[i - 1, j - 1]`` is the block Z_ij.
+    """
+
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def from_coo(cls, shape, rows, cols, vals) -> RowBlocks:
+        """The blocks whose rows have the shape ``shape`` (the leading axes,
+        then dim), from their entries at flat row indices ``rows`` over
+        ``shape`` and columns ``cols``; entries at one position are summed
+        and zeros dropped.  An index outside the shape is a DomainError."""
+        dim, nrows = shape[-1], int(np.prod(shape))
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        if ((rows < 0) | (rows >= nrows)).any() or ((cols < 0) | (cols >= dim)).any():
+            raise DomainError(f"entry index outside the shape {tuple(shape)}")
+        key = rows * dim + cols
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], np.asarray(vals)[order]
+        if len(key):
+            start = np.flatnonzero(np.diff(key, prepend=-1))
+            key, vals = key[start], np.add.reduceat(vals, start)
+        keep = vals != 0
+        row, col = np.divmod(key[keep], dim)
+        vals = vals[keep]
+        count = np.bincount(row, minlength=nrows)
+        at = np.arange(len(row)) - (np.cumsum(count) - count)[row]  # place in its row
+        width = int(count.max(initial=0))
+        C = np.zeros((len(count), width), dtype=np.intp)
+        V = np.zeros((len(count), width), dtype=vals.dtype)
+        C[row, at], V[row, at] = col, vals
+        return cls(C.reshape(*shape, width), V.reshape(*shape, width))
+
+    @classmethod
+    def from_dense(cls, Z) -> RowBlocks:
+        """The nonzeros of a dense (..., dim, dim) block array."""
+        Z = np.asarray(Z)
+        *rows, col = nz = np.nonzero(Z)
+        return cls.from_coo(Z.shape[:-1], np.ravel_multi_index(rows, Z.shape[:-1]), col, Z[nz])
+
+    def __getitem__(self, key) -> RowBlocks:
+        return RowBlocks(self.cols[key], self.vals[key])
+
+    @property
+    def dim(self) -> int:
+        return self.cols.shape[-2]
+
+    def __matmul__(self, M: np.ndarray) -> np.ndarray:
+        """Z @ M for one block Z and a dense (dim, k) matrix M, row by row:
+        sum_t vals[:, t] * M[cols[:, t]], over the slots t of this block's
+        widest row (rows hold their nonzeros first)."""
+        width = np.count_nonzero(self.vals.any(axis=0))
+        return np.einsum("rt,rtk->rk", self.vals[:, :width], M[self.cols[:, :width]])
+
+    def columns(self, mask: np.ndarray) -> np.ndarray:
+        """The columns that the bool mask selects, dense: the blocks'
+        (..., dim, mask.sum()) array."""
+        place = np.cumsum(mask) - 1
+        hit = np.nonzero(mask[self.cols] & (self.vals != 0))
+        out = np.zeros(self.cols.shape[:-1] + (int(mask.sum()),), dtype=self.vals.dtype)
+        out[hit[:-1] + (place[self.cols[hit]],)] = self.vals[hit]
+        return out
+
+
 def _move_up(P: GTPattern, j: int, i: int):
     """Target of e_i on slot j: one box from level i to level i-1 (or out)."""
     rows = [list(row) for row in P]
@@ -349,45 +424,39 @@ def _move_up(P: GTPattern, j: int, i: int):
     return tuple(tuple(row) for row in rows)
 
 
-def _dense(rows) -> np.ndarray:
-    """A sparse matrix held as a list of rows {column: value}, as float64."""
-    M = np.zeros((len(rows), len(rows)))
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            M[r, c] = v
-    return M
+def _entries(X: RowBlocks, at: int = 0):
+    """Row, column and value of each nonzero of one block, row by row; the
+    rows are flat ones of a stack of blocks that has this one at index ``at``."""
+    r, t = np.nonzero(X.vals != 0)
+    return r + at * X.dim, X.cols[r, t], X.vals[r, t]
 
 
-def _matmul(A, B):
-    """Product of two sparse matrices held as lists of rows {column: value}."""
-    out = []
-    for row in A:
-        acc = {}
-        for k, a in row.items():
-            for c, b in B[k].items():
-                acc[c] = acc.get(c, 0) + a * b
-        out.append(acc)
-    return out
+def _product(A: RowBlocks, B: RowBlocks) -> RowBlocks:
+    """A @ B for two blocks: entry (r, c) sums A[r, k] B[k, c] over the
+    nonzeros of row r of A, in column order."""
+    r, t, s = np.nonzero((A.vals != 0)[:, :, None] & (B.vals != 0)[A.cols])
+    k = A.cols[r, t]
+    return RowBlocks.from_coo((A.dim,), r, B.cols[k, s], A.vals[r, t] * B.vals[k, s])
 
 
 @dataclass
 class HWModule:
     """A built module: orthonormal basis, norms, and operator matrices.
 
-    ``tri[(i, j)]`` (i <= j) is T[i,j] and ``lower[i - 1]`` the lowering
-    operator f_i, each a list of rows {column: Decimal} holding the
-    nonzeros, computed in ``context``; ``norms`` are the Decimal squared norms
-    c_P.  The float64 views ``T`` and ``f`` are formed on demand.
-    ``interior`` marks basis vectors at least ``interior_margin`` below the
-    truncation cap.
+    ``tri`` holds the T blocks, T[i,j] at ``tri[i - 1, j - 1]`` (zero below
+    the diagonal), and ``lower`` the lowering operators, f_i at
+    ``lower[i - 1]``: ``RowBlocks`` layouts of Decimal values computed in
+    ``context``.  ``T`` and ``f`` are their float64 views, with the same
+    ``cols``; ``norms`` are the Decimal squared norms c_P.  ``interior``
+    marks basis vectors at least ``interior_margin`` below the truncation
+    cap.
     """
 
     spec: HWModuleSpec
     basis: list
     norms: list
-    index: dict
-    tri: dict
-    lower: list
+    tri: RowBlocks
+    lower: RowBlocks
     context: Context
     interior: np.ndarray
     interior_margin: int
@@ -401,18 +470,13 @@ class HWModule:
         return self.spec.N
 
     @property
-    def T(self) -> np.ndarray:
-        """Every T[i,j] as one (N, N, dim, dim) block array, T[i,j] at
-        ``T[i - 1, j - 1]``; zero below the diagonal."""
-        T = np.zeros((self.N, self.N, self.dim, self.dim))
-        for (i, j), rows in self.tri.items():
-            T[i - 1, j - 1] = _dense(rows)
-        return T
+    def T(self) -> RowBlocks:
+        return RowBlocks(self.tri.cols, self.tri.vals.astype(float))
 
     @property
-    def f(self) -> list:
+    def f(self) -> RowBlocks:
         """The lowering operators f_i; the raising ones are e_i = f_i^T."""
-        return [_dense(rows) for rows in self.lower]
+        return RowBlocks(self.lower.cols, self.lower.vals.astype(float))
 
 
 def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
@@ -455,9 +519,8 @@ def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
     with localcontext(num.context):
         norms = [num.norm(P) for P in kept]
         ku = [[num.kexp(P, i) for P in kept] for i in range(1, N + 1)]
-        lower = []
+        rows, cols, vals = [], [], []   # f_i[t, tt] at flat row (i - 1) dim + t
         for i in range(1, N):
-            rows = [{} for _ in range(dim)]
             for t, P in enumerate(basis):
                 for j in range(1, i + 1):
                     Pout = _move_up(P, j, i)
@@ -465,30 +528,37 @@ def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
                     if tt is not None:
                         a = num.raising(kept[t], j, i)
                         if a:
-                            rows[t][tt] = a * (norms[tt] / norms[t]).sqrt()
-            lower.append(rows)
+                            rows.append((i - 1) * dim + t)
+                            cols.append(tt)
+                            vals.append(a * (norms[tt] / norms[t]).sqrt())
+        lower = RowBlocks.from_coo((N - 1, dim), rows, cols, np.array(vals, dtype=object))
 
         # T[i,i] = K_i^{-1}; T[i,i+1] = (q^{-1}-q) q^{1/2} f_i Khat_i^{-1/2} K_{i+1}^{-1},
         # the diagonal factors acting first (they scale columns); then
         # T[i,j] = [T[i,i+1], T[i+1,j]] / (q - q^{-1}) K_{i+1}
-        tri = {(i, i): [{t: num.power(-ku[i - 1][t])} for t in range(dim)]
-               for i in range(1, N + 1)}
+        blocks = {(i, i): RowBlocks(np.arange(dim)[:, None],
+                                    np.array([[num.power(-u)] for u in ku[i - 1]], dtype=object))
+                  for i in range(1, N + 1)}
         for i in range(1, N):
-            s = [-num.qdiff * num.power((num.L2 - ku[i - 1][c] - ku[i][c]) // 2)
-                 for c in range(dim)]
-            tri[(i, i + 1)] = [{c: v * s[c] for c, v in row.items()} for row in lower[i - 1]]
+            s = np.array([-num.qdiff * num.power((num.L2 - ku[i - 1][c] - ku[i][c]) // 2)
+                          for c in range(dim)], dtype=object)
+            F = lower[i - 1]
+            blocks[(i, i + 1)] = RowBlocks(F.cols, F.vals * s[F.cols])
         for span in range(2, N):
             for i in range(1, N - span + 1):
-                A1, A2 = tri[(i, i + 1)], tri[(i + 1, i + span)]
-                s = [num.power(ku[i][c]) / num.qdiff for c in range(dim)]
-                rows = []
-                for ab, ba in zip(_matmul(A1, A2), _matmul(A2, A1)):
-                    row = {c: (ab.get(c, 0) - ba.get(c, 0)) * s[c] for c in ab.keys() | ba.keys()}
-                    rows.append({c: v for c, v in row.items() if v})
-                tri[(i, i + span)] = rows
+                A1, A2 = blocks[(i, i + 1)], blocks[(i + 1, i + span)]
+                # AB and BA are summed apart, subtracted, then scaled: that
+                # order fixes the rounding of each entry
+                AB, BA = _product(A1, A2), _product(A2, A1)
+                C = RowBlocks.from_coo((dim,), *map(np.concatenate, zip(
+                    _entries(AB), _entries(RowBlocks(BA.cols, -BA.vals)))))
+                s = np.array([num.power(ku[i][c]) / num.qdiff for c in range(dim)], dtype=object)
+                blocks[(i, i + span)] = RowBlocks(C.cols, C.vals * s[C.cols])
+        tri = RowBlocks.from_coo((N, N, dim), *map(np.concatenate, zip(
+            *(_entries(X, (i - 1) * N + j - 1) for (i, j), X in blocks.items()))))
 
     return HWModule(
-        spec=spec, basis=basis, norms=norms, index=index, tri=tri, lower=lower,
+        spec=spec, basis=basis, norms=norms, tri=tri, lower=lower,
         context=num.context, interior=interior, interior_margin=margin,
     )
 
@@ -527,13 +597,13 @@ def vector_trep(N: int, q0: float = 0.5):
     mod = detect_finite(spec)
     if mod is None or mod.dim != N:
         raise DomainError("vector module detection failed")
-    return mod.T, mod.interior
+    return mod.T.columns(mod.interior), mod.interior
 
 
 def scaling_blocks(N: int, c: float):
     """The one-dimensional representation T[i,j] -> c delta_ij (c > 0)."""
-    if c <= 0:
-        raise DomainError("scaling representations need c > 0")
+    if not 0 < c < math.inf:
+        raise DomainError(f"scaling representations need a finite c > 0, got c={c}")
     return float(c) * np.eye(N)[:, :, None, None], np.ones(1, dtype=bool)
 
 
@@ -581,7 +651,15 @@ def hw_module_to_json(mod: HWModule) -> str:
         norms.append(float(c))
         if not math.isfinite(norms[-1]):
             raise PrecisionLoss(f"norm {c:.6e} of pattern {P} is beyond the float64 range")
-    spec, T, f = mod.spec, mod.T, mod.f
+    spec, N, T, f = mod.spec, mod.N, mod.T, mod.f
+    every = np.ones(mod.dim, dtype=bool)
+    # one operator dense at a time, checked T diagonal first and then by span
+    ops = {f"T{i}{i + s}" if s else f"T{i}": mat(f"T[{i},{i + s}]",
+                                                 T[i - 1, i + s - 1].columns(every))
+           for s in range(N) for i in range(1, N - s + 1)}
+    for i in range(1, N):
+        F = f[i - 1].columns(every)
+        ops[f"e{i}"], ops[f"f{i}"] = mat(f"e{i}", F.T), F.tolist()
     doc = {
         "spec": {
             "N": spec.N,
@@ -593,11 +671,6 @@ def hw_module_to_json(mod: HWModule) -> str:
         "interior_margin": mod.interior_margin,
         "basis": [[list(row) for row in P] for P in mod.basis],
         "norms": norms,
-        "ops": {
-            **{f"T{i}{j}" if i < j else f"T{i}": mat(f"T[{i},{j}]", T[i - 1, j - 1])
-               for i, j in mod.tri},
-            **{f"e{i}": mat(f"e{i}", M.T) for i, M in enumerate(f, start=1)},
-            **{f"f{i}": mat(f"f{i}", M) for i, M in enumerate(f, start=1)},
-        },
+        "ops": ops,
     }
     return json.dumps(doc, sort_keys=True)

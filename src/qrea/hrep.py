@@ -7,9 +7,10 @@ families, scalar *-characters, and adjoint transports by triangular or
 unitary quantum-group representations.
 
 Z is sparse (a big cell's blocks are about 1% dense, with a few nonzeros per
-row) and is held as one ``RowBlocks`` layout: for each block Z_ij and each
-row, the column indices and values of its nonzeros, padded with value 0 to
-the width of the widest row, in two (N, N, dim, w) arrays.  A block acts on
+row) and is held as one ``RowBlocks`` layout (``gtrep.RowBlocks``, the
+layout of a module's T blocks too): for each block Z_ij and each row, the
+column indices and values of its nonzeros, padded with value 0 to the
+width of the widest row, in two (N, N, dim, w) arrays.  A block acts on
 a dense (dim, k) matrix by gathering the rows of the matrix that its
 nonzeros name (``RowBlocks.__matmul__``).  Dense arrays are made only of
 interior columns, and the block products of ``re_residual`` and of the
@@ -32,8 +33,9 @@ corepresentation needs only the word length, 2: in the words read here its
 letters reach at most one level per letter above the column they start
 from (``gtrep.suq2_corep_blocks``).  On big-cell builds of mixed sign the
 assembly of Z cancels summands of size q^{-2s}, where s is the top interior
-shell, down to bounded entries; it runs in ``decimal`` at a precision
-derived from D, r and q (``gtrep._precision``) and is rounded to float64
+shell, down to bounded entries; it multiplies the nonzeros of each row of
+the module's Decimal T blocks in ``decimal``, at a precision derived from
+D, r and q (``gtrep._precision``), and is rounded to float64
 once, so the residuals stay near machine precision at any depth (about
 1e-15 at q=1/2 up to D=60 for N=2 and D=26 for N=3).  A build whose
 cancellation the precision does not cover raises ``PrecisionLoss``.
@@ -64,7 +66,7 @@ import numpy as np
 from . import classify as _classify
 from .braid import _leading_signs, build_rhat
 from .errors import BadCorep, DomainError, NotFactorial, PrecisionLoss
-from .gtrep import HWModule, HWModuleSpec, build_hw_module
+from .gtrep import HWModule, HWModuleSpec, RowBlocks, _entries, build_hw_module
 from .ncalg import NCPoly, central_sigma, leading_minor_Z, letter_indices
 
 __all__ = [
@@ -89,78 +91,6 @@ TRANSPORT_DIM_CAP = 20000
 ZERO_TOL = 1e-8    # zero decisions, relative to znorm**k at degree k
 EXACT_TOL = 1e-7   # joint eigenvector defects, relative to znorm**k
 CHUNK_FLOATS = 1 << 18  # numbers in the largest temporary of a chunk of block products
-
-
-@dataclass(frozen=True)
-class RowBlocks:
-    """Sparse square blocks of one size as padded rows.
-
-    ``cols`` and ``vals`` have one shape (..., dim, w): row a of a block has
-    its nonzeros at the columns ``cols[..., a, :]``, each at most once, with
-    the values ``vals[..., a, :]``, and is padded with value 0 (at column 0)
-    to the width w of the widest row.  Indexing the leading axes gives the
-    layout of those blocks, so ``Z[i - 1, j - 1]`` is the block Z_ij.
-    """
-
-    cols: np.ndarray
-    vals: np.ndarray
-
-    @classmethod
-    def from_coo(cls, shape, rows, cols, vals) -> RowBlocks:
-        """The blocks whose rows have the shape ``shape`` (the leading axes,
-        then dim), from their entries at flat row indices ``rows`` over
-        ``shape`` and columns ``cols``; entries at one position are summed
-        and zeros dropped.  An index outside the shape is a DomainError."""
-        dim, nrows = shape[-1], int(np.prod(shape))
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        if ((rows < 0) | (rows >= nrows)).any() or ((cols < 0) | (cols >= dim)).any():
-            raise DomainError(f"entry index outside the shape {tuple(shape)}")
-        key = rows * dim + cols
-        order = np.argsort(key, kind="stable")
-        key, vals = key[order], np.asarray(vals)[order]
-        if len(key):
-            start = np.flatnonzero(np.diff(key, prepend=-1))
-            key, vals = key[start], np.add.reduceat(vals, start)
-        keep = vals != 0
-        row, col = np.divmod(key[keep], dim)
-        vals = vals[keep]
-        count = np.bincount(row, minlength=nrows)
-        at = np.arange(len(row)) - (np.cumsum(count) - count)[row]  # place in its row
-        width = int(count.max(initial=0))
-        C = np.zeros((len(count), width), dtype=np.intp)
-        V = np.zeros((len(count), width), dtype=vals.dtype)
-        C[row, at], V[row, at] = col, vals
-        return cls(C.reshape(*shape, width), V.reshape(*shape, width))
-
-    @classmethod
-    def from_dense(cls, Z) -> RowBlocks:
-        """The nonzeros of a dense (..., dim, dim) block array."""
-        Z = np.asarray(Z)
-        *rows, col = nz = np.nonzero(Z)
-        return cls.from_coo(Z.shape[:-1], np.ravel_multi_index(rows, Z.shape[:-1]), col, Z[nz])
-
-    def __getitem__(self, key) -> RowBlocks:
-        return RowBlocks(self.cols[key], self.vals[key])
-
-    @property
-    def dim(self) -> int:
-        return self.cols.shape[-2]
-
-    def __matmul__(self, M: np.ndarray) -> np.ndarray:
-        """Z @ M for one block Z and a dense (dim, k) matrix M, row by row:
-        sum_t vals[:, t] * M[cols[:, t]], over the slots t of this block's
-        widest row (rows hold their nonzeros first)."""
-        width = np.count_nonzero(self.vals.any(axis=0))
-        return np.einsum("rt,rtk->rk", self.vals[:, :width], M[self.cols[:, :width]])
-
-    def columns(self, mask: np.ndarray) -> np.ndarray:
-        """The columns that the bool mask selects, dense: the blocks'
-        (..., dim, mask.sum()) array."""
-        place = np.cumsum(mask) - 1
-        hit = np.nonzero(mask[self.cols] & (self.vals != 0))
-        out = np.zeros(self.cols.shape[:-1] + (int(mask.sum()),), dtype=self.vals.dtype)
-        out[hit[:-1] + (place[self.cols[hit]],)] = self.vals[hit]
-        return out
 
 
 @dataclass
@@ -228,50 +158,47 @@ def _identity_entries(mask: np.ndarray):
 def _gram(mod: HWModule, lead) -> RowBlocks:
     """Z_ij = sum over rows m <= min(i,j) of eps_[m] T[m,i]^T T[m,j].
 
-    The sums run over the nonzeros of the T blocks in the module's decimal
-    context, and Z_ij (i <= j) is rounded once to float64; Z_ji = Z_ij^T.
-    Only the nonzeros are kept.  Where verification reads Z (entries in an
-    interior row or column of Z_ij) the sums cancel summands far larger than
-    the result, so PrecisionLoss is raised when the largest such summand, at
-    the context's precision, could move an entry by more than 1e-17 of the
-    largest such entry.
+    The products of the nonzeros of each row of T[m,i] and T[m,j] are
+    summed in the module's decimal context, m by m and row by row, and Z_ij
+    (i <= j) is rounded once to float64; Z_ji = Z_ij^T.  Only the nonzeros
+    are kept.  Where verification reads Z (entries in an interior row or
+    column of Z_ij) the sums cancel summands far larger than the result, so
+    PrecisionLoss is raised when the largest such summand, at the context's
+    precision, could move an entry by more than 1e-17 of the largest such
+    entry.
     """
-    N, dim = mod.N, mod.dim
-    inner = mod.interior.tolist()
-    rows, cols, vals = [], [], []   # each nonzero of Z, at a flat row over (N, N, dim)
-    biggest, scale = Decimal(0), Decimal(0)
+    N, dim, inner = mod.N, mod.dim, mod.interior
+    T, nz = mod.tri, mod.tri.vals != 0
+    rows, cols, vals = [], [], []   # the nonzeros of Z, at flat rows over (N, N, dim)
+    biggest = scale = Decimal(0)
     with localcontext(mod.context):
         for i in range(1, N + 1):
             for j in range(i, N + 1):
-                acc = [{} for _ in range(dim)]
+                a, b, p = [], [], []   # Z_ij[a, b] gets the summands p, m by m and row by row
                 for m in range(1, i + 1):
-                    sign = lead[m - 1]
-                    if not sign:
-                        continue
-                    for X, Y in zip(mod.tri[(m, i)], mod.tri[(m, j)]):
-                        for a, x in X.items():
-                            out = acc[a]
-                            for b, y in Y.items():
-                                p = sign * x * y
-                                out[b] = out.get(b, 0) + p
-                                if inner[a] or inner[b]:
-                                    biggest = max(biggest, abs(p))
-                for a, out in enumerate(acc):
-                    for b, v in out.items():
-                        rows.append(((i - 1) * N + j - 1) * dim + a)
-                        cols.append(b)
-                        vals.append(float(v))
-                        if i < j:
-                            rows.append(((j - 1) * N + i - 1) * dim + b)
-                            cols.append(a)
-                            vals.append(vals[-1])
-                        if inner[a] or inner[b]:
-                            scale = max(scale, abs(v))
+                    X, Y = T[m - 1, i - 1], T[m - 1, j - 1]
+                    pairs = nz[m - 1, i - 1][:, :, None] & nz[m - 1, j - 1][:, None, :]
+                    r, t, s = np.nonzero(pairs & (lead[m - 1] != 0))
+                    a.append(X.cols[r, t])
+                    b.append(Y.cols[r, s])
+                    p.append(lead[m - 1] * X.vals[r, t] * Y.vals[r, s])
+                a, b, p = map(np.concatenate, (a, b, p))
+                biggest = np.abs(p[inner[a] | inner[b]]).max(initial=biggest)
+                a, b, v = _entries(RowBlocks.from_coo((dim,), a, b, p))
+                scale = np.abs(v[inner[a] | inner[b]]).max(initial=scale)
+                v = v.astype(float)
+                rows.append(((i - 1) * N + j - 1) * dim + a)
+                cols.append(b)
+                vals.append(v)
+                if i < j:
+                    rows.append(((j - 1) * N + i - 1) * dim + b)
+                    cols.append(a)
+                    vals.append(v)
         if biggest.scaleb(-mod.context.prec) > scale * Decimal("1e-17"):
             raise PrecisionLoss(
                 f"Z cancels summands up to {biggest:.2e} at {mod.context.prec} digits; "
                 f"its interior entries (up to {scale:.2e}) are not accurate to 1e-17")
-    return RowBlocks.from_coo((N, N, dim), rows, cols, np.array(vals, dtype=float))
+    return RowBlocks.from_coo((N, N, dim), *map(np.concatenate, (rows, cols, vals)))
 
 
 def build_bigcell_rep(spec: HWModuleSpec, margin: int | None = None) -> HermitianRep:
@@ -570,9 +497,10 @@ def spectral_components(rep: HermitianRep):
 # adjoint transports
 
 
-def _transport(rep: HermitianRep, W: np.ndarray, interior: np.ndarray) -> HermitianRep:
-    """Z'_ij = sum_kl Z_kl ox W_ki^dagger W_lj for an (N, N, m, m) block array W
-    with interior mask ``interior``; real when Z and W are.
+def adjoint_transport_T(rep: HermitianRep, W: np.ndarray, interior: np.ndarray) -> HermitianRep:
+    """Transport Z -> T^dagger_13 Z_12 T_13 by a finite triangular representation,
+    given as the block array W of its T[i,j] and its interior mask:
+    Z'_ij = sum_kl Z_kl ox W_ki^dagger W_lj, real when Z and W are.
 
     Entry ((a, c), (b, d)) of Z'_ij sums Z_kl[a, b] C_klij[c, d] over k, l,
     with C_klij = W_ki^dagger W_lj: Z' is built from the products of the
@@ -599,17 +527,11 @@ def _transport(rep: HermitianRep, W: np.ndarray, interior: np.ndarray) -> Hermit
                         q0=rep.q0)
 
 
-def adjoint_transport_T(rep: HermitianRep, W: np.ndarray, interior: np.ndarray) -> HermitianRep:
-    """Transport Z -> T^dagger_13 Z_12 T_13 by a finite triangular representation,
-    given as the block array W of its T[i,j] and its interior mask."""
-    return _transport(rep, W, interior)
-
-
 def adjoint_transport_U(rep: HermitianRep, W: np.ndarray, interior: np.ndarray) -> HermitianRep:
     """Transport Z -> U^dagger_13 Z_12 U_13 by a unitary block corepresentation,
     given as its block array W and its interior mask.  Raises BadCorep unless
     sum_k W_ki^dagger W_kj = delta_ij on interior rows and columns to 1e-9."""
-    out = _transport(rep, W, interior)  # first, for its size checks
+    out = adjoint_transport_T(rep, W, interior)  # first, for its size checks
     defect = (np.einsum("kiba,kjbc->ijac", W.conj(), W)
               - np.eye(rep.N)[:, :, None, None] * np.eye(len(interior)))
     worst = float(np.linalg.norm(defect[:, :, interior][..., interior], axis=(2, 3)).max())
@@ -620,8 +542,12 @@ def adjoint_transport_U(rep: HermitianRep, W: np.ndarray, interior: np.ndarray) 
 
 def uchar_blocks(thetas):
     """Diagonal character of the unitary quantum group as 1x1 blocks, and
-    its interior."""
-    W = np.diag(np.exp(2j * np.pi * np.asarray(thetas, dtype=float)))[:, :, None, None]
+    its interior.  Every theta must be finite."""
+    thetas = np.asarray(thetas, dtype=float)
+    for k, theta in enumerate(thetas.tolist(), start=1):
+        if not np.isfinite(theta):
+            raise DomainError(f"uchar angles must be finite, got theta_{k}={theta}")
+    W = np.diag(np.exp(2j * np.pi * thetas))[:, :, None, None]
     return W, np.ones(1, dtype=bool)
 
 

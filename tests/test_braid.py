@@ -134,6 +134,38 @@ def test_minor_braiding_inverse(N, k, l):
     assert B @ Binv == QMat.eye(dim)
 
 
+def test_minor_braiding_multiplies_by_no_identity(monkeypatch):
+    """Each chain of braid factors starts from its first factor: 6 QMat
+    products for minor_braiding(3, 1, 2), and the same exact B and Binv as
+    chains and a running product started from the identity."""
+    from qrea.braid import _embedded_factor
+
+    def from_identity(N, k, l, R):
+        total = k + l
+        out = QMat.eye(N ** total)
+        for s in range(1, k + 1):
+            chain = QMat.eye(N ** total)
+            for pos in range(s, s + l):
+                chain = _embedded_factor(N, total, pos, R) @ chain
+            out = out @ chain
+        return out
+
+    R, Rinv = build_rhat(3)
+    ek, el = exterior_power(3, 1), exterior_power(3, 2)
+    want = (el.project.kron(ek.project) @ from_identity(3, 1, 2, R) @ ek.embed.kron(el.embed),
+            ek.project.kron(el.project) @ from_identity(3, 2, 1, Rinv) @ el.embed.kron(ek.embed))
+    calls = []
+    matmul = QMat.__matmul__
+
+    def counted(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(QMat, "__matmul__", counted)
+    assert minor_braiding(3, 1, 2) == want
+    assert len(calls) == 6
+
+
 @pytest.mark.parametrize("N,k,l", [(2, 1, 2), (3, 2, 2), (3, 1, 2), (3, 2, 3)])
 def test_minor_braiding_diagonal_and_support(N, k, l):
     B, _ = minor_braiding(N, k, l)

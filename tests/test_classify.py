@@ -250,7 +250,7 @@ def test_sylvester_chain_connects_equal_extsig():
     trep = detect_finite(HWModuleSpec(N=2, eps=(1, 1), r=(Fraction(0), Fraction(1)),
                                       D=6, q0=q0))
     assert trep is not None and trep.dim == 2 and trep.interior.all()
-    moved = adjoint_transport_T(scaled, trep.T, trep.interior)
+    moved = adjoint_transport_T(scaled, trep.T.columns(trep.interior), trep.interior)
     comps = spectral_components(moved)
     hit = any(
         np.allclose(sorted(roots, reverse=True), sorted(roots_b, reverse=True),

@@ -129,6 +129,19 @@ def test_negative_margin_is_usage_error(tmp_path, capsys, args):
     assert "margin -3 is negative" in capsys.readouterr().err and not out.exists()
 
 
+@pytest.mark.parametrize("by,message", [
+    ("scale:nan", "finite c > 0, got c=nan"),
+    ("scale:inf", "finite c > 0, got c=inf"),
+    ("uchar:nan,0", "finite, got theta_1=nan"),
+], ids=["scale-nan", "scale-inf", "uchar-nan"])
+def test_non_finite_transport_parameter_is_usage_error(capsys, by, message):
+    """A non-finite transport parameter is refused by name, before any
+    spectral work on the transported blocks."""
+    assert main(["transport", "--by", by, "--n", "2", "--eps", "+,-", "--r", "0.3,0.8",
+                 "--depth", "10", "--margin", "6"]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     ["transport", "--by", "scale:0.7", "--n", "2", "--eps", "+,-", "--r", "0.3,0.8",
      "--tol", "1e-3"],

@@ -135,13 +135,72 @@ def test_gram_matches_dense_products(N, eps, r, D, margin):
     spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
     rep = build_bigcell_rep(spec, margin=margin)
     lead = np.cumprod(spec.eps_padded)
-    T = build_hw_module(spec, margin=margin).T
+    T = build_hw_module(spec, margin=margin).T.columns(np.ones(rep.dim, dtype=bool))
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             want = sum(lead[m - 1] * T[m - 1, i - 1].T @ T[m - 1, j - 1]
                        for m in range(1, min(i, j) + 1))
             scale = max(1.0, np.abs(want).max())
             assert np.abs(rep.block(i, j) - want).max() < 1e-13 * scale, (i, j)
+
+
+def _row_dicts(X):
+    """One block of a RowBlocks layout as a list of rows {column: value}."""
+    return [{c: v for c, v in zip(cs.tolist(), vs.tolist()) if v != 0}
+            for cs, vs in zip(X.cols, X.vals)]
+
+
+def _dict_matmul(A, B):
+    out = []
+    for row in A:
+        acc = {}
+        for k, a in row.items():
+            for c, b in B[k].items():
+                acc[c] = acc.get(c, 0) + a * b
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("N,eps,r,D,margin", [
+    (3, (1, -1, 1), (Fraction(3, 10), Fraction(4, 5), Fraction(4, 5)), 12, 6),
+    (4, (1, 1, -1, -1), (Fraction(1, 10),) * 4, 8, 4),
+])
+def test_sparse_sums_match_row_dict_loops(N, eps, r, D, margin):
+    """The T chain's commutators (AB and BA summed apart, subtracted, then
+    scaled by columns) and the Gram sums of Z (m by m, row by row), formed
+    from padded rows, equal the same Decimal sums formed row dict by row dict."""
+    from decimal import localcontext
+
+    from qrea import gtrep
+
+    spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
+    mod = build_hw_module(spec, margin=margin)
+    num = gtrep._Numbers(spec)
+    lead = _leading_signs(spec.eps_padded)
+    tri = {(i, j): _row_dicts(mod.tri[i - 1, j - 1])
+           for i in range(1, N + 1) for j in range(i, N + 1)}
+    with localcontext(mod.context):
+        for span in range(2, N):
+            for i in range(1, N - span + 1):
+                A1, A2 = tri[(i, i + 1)], tri[(i + 1, i + span)]
+                s = [num.power(num.kexp(gtrep._flat(P), i + 1)) / num.qdiff for P in mod.basis]
+                want = [{c: (ab.get(c, 0) - ba.get(c, 0)) * s[c] for c in ab.keys() | ba.keys()}
+                        for ab, ba in zip(_dict_matmul(A1, A2), _dict_matmul(A2, A1))]
+                assert [{c: v for c, v in row.items() if v} for row in want] == tri[(i, i + span)]
+        Z = np.zeros((N, N, mod.dim, mod.dim))
+        for i in range(1, N + 1):
+            for j in range(i, N + 1):
+                acc = [{} for _ in range(mod.dim)]
+                for m in range(1, i + 1):
+                    for X, Y in zip(tri[(m, i)], tri[(m, j)]):
+                        for a, x in X.items():
+                            for b, y in Y.items():
+                                acc[a][b] = acc[a].get(b, 0) + lead[m - 1] * x * y
+                for a, row in enumerate(acc):
+                    for b, v in row.items():
+                        Z[i - 1, j - 1, a, b] = Z[j - 1, i - 1, b, a] = float(v)
+    rep = build_bigcell_rep(spec, margin=margin)
+    assert np.array_equal(rep.Z.columns(np.ones(mod.dim, dtype=bool)), Z)
 
 
 def test_gram_guard_refuses_short_precision(monkeypatch):
@@ -216,7 +275,8 @@ def _leading_minor_formula(rep, k):
     big cell, on the whole module."""
     lead = np.cumprod(rep.spec.eps_padded)
     T = module_T(rep)
-    diag = np.prod([np.diagonal(T[m, m]) ** 2 for m in range(k)], axis=0)
+    every = np.ones(rep.dim, dtype=bool)
+    diag = np.prod([np.diagonal(T[m, m].columns(every)) ** 2 for m in range(k)], axis=0)
     return np.prod(lead[:k]) * np.diag(diag)
 
 
@@ -405,7 +465,7 @@ def op_minor_blocks(rep, k):
     eps_K X_{K,I}^dagger X_{K,J}, with eps_K the product of eps_[m] over m in
     K and X_{K,I} the quantum minor ``frt_minor(K, I)`` on the T blocks."""
     lead = _leading_signs(rep.spec.eps_padded)
-    T = RowBlocks.from_dense(module_T(rep))
+    T = module_T(rep)
     subsets = list(itertools.combinations(range(1, rep.N + 1), k))
     every = np.ones(rep.dim, dtype=bool)
     X = np.array([[eval_poly(frt_minor(K, I), T, rep.q0, every) for I in subsets]
@@ -690,7 +750,7 @@ def test_minor_braiding_exchange_with_operator_powers(N, eps, r, k, l):
     D, margin = (12, 6) if N == 2 else (8, 4)
     spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
     rep = build_bigcell_rep(spec, margin=margin)
-    T = RowBlocks.from_dense(build_hw_module(spec, margin=margin).T)
+    T = build_hw_module(spec, margin=margin).T
     bk, bl = exterior_power(N, k).basis, exterior_power(N, l).basis
     every = np.ones(rep.dim, dtype=bool)
     Xk = {(A, C): eval_poly(frt_minor(A, C), T, Q0, every) for A in bk for C in bk}
