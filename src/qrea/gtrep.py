@@ -15,11 +15,15 @@ adjoints of the lowering ones.
 Every exponent of q is a fixed rational per slot plus an integer linear
 form in the pattern entries, held exactly as an integer in units of
 1/(2 lcm of the denominators of r).  The basis and every sign of c_P are
-integer comparisons on those exponents, made for all patterns at once; the
-values (norms, ladder coefficients, T blocks) are ``decimal`` numbers,
-computed for the kept patterns only.  Every sparse block operator of the
-package is a ``RowBlocks`` layout of padded rows, defined here: a module's
-operators hold Decimals and are read as float64 views, and Z is one too.
+integer comparisons on those exponents, made for all patterns at once.
+The values (norms, ladder coefficients, T blocks) are ``decimal`` numbers
+for the kept patterns only, evaluated from tables: the integer exponents
+of all kept patterns come first, as arrays, and each distinct Decimal
+factor (a power of q, a q-Pochhammer product, a q-bracket) is then
+evaluated once and gathered by its exponents.  Every sparse block operator
+of the package is a ``RowBlocks`` layout of padded rows, defined here: a
+module's operators hold Decimals and are read as float64 views, and Z is
+one too.
 
 Conventions fixed here (the two displays that feed them admit more than one
 reading; these are the ones under which the defining relations hold, which
@@ -39,6 +43,7 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -70,8 +75,10 @@ def _slot(i: int, k: int) -> int:
     return k * (k - 1) // 2 + i - 1
 
 
-def _as_pattern(flat, N: int) -> GTPattern:
-    return tuple(tuple(flat[_slot(1, k):_slot(1, k) + k]) for k in range(1, N))
+def _as_patterns(A: np.ndarray, N: int) -> list:
+    """The flattened patterns in the rows of A, as patterns."""
+    levels = [map(tuple, A[:, _slot(1, k):_slot(1, k) + k].tolist()) for k in range(1, N)]
+    return list(zip(*levels)) if levels else [()] * len(A)
 
 
 def _flat(P: GTPattern) -> list:
@@ -94,17 +101,18 @@ def _pattern_array(N: int, D: int) -> np.ndarray:
 
 def patterns(N: int, D: int):
     """All patterns for size N with total degree <= D, shells ascending."""
-    return [_as_pattern(P, N) for P in _pattern_array(N, D).tolist()]
+    return _as_patterns(_pattern_array(N, D), N)
 
 
 def _tails(X, N: int):
     """S[row][start] = sum of P_{row,l} over max(row, start) <= l <= N-1.
 
-    X[_slot(i, k)] is one pattern's entry P_{i,k}, or a column of entries
-    over many patterns; the sums are then columns too.  Rows and starts run
-    up to N, where the sums are empty.
+    X[_slot(i, k)] is the column of entries P_{i,k} over many patterns, so
+    each sum is a column too.  Rows and starts run up to N, where the sums
+    are empty (a column of zeros).
     """
-    S = [[0] * (N + 2) for _ in range(N + 2)]
+    zero = np.zeros(X.shape[1:], dtype=np.int64)
+    S = [[zero] * (N + 2) for _ in range(N + 2)]
     for row in range(1, N):
         for start in range(N - 1, 0, -1):
             S[row][start] = S[row][start + 1] + (X[_slot(row, start)] if start >= row else 0)
@@ -184,17 +192,21 @@ def _units(spec: HWModuleSpec):
     return L2, [int(x * L2) for x in spec.r_padded]
 
 
-def _norm_terms(X, spec: HWModuleSpec, R):
+def _norm_terms(X, S, spec: HWModuleSpec, R):
     """The q-Pochhammer factors of c_P: for each slot (i, k) and i <= j <= k,
     m = P_{i,k} and two triples (sigma, c, n) standing for the factor
-    (sigma q^{2e}; q^2)_m with e = c / L2 + n."""
+    (sigma q^{2e}; q^2)_m with e = c / L2 + n, for the patterns whose entries
+    are the columns X and whose tail sums are S (``_tails``).
+
+    The first factor at j = i is (q^2; q^2)_m, whose window starts at n = 1
+    (an int) for every pattern.  Every other window ends at an n + m - 1
+    that does not depend on m."""
     N, eps = spec.N, spec.eps_padded
-    S = _tails(X, N)
     for k in range(1, N):
         for i in range(1, k + 1):
             m = X[_slot(i, k)]
             for j in range(i, k + 1):
-                n1 = (j - i + 1) + S[j][k] - S[i][k]
+                n1 = 1 if j == i else (j - i + 1) + S[j][k] - S[i][k]
                 n2 = (j - i + 1) - m + S[j + 1][k + 1] - S[i][k + 1]
                 yield m, ((_eps_interval(eps, i, j), R[j - 1] - R[i - 1], n1),
                           (_eps_interval(eps, i, j + 1), R[j] - R[i - 1], n2))
@@ -210,7 +222,7 @@ def _signs(A: np.ndarray, spec: HWModuleSpec) -> np.ndarray:
     L2, R = _units(spec)
     neg = np.zeros(len(A), dtype=np.int64)
     zero = np.zeros(len(A), dtype=bool)
-    for m, factors in _norm_terms(A.T, spec, R):
+    for m, factors in _norm_terms(A.T, _tails(A.T, spec.N), spec, R):
         for sigma, c, n in factors:
             if sigma != 1:
                 continue
@@ -229,20 +241,47 @@ def _precision(spec: HWModuleSpec) -> int:
     return math.ceil(2 * (spec.D + float(rmax) + spec.N) * math.log10(1 / spec.q0)) + 20
 
 
-class _Numbers:
-    """The closed forms of one module, evaluated in ``decimal``.
+class _Memo(dict):
+    """A dict that computes each missing value from its key, once."""
 
-    Call the methods inside ``localcontext(self.context)``.  Exponents are
-    exact integers in units of 1/L2 (see ``_units``); each distinct power
-    q^x is computed once, as an integer power of q times exp(f ln q) for
-    the fractional part f of x.
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+    def gather(self, keys) -> np.ndarray:
+        """The values of the keys in the iterable ``keys`` as an object array."""
+        return np.array(list(map(self.__getitem__, keys)), dtype=object)
+
+
+class _Numbers:
+    """The closed forms of one module on the patterns in the rows of an int
+    array ``A``, evaluated in ``decimal``.
+
+    The integer data come first, for all rows at once: the tail sums, the K
+    exponents, the q-Pochhammer windows of every c_P and the q-bracket
+    exponents of every ladder coefficient, each an exact integer in units
+    of 1/L2 (see ``_units``).  Each distinct Decimal factor is then
+    evaluated once: q^x as an integer power of q times exp(f ln q) for the
+    fractional part f of x; a q-Pochhammer product as an entry of the table
+    of prefix products of its window, anchored at the window's fixed end;
+    a q-bracket from a cache keyed by its exponent, sign and side.  Call
+    the methods inside ``localcontext(self.context)``.
     """
 
-    def __init__(self, spec: HWModuleSpec):
+    def __init__(self, spec: HWModuleSpec, A: np.ndarray):
         self.spec = spec
         self.L2, self.R = _units(spec)
         self.context = Context(prec=_precision(spec), Emax=MAX_EMAX, Emin=MIN_EMIN)
-        self._powers = {}
+        self.X = A.T  # X[_slot(i, k)] is the column of entries P_{i,k}
+        self.S = _tails(self.X, spec.N)
+        self._powers = _Memo(self._power)
+        self._gaps = _Memo(lambda n: self.gap ** n)
+        self._windows = {}
+        self._brackets = _Memo(self._bracket)
         with localcontext(self.context):
             self.q = q = Decimal(spec.q0)
             self.lnq = q.ln()
@@ -250,81 +289,122 @@ class _Numbers:
             self.gap = 1 / self.qdiff ** 2
 
     def power(self, u: int) -> Decimal:
-        """q^(u / L2), as q^n times exp(a ln q / L2) with u = n L2 + a, 0 <= a < L2."""
-        v = self._powers.get(u)
-        if v is None:
-            n, a = divmod(u, self.L2)
-            if n:
-                v = self.q ** n * self.power(a)
-            else:
-                v = (a * self.lnq / self.L2).exp()
-            self._powers[u] = v
-        return v
+        """q^(u / L2)."""
+        return self._powers[u]
 
-    def norm(self, P) -> Decimal:
-        """Squared norm c_P of a flattened pattern: a product of q-Pochhammer
-        factors and the prefactor (q^{-1} - q)^{-2m} q^{-m E}, E = e1 + e2 + m - 1."""
-        L2, val, u, mtot = self.L2, Decimal(1), 0, 0
-        for m, factors in _norm_terms(P, self.spec, self.R):
-            if not m:
-                continue
+    def _power(self, u: int) -> Decimal:
+        """q^n times exp(a ln q / L2), with u = n L2 + a and 0 <= a < L2."""
+        n, a = divmod(u, self.L2)
+        return self.q ** n * self._powers[a] if n else (a * self.lnq / self.L2).exp()
+
+    def kexp(self) -> np.ndarray:
+        """K_i = q^{-r_i + sum_{j<i} P_{j,i-1} - sum_l P_{i,l}} on every row,
+        exponent times L2: an (N, rows) int array, K_i at row i - 1."""
+        N, X, S = self.spec.N, self.X, self.S
+        return np.array([-self.R[i - 1] + (sum((X[_slot(j, i - 1)] for j in range(1, i)),
+                                               S[N][N]) - S[i][i]) * self.L2
+                         for i in range(1, N + 1)])
+
+    def norms(self) -> np.ndarray:
+        """Squared norms c_P of the rows, an object array: products of
+        q-Pochhammer factors and the prefactor (q^{-1} - q)^{-2m} q^{-m E},
+        E = e1 + e2 + m - 1.
+
+        A window (sigma q^{2e}; q^2)_m of t = 0 .. m-1 factors is read from
+        the prefix products of one table, keyed by sigma and the window's
+        fixed end: its start for (q^2; q^2)_m, its last exponent otherwise.
+        """
+        L2, zero = self.L2, self.S[self.spec.N][self.spec.N]
+        # a window's key packs its anchor, its direction and the sign of sigma
+        keys, depths, u, mtot = [], [], zero, zero
+        for m, factors in _norm_terms(self.X, self.S, self.spec, self.R):
             es = [c + n * L2 for _, c, n in factors]
-            for (sigma, _, _), e in zip(factors, es):
+            for (sigma, _, n), e in zip(factors, es):
                 if sigma:
-                    for t in range(m):
-                        val *= 1 - sigma * self.power(2 * (e + t * L2))
-            u -= m * (es[0] + es[1] + (m - 1) * L2)
-            mtot += m
-        return val * self.power(u) * self.gap ** mtot
+                    rising = isinstance(n, int)
+                    anchor = e if rising else e + (m - 1) * L2
+                    keys.append(((anchor * 2 + rising) * 2 + (sigma > 0)) + zero)
+                    depths.append(m)
+            u = u - m * (es[0] + es[1] + (m - 1) * L2)
+            mtot = mtot + m
+        val = np.ones(len(zero), dtype=object)
+        if keys:
+            key, depth = np.concatenate(keys), np.concatenate(depths)
+            table, at = np.unique(key, return_inverse=True)
+            top = np.zeros(len(table), dtype=np.int64)
+            np.maximum.at(top, at, depth)
+            start, flat = [], []
+            for k, d in zip(table.tolist(), top.tolist()):
+                start.append(len(flat))
+                flat += self._window(k, d)
+            prefix = np.array(flat, dtype=object)[np.array(start)[at] + depth]
+            val = np.multiply.reduce(prefix.reshape(len(keys), -1), axis=0)
+        return val * self._powers.gather(u.tolist()) * self._gaps.gather(mtot.tolist())
 
-    def raising(self, P, j: int, i: int) -> Decimal:
-        """Coefficient of the raising operator e_i moving one box out of P_{j,i}.
+    def _window(self, key: int, depth: int) -> list:
+        """The prefix products of the window ``key`` up to ``depth`` factors:
+        entry t is the product of 1 - sigma q^{2x} over the first t
+        exponents x from its anchor, one apart, rising or falling."""
+        table = self._windows.setdefault(key, [Decimal(1)])
+        anchor, rising, sigma = key >> 2, (key >> 1) & 1, 1 if key & 1 else -1
+        step = self.L2 if rising else -self.L2
+        while len(table) <= depth:
+            x = anchor + (len(table) - 1) * step
+            table.append(table[-1] * (1 - sigma * self._powers[2 * x]))
+        return table[:depth + 1]
+
+    def raising(self, j: int, i: int, rows: np.ndarray) -> np.ndarray:
+        """Coefficients of the raising operator e_i moving one box out of
+        P_{j,i}, on the rows ``rows`` (an index array), as an object array.
 
         Product form with numerator tail sums starting at level i+1 and
-        denominator tail sums starting at level i.  Exactly-zero numerator
-        brackets make the coefficient vanish; a vanishing denominator bracket
-        would be a pole and aborts (it cannot occur on positive-norm patterns).
+        denominator tail sums starting at level i, multiplied in that order.
+        Exactly-zero numerator brackets make a coefficient 0; a vanishing
+        denominator bracket would be a pole and aborts (it cannot occur on
+        positive-norm patterns).
         """
-        L2, R, eps = self.L2, self.R, self.spec.eps_padded
-        S = _tails(P, self.spec.N)
+        L2, R, eps, S = self.L2, self.R, self.spec.eps_padded, self.S
+        base = S[j][i][rows]
 
-        def bracket(k, start):
-            """[x]_e = (e q^x - q^{-x})/(q - q^{-1}) for k <= j and
-            [x]^e = (q^x - e q^{-x})/(q - q^{-1}) for k > j; None where it
-            vanishes exactly (e = 1, x = 0)."""
-            x = R[j - 1] - R[k - 1] + ((j - k) - S[k][start] + S[j][i]) * L2
-            e = _eps_interval(eps, min(j, k), max(j, k))
-            if e == 1 and x == 0:
-                return None
-            a, b = self.power(x), self.power(-x)
-            return ((a - e * b) if k > j else (e * a - b)) / self.qdiff
+        def brackets(k, start):
+            """Exponents x on the rows, sign e and side of the bracket [x]_e
+            (k <= j) or [x]^e (k > j), which vanishes exactly where e = 1 and x = 0."""
+            x = R[j - 1] - R[k - 1] + ((j - k) - S[k][start][rows] + base) * L2
+            return x, _eps_interval(eps, min(j, k), max(j, k)), k > j
 
-        out = Decimal(-1)
-        for k in range(1, i + 2):
-            f = bracket(k, i + 1)
-            if f is None:
-                return Decimal(0)
-            out *= f
-        for k in range(1, i + 1):
-            if k != j:
-                d = bracket(k, i)
-                if d is None:
-                    raise DomainError(f"coefficient pole at P={_as_pattern(P, self.spec.N)}, "
-                                      f"(j,i)=({j},{i})")
-                out /= d
+        up = [brackets(k, i + 1) for k in range(1, i + 2)]
+        down = [brackets(k, i) for k in range(1, i + 1) if k != j]
+        live = np.logical_and.reduce([(x != 0) | (e != 1) for x, e, _ in up])
+        for x, e, _ in down:
+            pole = live & (x == 0) & (e == 1)
+            if pole.any():
+                P = _as_patterns(self.X.T[rows[pole]], self.spec.N)[0]
+                raise DomainError(f"coefficient pole at P={P}, (j,i)=({j},{i})")
+        coef = Decimal(-1)
+        for x, e, side in up:
+            coef = coef * self._brackets.gather(zip(x[live].tolist(), repeat(e), repeat(side)))
+        for x, e, side in down:
+            coef = coef / self._brackets.gather(zip(x[live].tolist(), repeat(e), repeat(side)))
+        out = np.full(len(rows), Decimal(0), dtype=object)
+        out[live] = coef
         return out
 
-    def kexp(self, P, i: int) -> int:
-        """K_i = q^{-r_i + sum_{j<i} P_{j,i-1} - sum_l P_{i,l}} on P, exponent times L2."""
-        n = sum(P[_slot(j, i - 1)] for j in range(1, i)) - _tails(P, self.spec.N)[i][i]
-        return -self.R[i - 1] + n * self.L2
+    def _bracket(self, key) -> Decimal:
+        """[x]_e = (e q^x - q^{-x})/(q - q^{-1}), or [x]^e = (q^x - e q^{-x})/(q - q^{-1})
+        on the upper side."""
+        x, e, upper = key
+        a, b = self._powers[x], self._powers[-x]
+        return ((a - e * b) if upper else (e * a - b)) / self.qdiff
 
 
 def gt_norm(P: GTPattern, spec: HWModuleSpec) -> float:
-    """Squared norm c_P of the basis vector labeled by P."""
-    num = _Numbers(spec)
+    """Squared norm c_P of the basis vector labeled by P.  Raises
+    PrecisionLoss if c_P is beyond the float64 range."""
+    num = _Numbers(spec, np.array(_flat(P), dtype=np.int64).reshape(1, -1))
     with localcontext(num.context):
-        c = num.norm(_flat(P))
+        c = num.norms()[0]
+    if not math.isfinite(float(c)):
+        raise PrecisionLoss(f"norm {c:.6e} of pattern {P} is beyond the float64 range")
     return float(c) if c else 0.0  # an exact zero, never -0.0
 
 
@@ -359,21 +439,24 @@ class RowBlocks:
         then dim), from their entries at flat row indices ``rows`` over
         ``shape`` and columns ``cols``; entries at one position are summed
         and zeros dropped.  An index outside the shape is a DomainError."""
-        dim, nrows = shape[-1], int(np.prod(shape))
+        dim, nrows = shape[-1], math.prod(shape)
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        if ((rows < 0) | (rows >= nrows)).any() or ((cols < 0) | (cols >= dim)).any():
+        # as unsigned integers, negative indices are beyond any bound too
+        if len(rows) and (rows.view(np.uint64).max() >= nrows
+                          or cols.view(np.uint64).max() >= dim):
             raise DomainError(f"entry index outside the shape {tuple(shape)}")
         key = rows * dim + cols
         order = np.argsort(key, kind="stable")
         key, vals = key[order], np.asarray(vals)[order]
-        if len(key):
-            start = np.flatnonzero(np.diff(key, prepend=-1))
+        new = key[1:] != key[:-1]
+        if not new.all():
+            start = np.flatnonzero(np.concatenate(([True], new)))
             key, vals = key[start], np.add.reduceat(vals, start)
         keep = vals != 0
         row, col = np.divmod(key[keep], dim)
         vals = vals[keep]
         count = np.bincount(row, minlength=nrows)
-        at = np.arange(len(row)) - (np.cumsum(count) - count)[row]  # place in its row
+        at = np.arange(len(row)) - np.searchsorted(row, row)  # place in its row
         width = int(count.max(initial=0))
         C = np.zeros((len(count), width), dtype=np.intp)
         V = np.zeros((len(count), width), dtype=vals.dtype)
@@ -409,19 +492,6 @@ class RowBlocks:
         out = np.zeros(self.cols.shape[:-1] + (int(mask.sum()),), dtype=self.vals.dtype)
         out[hit[:-1] + (place[self.cols[hit]],)] = self.vals[hit]
         return out
-
-
-def _move_up(P: GTPattern, j: int, i: int):
-    """Target of e_i on slot j: one box from level i to level i-1 (or out)."""
-    rows = [list(row) for row in P]
-    rows[i - 1][j - 1] -= 1
-    if rows[i - 1][j - 1] < 0:
-        return None
-    if j <= i - 1:
-        rows[i - 2][j - 1] += 1
-    elif j != i:
-        return None
-    return tuple(tuple(row) for row in rows)
 
 
 def _entries(X: RowBlocks, at: int = 0):
@@ -506,32 +576,39 @@ def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
     A = _pattern_array(N, D)
     signs = _signs(A, spec)
     if (signs < 0).any():
-        P = _as_pattern(A[np.argmax(signs < 0)].tolist(), N)
+        P = _as_patterns(A[[np.argmax(signs < 0)]], N)[0]
         raise NegativeNorm(f"negative norm at pattern {P}")
     kept = A[signs > 0]
     interior = kept.sum(axis=1) <= D - margin
-    kept = kept.tolist()
-    basis = [_as_pattern(P, N) for P in kept]
-    index = {P: t for t, P in enumerate(basis)}
+    basis = _as_patterns(kept, N)
     dim = len(basis)
+    # e_i moves one box of P_{j,i} up to P_{j,i-1} (out of the pattern for
+    # j = i); its target is found by key, the entries as digits in base D + 1
+    if (D + 1) ** kept.shape[1] > 2 ** 63:
+        raise DomainError(f"patterns of N={N}, D={D} have keys beyond int64")
+    digit = np.array([(D + 1) ** s for s in range(kept.shape[1])][::-1], dtype=np.int64)
+    key = kept @ digit
+    order = np.argsort(key)
+    known = key[order]
 
-    num = _Numbers(spec)
+    num = _Numbers(spec, kept)
     with localcontext(num.context):
-        norms = [num.norm(P) for P in kept]
-        ku = [[num.kexp(P, i) for P in kept] for i in range(1, N + 1)]
+        norms = num.norms()
+        root = np.sqrt(norms)  # f_i[t, tt] = a sqrt(c_tt / c_t), a the raising coefficient
+        ku = num.kexp().tolist()
         rows, cols, vals = [], [], []   # f_i[t, tt] at flat row (i - 1) dim + t
         for i in range(1, N):
-            for t, P in enumerate(basis):
-                for j in range(1, i + 1):
-                    Pout = _move_up(P, j, i)
-                    tt = None if Pout is None else index.get(Pout)
-                    if tt is not None:
-                        a = num.raising(kept[t], j, i)
-                        if a:
-                            rows.append((i - 1) * dim + t)
-                            cols.append(tt)
-                            vals.append(a * (norms[tt] / norms[t]).sqrt())
-        lower = RowBlocks.from_coo((N - 1, dim), rows, cols, np.array(vals, dtype=object))
+            for j in range(1, i + 1):
+                t = np.flatnonzero(kept[:, _slot(j, i)])
+                target = key[t] - digit[_slot(j, i)] + (digit[_slot(j, i - 1)] if j < i else 0)
+                at = np.minimum(np.searchsorted(known, target), dim - 1)
+                hit = known[at] == target
+                t, tt = t[hit], order[at[hit]]
+                rows.append((i - 1) * dim + t)
+                cols.append(tt)
+                vals.append(num.raising(j, i, t) * root[tt] / root[t])
+        lower = RowBlocks.from_coo((N - 1, dim), *(
+            np.concatenate(x) if x else np.zeros(0, dtype=object) for x in (rows, cols, vals)))
 
         # T[i,i] = K_i^{-1}; T[i,i+1] = (q^{-1}-q) q^{1/2} f_i Khat_i^{-1/2} K_{i+1}^{-1},
         # the diagonal factors acting first (they scale columns); then
@@ -558,7 +635,7 @@ def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
             *(_entries(X, (i - 1) * N + j - 1) for (i, j), X in blocks.items()))))
 
     return HWModule(
-        spec=spec, basis=basis, norms=norms, tri=tri, lower=lower,
+        spec=spec, basis=basis, norms=norms.tolist(), tri=tri, lower=lower,
         context=num.context, interior=interior, interior_margin=margin,
     )
 

@@ -1,16 +1,17 @@
 import itertools
 import json
+import math
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
 import gt_oracle
 import numpy as np
 import pytest
 
-from qrea.errors import DomainError, NegativeNorm, TruncationTooSmall
+from qrea.errors import DomainError, NegativeNorm, PrecisionLoss, TruncationTooSmall
 from qrea.gtrep import (
     HWModuleSpec,
     RowBlocks,
-    _move_up,
     build_hw_module,
     detect_finite,
     eps_adapted,
@@ -119,7 +120,7 @@ def test_gt_machinery_matches_verma_oracle_n3():
             continue
         for i in (1, 2):
             for j in range(1, i + 1):
-                want = raising(P, i, j, _move_up)
+                want = raising(P, i, j, gt_oracle.move_up)
                 if want is None:
                     continue
                 got = gt_oracle.package_raising_coeff(P, j, i, spec)
@@ -181,25 +182,69 @@ def test_basis_and_signs_match_fraction_oracle(N, D):
     (3, (1, 1, -1), (Fraction(0), Fraction(1), Fraction(1, 3)), 12),
     (3, (1, -1), (Fraction(1, 4), Fraction(-3, 4)), 10),
     (4, (1, -1, 1, -1), (Fraction(1, 10),) * 4, 7),
+    # deep: N=2 windows of up to 54 factors that move with m, norms beyond
+    # the float64 range, and a mixed N=3 cell
+    (2, (1, -1), (Fraction(3, 10), Fraction(4, 5)), 54),
+    (3, (1, 1, -1), (Fraction(-7, 10), Fraction(-7, 10), Fraction(-23, 10)), 26),
 ])
 def test_values_match_fraction_oracle(N, eps, r, D):
+    """Norms, ladder coefficients and lowering-operator entries against the
+    per-pattern Fraction formulas, evaluated at the Decimal q0 with 30 more
+    digits than the build: they agree to 1e-20 relative."""
     spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
     mod = build_hw_module(spec, margin=0)
-    for P, c in zip(mod.basis, mod.norms):
-        want = gt_oracle._norm_parts(P, spec)[0]
-        assert float(c) == pytest.approx(want, rel=1e-12), P
-        assert gt_norm(P, spec) == pytest.approx(want, rel=1e-12), P
-    n_checked, kept = 0, set(mod.basis)
-    for P in mod.basis:
-        for i in range(1, N):
-            for j in range(1, i + 1):
-                if _move_up(P, j, i) not in kept:
-                    continue
-                want = gt_oracle._raising_coeff(P, j, i, spec)
-                got = gt_oracle.package_raising_coeff(P, j, i, spec)
-                assert got == pytest.approx(want, rel=1e-12), (P, i, j)
-                n_checked += 1
+    f = mod.lower.columns(np.ones(mod.dim, dtype=bool))
+    index = {P: t for t, P in enumerate(mod.basis)}
+    n_checked = 0
+    with localcontext(Context(prec=mod.context.prec + 30, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        q0 = Decimal(Q0)
+
+        def close(got, want):
+            return abs(got - want) <= Decimal("1e-20") * abs(want)
+
+        norms = [gt_oracle._norm_parts(P, spec, q0)[0] for P in mod.basis]
+        for P, c, want in zip(mod.basis, mod.norms, norms):
+            assert close(c, want), P
+            if Decimal("1e-300") < want < Decimal("1e300"):
+                assert gt_norm(P, spec) == pytest.approx(float(want), rel=1e-12), P
+        for t, P in enumerate(mod.basis):
+            for i in range(1, N):
+                for j in range(1, i + 1):
+                    tt = index.get(gt_oracle.move_up(P, j, i))
+                    if tt is None:
+                        continue
+                    want = gt_oracle._raising_coeff(P, j, i, spec, q0)
+                    assert close(gt_oracle.package_raising(P, j, i, spec), want), (P, i, j)
+                    assert close(f[i - 1, t, tt], want * (norms[tt] / norms[t]).sqrt()), (P, i, j)
+                    n_checked += 1
     assert n_checked >= mod.dim - 1
+
+
+def test_raising_zeros_and_poles_match_fraction_oracle():
+    """On every pattern, kept or not: an exactly-zero numerator bracket
+    gives a zero coefficient, and a vanishing denominator bracket (which
+    only a pattern of zero or negative norm has) is a pole, where the
+    per-pattern formulas have them."""
+    n_zero = n_pole = 0
+    for spec in (HWModuleSpec(N=3, eps=(1, 1, -1), r=(0, -1, 0), D=6, q0=Q0),
+                 HWModuleSpec(N=3, eps=(1, 1, 1), r=(0, 1, 2), D=6, q0=Q0),
+                 HWModuleSpec(N=2, eps=(1, 1), r=(0, 0), D=6, q0=Q0)):
+        for P in patterns(spec.N, spec.D):
+            for i in range(1, spec.N):
+                for j in range(1, i + 1):
+                    if gt_oracle.move_up(P, j, i) is None:
+                        continue
+                    try:
+                        want = gt_oracle._raising_coeff(P, j, i, spec)
+                    except DomainError:
+                        with pytest.raises(DomainError, match="pole"):
+                            gt_oracle.package_raising_coeff(P, j, i, spec)
+                        n_pole += 1
+                        continue
+                    assert gt_oracle.package_raising_coeff(P, j, i, spec) == \
+                        pytest.approx(want, rel=1e-12, abs=0.0), (P, i, j)
+                    n_zero += want == 0
+    assert n_zero > 0 and n_pole > 0
 
 
 def test_non_adapted_norm_values_match_fraction_oracle():
@@ -219,6 +264,14 @@ def test_deep_norms_leave_float64_but_stay_exact():
     mod = build_hw_module(spec, margin=8)
     assert mod.norms[-1].adjusted() > 400
     assert np.isfinite(mod.T.vals).all()
+
+
+def test_gt_norm_beyond_float64_is_precision_loss():
+    # c_P at m = 40 is about 1e460: as a float it would read inf
+    spec = n2spec((1, -1), (Fraction(3, 10), Fraction(4, 5)), D=40)
+    with pytest.raises(PrecisionLoss, match="beyond the float64 range"):
+        gt_norm(((40,),), spec)
+    assert 0 < gt_norm(((20,),), spec) < math.inf
 
 
 # --------------------------------------------------------------------------

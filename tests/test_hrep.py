@@ -175,7 +175,8 @@ def test_sparse_sums_match_row_dict_loops(N, eps, r, D, margin):
 
     spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
     mod = build_hw_module(spec, margin=margin)
-    num = gtrep._Numbers(spec)
+    num = gtrep._Numbers(spec, np.array([gtrep._flat(P) for P in mod.basis]))
+    ku = num.kexp().tolist()
     lead = _leading_signs(spec.eps_padded)
     tri = {(i, j): _row_dicts(mod.tri[i - 1, j - 1])
            for i in range(1, N + 1) for j in range(i, N + 1)}
@@ -183,7 +184,7 @@ def test_sparse_sums_match_row_dict_loops(N, eps, r, D, margin):
         for span in range(2, N):
             for i in range(1, N - span + 1):
                 A1, A2 = tri[(i, i + 1)], tri[(i + 1, i + span)]
-                s = [num.power(num.kexp(gtrep._flat(P), i + 1)) / num.qdiff for P in mod.basis]
+                s = [num.power(u) / num.qdiff for u in ku[i]]
                 want = [{c: (ab.get(c, 0) - ba.get(c, 0)) * s[c] for c in ab.keys() | ba.keys()}
                         for ab, ba in zip(_dict_matmul(A1, A2), _dict_matmul(A2, A1))]
                 assert [{c: v for c, v in row.items() if v} for row in want] == tri[(i, i + span)]
