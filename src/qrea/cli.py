@@ -1,26 +1,32 @@
 """Command-line surface: verification suites, representation builds,
 classification, transports, and parameter sweeps with JSON reports.
 
+A command line is ``qrea <command> [--flag value | --flag=value ...]``; a
+value may start with ``-`` (``--eps -,-``), a repeated flag keeps its last
+value, and flags are spelled in full (no prefix abbreviations).  The
+``COMMANDS`` table declares each command's flags with their types and
+defaults; ``-h`` or ``--help``, alone or after a command, lists them.
+
 Every subcommand writes a report with the stable schema
 
     {tool_version, q0, inputs, findings[], max_residual, pass}
 
-to stdout or --out; the exit code is 0 exactly when the report passes,
-1 on a failed check, and 2 on usage errors and on refusals (a
+to stdout or --out; the exit code is 0 exactly when the report passes (and
+after help), 1 on a failed check, and 2 on usage errors and on refusals (a
 ``QreaError`` such as ``PrecisionLoss`` or ``TruncationTooSmall``), which
-write no report.  Randomized sweeps take --seed and record it, so
-identical invocations produce byte-identical reports.
+print ``error: ...`` and write no report.  Randomized sweeps take --seed and
+record it, so identical invocations produce byte-identical reports.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import random
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .braid import QMat, _embedded_factor, build_rhat, minor_braiding
@@ -62,7 +68,7 @@ def _real(text):
     try:
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a decimal or rational: {text!r}") from None
+        raise DomainError(f"not a decimal or rational: {text!r}") from None
 
 
 def _parse_eps(text):
@@ -76,7 +82,7 @@ def _parse_eps(text):
         elif tok == "0":
             out.append(0)
         else:
-            raise argparse.ArgumentTypeError(f"bad sign {tok!r}")
+            raise DomainError(f"bad sign {tok!r}")
     return tuple(out)
 
 
@@ -85,7 +91,7 @@ def _parse_reals(text):
     try:
         return tuple(Fraction(tok) for tok in text.split(","))
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a list of decimals or rationals: {text!r}") from None
+        raise DomainError(f"not a list of decimals or rationals: {text!r}") from None
 
 
 def emit_report(inputs: dict, findings: list, q0, out_path=None) -> dict:
@@ -246,7 +252,7 @@ def cmd_transport(args):
     elif mode == "s":
         out = adjoint_transport_U(rep, *suq2_corep_blocks(args.depth, q0))
     else:
-        raise argparse.ArgumentTypeError(f"unknown transport {mode!r}")
+        raise DomainError(f"unknown transport {mode!r}")
     comps = spectral_components(out)
     ok_counts = all(ext.counts() == ext0.counts() for _, _, ext, _ in comps)
     ok_rmod = all(rmod1_equal(ext.rmod1, ext0.rmod1, 1e-8) for _, _, ext, _ in comps)
@@ -262,6 +268,8 @@ def cmd_transport(args):
 
 
 def cmd_sweep(args):
+    if args.n < 1 or args.cells < 1:
+        raise DomainError("sweep needs --n >= 1 and --cells >= 1")
     rng = random.Random(args.seed)
     # weights are sampled within [-L, L] with L tied to the depth, so that
     # a non-adapted cell always shows a negative norm inside the window
@@ -303,9 +311,9 @@ _REP = _COMMON + (
     ("--margin", {"type": int, "default": None}),
 )
 
-# (name, help, handler, options) of each subcommand.  The handler is named,
-# not referenced, and looked up when a parser is built, so that a wrapper
-# installed on a cmd_* function after import is the one that runs.
+# (name, help, handler, options) of each subcommand, and (flag, {type,
+# default or required, help}) of each option.  The handler is named, not
+# referenced: ``_main`` looks it up when it calls it.
 COMMANDS = (
     ("verify-algebra", "exact identity suites", "cmd_verify_algebra",
      (("--n", {"type": int, "default": 2}),) + _COMMON),
@@ -332,21 +340,49 @@ COMMANDS = (
 )
 
 
-def build_parser(command=None):
-    """The argument parser.  Given a known command, only that subparser is
-    built (the others cost a cold process more than the parse); otherwise
-    all are, so that help and usage errors list every command."""
-    p = argparse.ArgumentParser(prog="qrea", description=__doc__)
-    rows = [row for row in COMMANDS if row[0] == command]
-    # a one-command parser still names every command in its usage line
-    metavar = "{" + ",".join(row[0] for row in COMMANDS) + "}" if rows else None
-    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, handler, options in rows or COMMANDS:
-        sp = sub.add_parser(name, help=help_text)
-        for flag, kwargs in options:
-            sp.add_argument(flag, **kwargs)
-        sp.set_defaults(fn=globals()[handler])
-    return p
+_USAGE = "usage: qrea {" + ",".join(row[0] for row in COMMANDS) + "} [--flag value ...]"
+
+
+def _help(row=None) -> str:
+    """The help of one command (its flags), or of all (every command)."""
+    if row is None:
+        return "\n".join([_USAGE, "", __doc__, "commands:"]
+                         + [f"  {name:16} {text}" for name, text, *_ in COMMANDS])
+    lines = [f"usage: qrea {row[0]} [--flag value ...]", "", row[1], "", "flags:"]
+    for flag, opts in row[3]:
+        need = "required" if opts.get("required") else f"default {opts.get('default')}"
+        lines.append(f"  {flag:10} {opts.get('help', '')} ({need})")
+    return "\n".join(lines)
+
+
+def parse_args(argv):
+    """The handler name and the namespace of one command line, read from
+    ``COMMANDS``; None once help is printed.  A usage error raises
+    ``DomainError``."""
+    row = next((row for row in COMMANDS if argv[:1] == [row[0]]), None)
+    if {"-h", "--help"} & set(argv if row else argv[:1]):
+        print(_help(row))
+        return None
+    if row is None:
+        raise DomainError(f"invalid choice: {argv[0]!r}" if argv else "a command is required")
+    options, given, words = dict(row[3]), {}, iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if flag not in options:
+            raise DomainError(f"unrecognized arguments: {word}")
+        given[flag] = value if eq else next(words, None)
+        if given[flag] is None:
+            raise DomainError(f"argument {flag}: expected a value")
+    args = {}
+    for flag, opts in options.items():
+        if opts.get("required") and flag not in given:
+            raise DomainError(f"the following arguments are required: {flag}")
+        value = given.get(flag, opts.get("default"))
+        try:  # a string default is converted too, as a given value is
+            args[flag[2:]] = opts["type"](value) if isinstance(value, str) else value
+        except ValueError as exc:
+            raise DomainError(f"argument {flag}: {exc}") from None
+    return row[2], SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
@@ -361,15 +397,17 @@ def main(argv=None) -> int:
 
 
 def _main(argv):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        parsed = parse_args(sys.argv[1:] if argv is None else list(argv))
+    except DomainError as exc:
+        print(f"{_USAGE}\nerror: {exc}", file=sys.stderr)
+        return 2
+    if parsed is None:
+        return 0
+    handler, args = parsed
     try:
-        doc = args.fn(args)
-    except (QreaError, argparse.ArgumentTypeError, ValueError) as exc:
+        doc = globals()[handler](args)
+    except (QreaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if doc.get("pass", False) else 1

@@ -549,6 +549,13 @@ class HWModule:
         return RowBlocks(self.lower.cols, self.lower.vals.astype(float))
 
 
+def _per_exponent(f, u: np.ndarray) -> np.ndarray:
+    """f(x) for each x of the int array u, as an object array; f is called
+    once per distinct x."""
+    distinct, at = np.unique(u, return_inverse=True)
+    return np.array([f(x) for x in distinct.tolist()], dtype=object)[at]
+
+
 def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
     """Construct the truncated module with orthonormalized operator matrices.
 
@@ -595,7 +602,7 @@ def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
     with localcontext(num.context):
         norms = num.norms()
         root = np.sqrt(norms)  # f_i[t, tt] = a sqrt(c_tt / c_t), a the raising coefficient
-        ku = num.kexp().tolist()
+        ku = num.kexp()
         rows, cols, vals = [], [], []   # f_i[t, tt] at flat row (i - 1) dim + t
         for i in range(1, N):
             for j in range(1, i + 1):
@@ -614,11 +621,11 @@ def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
         # the diagonal factors acting first (they scale columns); then
         # T[i,j] = [T[i,i+1], T[i+1,j]] / (q - q^{-1}) K_{i+1}
         blocks = {(i, i): RowBlocks(np.arange(dim)[:, None],
-                                    np.array([[num.power(-u)] for u in ku[i - 1]], dtype=object))
+                                    _per_exponent(num.power, -ku[i - 1])[:, None])
                   for i in range(1, N + 1)}
         for i in range(1, N):
-            s = np.array([-num.qdiff * num.power((num.L2 - ku[i - 1][c] - ku[i][c]) // 2)
-                          for c in range(dim)], dtype=object)
+            s = _per_exponent(lambda u: -num.qdiff * num.power(u),
+                              (num.L2 - ku[i - 1] - ku[i]) // 2)
             F = lower[i - 1]
             blocks[(i, i + 1)] = RowBlocks(F.cols, F.vals * s[F.cols])
         for span in range(2, N):
@@ -629,7 +636,7 @@ def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
                 AB, BA = _product(A1, A2), _product(A2, A1)
                 C = RowBlocks.from_coo((dim,), *map(np.concatenate, zip(
                     _entries(AB), _entries(RowBlocks(BA.cols, -BA.vals)))))
-                s = np.array([num.power(ku[i][c]) / num.qdiff for c in range(dim)], dtype=object)
+                s = _per_exponent(lambda u: num.power(u) / num.qdiff, ku[i])
                 blocks[(i, i + span)] = RowBlocks(C.cols, C.vals * s[C.cols])
         tri = RowBlocks.from_coo((N, N, dim), *map(np.concatenate, zip(
             *(_entries(X, (i - 1) * N + j - 1) for (i, j), X in blocks.items()))))

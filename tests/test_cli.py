@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qrea.cli import COMMANDS, build_parser, main
+from qrea.cli import COMMANDS, main, parse_args
+from qrea.errors import DomainError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -351,14 +354,120 @@ def test_no_command_imports_numpy_random(tmp_path):
     assert result == {"codes": [0] * len(TINY_ARGVS), "numpy_random": False}
 
 
+REP_VALUES = {"n": 2, "eps": (1, -1), "r": (Fraction(3, 10), Fraction(4, 5)), "depth": 10,
+              "margin": 6}
+TINY_VALUES = {
+    "verify-algebra": ("cmd_verify_algebra", {"n": 2}),
+    "rep-build": ("cmd_rep_build", REP_VALUES),
+    "rep-verify": ("cmd_rep_verify", {**REP_VALUES, "tol": 1e-9}),
+    "classify-roots": ("cmd_classify_roots", {"roots": "1,0.25", "eps": None}),
+    "characters": ("cmd_characters", {"n": 2, "samples": 1, "seed": 0}),
+    "transport": ("cmd_transport", {**REP_VALUES, "by": "uchar:0.3,0.7"}),
+    "sweep": ("cmd_sweep", {"n": 2, "cells": 3, "depth": 8, "seed": 0}),
+}
+
+
 @pytest.mark.parametrize("argv", TINY_ARGVS, ids=lambda argv: argv[0])
 def test_single_command_parser(argv):
-    """The parser built for one command parses its argv as the full parser
-    does, and knows no other command."""
-    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
-    other = next(row[0] for row in COMMANDS if row[0] != argv[0])
-    with pytest.raises(SystemExit):
-        build_parser(argv[0]).parse_args([other])
+    """A command line parses to its handler's name and the value of every
+    flag of that one command, defaults included (a string default such as
+    --q's "0.5" converted like a given value); a flag that only another
+    command declares is refused."""
+    handler, values = TINY_VALUES[argv[0]]
+    assert parse_args(argv) == (handler, SimpleNamespace(q=0.5, out=None, **values))
+    own = {flag for row in COMMANDS if row[0] == argv[0] for flag, _ in row[3]}
+    other = next(flag for row in COMMANDS for flag, _ in row[3] if flag not in own)
+    with pytest.raises(DomainError, match=f"unrecognized arguments: {other}"):
+        parse_args([*argv, other, "1"])
+
+
+TINY_CHILD_IMPORTS = """
+import json, sys
+from qrea.cli import main
+codes = [main(argv + ["--out", f"{i}.json"]) for i, argv in enumerate(json.loads(sys.argv[1]))]
+codes.append(main(["--help"]))
+print(json.dumps({"codes": codes,
+                  "loaded": [m for m in ("argparse", "gettext", "locale") if m in sys.modules]}))
+"""
+
+
+def test_no_command_imports_parser_machinery(tmp_path):
+    """The command line is read from COMMANDS alone: argparse, and the
+    gettext and locale it reaches, would cost every cold invocation about
+    3 ms."""
+    proc = subprocess.run([sys.executable, "-c", TINY_CHILD_IMPORTS, json.dumps(TINY_ARGVS)],
+                          capture_output=True, text=True, cwd=tmp_path, env=child_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * (len(TINY_ARGVS) + 1), "loaded": []}
+
+
+def _joined(argv):
+    """argv with every ``--flag value`` pair written as ``--flag=value``."""
+    out = argv[:1]
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        out.append(f"{flag}={value}")
+    return out
+
+
+@pytest.mark.parametrize("argv", TINY_ARGVS + [
+    ["rep-verify", "--n", "2", "--eps", "-,-", "--r", "-2/5,-1/2", "--depth", "10",
+     "--margin", "6"],
+], ids=lambda argv: argv[0] + ("-neg" if "-,-" in argv else ""))
+def test_flag_value_and_flag_equals_value_agree(tmp_path, argv):
+    """--flag value and --flag=value give byte-identical reports, also for
+    a value that starts with '-'."""
+    reports = []
+    for i, words in enumerate((argv, _joined(argv))):
+        out = tmp_path / f"{i}.json"
+        assert main(words + ["--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bogus"], "invalid choice: 'bogus'"),
+    ([], "a command is required"),
+    (["sweep", "--bogus", "1"], "unrecognized arguments: --bogus"),
+    (["sweep", "--dep", "5"], "unrecognized arguments: --dep"),
+    (["sweep", "3"], "unrecognized arguments: 3"),
+    (["rep-verify", "--n", "2", "--eps", "+,-"], "required: --r"),
+    (["classify-roots", "--roots"], "argument --roots: expected a value"),
+    (["sweep", "--n", "two"], "argument --n: invalid literal for int()"),
+    (["rep-verify", "--n", "2", "--eps", "+,x", "--r", "0.3,0.8"], "argument --eps: bad sign 'x'"),
+    (["verify-algebra", "--q", "abc"], "argument --q: not a decimal or rational: 'abc'"),
+], ids=["unknown-command", "no-command", "unknown-flag", "prefix", "positional",
+        "missing-required", "missing-value", "int", "eps", "q"])
+def test_usage_errors_write_nothing(tmp_path, capsys, argv, message):
+    """Every usage error exits 2 with a usage line that names every command
+    and an error message, and writes no report."""
+    out = tmp_path / "out.json"
+    words = argv[:1] + ["--out", str(out)] + argv[1:] if argv else argv
+    assert main(words) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    usage, error = captured.err.splitlines()
+    assert all(name in usage for name, *_ in COMMANDS)
+    assert error.startswith("error: ") and message in error
+
+
+@pytest.mark.parametrize("name,options", [(row[0], row[3]) for row in COMMANDS],
+                         ids=[row[0] for row in COMMANDS])
+def test_command_help_names_every_flag(capsys, name, options):
+    assert main([name, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and all(flag in captured.out for flag, _ in options)
+
+
+@pytest.mark.parametrize("args", [["--n", "2", "--cells", "-1"], ["--n", "0", "--cells", "2"],
+                                  ["--cells", "0"]], ids=lambda args: "".join(args))
+def test_sweep_needs_a_cell(tmp_path, capsys, args):
+    """A sweep of no cells, or of cells of no size, checks nothing: it is
+    refused rather than passed."""
+    out = tmp_path / "out.json"
+    assert main(["sweep", *args, "--out", str(out)]) == 2
+    assert "error: sweep needs" in capsys.readouterr().err and not out.exists()
 
 
 def test_help_and_usage_errors_list_every_command(capsys):

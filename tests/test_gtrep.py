@@ -558,6 +558,54 @@ def test_module_operators_are_sparse_and_densify_to_the_dump():
         assert np.array_equal(np.array(ops[f"e{i}"]), f[i - 1].T)
 
 
+def _block_entries(X):
+    """One block of a RowBlocks layout as {(row, column): Decimal digits}."""
+    from qrea import gtrep
+
+    r, c, v = gtrep._entries(X)
+    return {(a, b): str(x) for a, b, x in zip(r.tolist(), c.tolist(), v)}
+
+
+@pytest.mark.parametrize("N,eps,r,D,margin", [
+    (2, (1, -1), (Fraction(3, 10), Fraction(4, 5)), 30, 8),
+    (3, (1, -1, 1), (Fraction(3, 10), Fraction(4, 5), Fraction(4, 5)), 16, 8),
+    (4, (1, -1, 1, -1), (Fraction(1, 10),) * 4, 10, 6),
+])
+def test_t_chain_matches_per_column_scales(N, eps, r, D, margin):
+    """The T blocks, whose column scales are evaluated once per distinct K
+    exponent, are digit for digit the chain with one scale per column:
+    T[i,i] = K_i^{-1}, T[i,i+1] = f_i scaled by -(q - q^{-1}) q^{(1 - u_i -
+    u_{i+1}) / 2}, and T[i,j] = [T[i,i+1], T[i+1,j]] scaled by K_{i+1} / (q -
+    q^{-1}), with u_i the K_i exponent of each column."""
+    from qrea import gtrep
+
+    spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
+    mod = build_hw_module(spec, margin=margin)
+    dim = mod.dim
+    num = gtrep._Numbers(spec, np.array([gtrep._flat(P) for P in mod.basis]))
+    ku = num.kexp().tolist()
+    with localcontext(mod.context):
+        want = {(i, i): RowBlocks(np.arange(dim)[:, None],
+                                  np.array([[num.power(-u)] for u in ku[i - 1]], dtype=object))
+                for i in range(1, N + 1)}
+        for i in range(1, N):
+            s = np.array([-num.qdiff * num.power((num.L2 - ku[i - 1][c] - ku[i][c]) // 2)
+                          for c in range(dim)], dtype=object)
+            F = mod.lower[i - 1]
+            want[(i, i + 1)] = RowBlocks(F.cols, F.vals * s[F.cols])
+        for span in range(2, N):
+            for i in range(1, N - span + 1):
+                A1, A2 = want[(i, i + 1)], want[(i + 1, i + span)]
+                AB, BA = gtrep._product(A1, A2), gtrep._product(A2, A1)
+                C = RowBlocks.from_coo((dim,), *map(np.concatenate, zip(
+                    gtrep._entries(AB), gtrep._entries(RowBlocks(BA.cols, -BA.vals)))))
+                s = np.array([num.power(ku[i][c]) / num.qdiff for c in range(dim)], dtype=object)
+                want[(i, i + span)] = RowBlocks(C.cols, C.vals * s[C.cols])
+    assert len(want) == N * (N + 1) // 2
+    for (i, j), X in want.items():
+        assert _block_entries(mod.tri[i - 1, j - 1]) == _block_entries(X), (i, j)
+
+
 def test_detect_finite_rejects_infinite():
     spec = n2spec((1, -1), (0.3, 0.8), D=8)
     assert detect_finite(spec) is None
