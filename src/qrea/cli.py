@@ -4,14 +4,16 @@ classification, transports, and parameter sweeps with JSON reports.
 A command line is ``qrea <command> [--flag value | --flag=value ...]``; a
 value may start with ``-`` (``--eps -,-``), a repeated flag keeps its last
 value, and flags are spelled in full (no prefix abbreviations).  The
-``COMMANDS`` table declares each command's flags with their types and
-defaults; ``-h`` or ``--help``, alone or after a command, lists them.
+``COMMANDS`` table declares only the flags that each command reads, with
+their types and defaults, and reads every value before anything is built;
+``-h`` or ``--help``, alone or after a command, lists them.
 
 Every subcommand writes a report with the stable schema
 
     {tool_version, q0, inputs, findings[], max_residual, pass}
 
-to stdout or --out; the exit code is 0 exactly when the report passes (and
+to stdout or --out, through one writer (``_write``; q0 is null where q is
+not read); the exit code is 0 exactly when the report passes (and
 after help), 1 on a failed check, and 2 on usage errors and on refusals (a
 ``QreaError`` such as ``PrecisionLoss`` or ``TruncationTooSmall``), which
 print ``error: ...`` and write no report.  Randomized sweeps take --seed and
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import random
 import sys
 from dataclasses import asdict
@@ -94,24 +97,54 @@ def _parse_reals(text):
         raise DomainError(f"not a list of decimals or rationals: {text!r}") from None
 
 
-def emit_report(inputs: dict, findings: list, q0, out_path=None) -> dict:
-    """Assemble the stable report schema; findings are sorted by name."""
-    findings = sorted(findings, key=lambda f: f["name"])
-    residuals = [f.get("residual") for f in findings if f.get("residual") is not None]
+_BY = {"scale:": float, "uchar:": lambda t: tuple(map(float, t.split(","))),
+       "vector": None, "s": None}
+
+
+def _parse_by(text):
+    """A transport: its kind, its parameter (a scale, a tuple of angles or
+    None, read by ``_BY``) and the text it was read from."""
+    kind, colon, rest = text.partition(":")
+    if kind + colon not in _BY:
+        raise DomainError(f"unknown transport {text!r}")
+    try:
+        param = _BY[kind + colon](rest) if colon else None
+    except ValueError:
+        raise DomainError(f"not a number in {text!r}") from None
+    return SimpleNamespace(kind=kind, param=param, text=text)
+
+
+def _write(text: str, out_path=None, stream=None) -> None:
+    """Write text and a newline to the file ``out_path``, else to ``stream``
+    (stdout by default).  Once a reader closes the stream, the rest goes to
+    the null device: the run keeps its exit code."""
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.write(text + "\n")
+        return
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, (stream or sys.stdout).fileno())
+        os.close(null)
+
+
+def emit_report(inputs: dict, findings: list, args) -> dict:
+    """Assemble the stable report schema and write it to ``args.out`` or
+    stdout.  Findings are sorted by name, with residual null where they give
+    none; q0 is the command's --q, and null for a command that declares none."""
+    findings = sorted(({"residual": None, **f} for f in findings), key=lambda f: f["name"])
+    residuals = [f["residual"] for f in findings if f["residual"] is not None]
     doc = {
         "tool_version": __version__,
-        "q0": float(q0) if q0 is not None else None,
+        "q0": getattr(args, "q", None),
         "inputs": inputs,
         "findings": findings,
         "max_residual": max(residuals) if residuals else 0.0,
         "pass": all(f["ok"] for f in findings),
     }
-    text = json.dumps(doc, indent=2, sort_keys=True, default=float)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(doc, indent=2, sort_keys=True, default=float), args.out)
     return doc
 
 
@@ -120,25 +153,22 @@ def emit_report(inputs: dict, findings: list, q0, out_path=None) -> dict:
 
 
 def cmd_verify_algebra(args):
-    findings = []
     n = args.n
-    rep = identity_suite(n)
-    for f in rep["findings"]:
-        findings.append({"name": f"ncalg.{f['name']}", "ok": f["ok"],
-                         "residual": None, "detail": f.get("detail", "")})
+    findings = [{"name": f"ncalg.{f['name']}", "ok": f["ok"], "detail": f.get("detail", "")}
+                for f in identity_suite(n)["findings"]]
     R, Rinv = build_rhat(n)
     I2 = QMat.eye(n * n)
     R12, R23 = (_embedded_factor(n, 3, pos, R) for pos in (1, 2))
     braid_ok = R12 @ R23 @ R12 == R23 @ R12 @ R23
-    findings.append({"name": "braid.braid_relation", "ok": braid_ok, "residual": None})
+    findings.append({"name": "braid.braid_relation", "ok": braid_ok})
     hecke_ok = ((R - I2.scale(qpow(-1))) @ (R + I2.scale(qpow(1)))).is_zero()
-    findings.append({"name": "braid.hecke_relation", "ok": hecke_ok, "residual": None})
-    findings.append({"name": "braid.inverse", "ok": R @ Rinv == I2, "residual": None})
+    findings.append({"name": "braid.hecke_relation", "ok": hecke_ok})
+    findings.append({"name": "braid.inverse", "ok": R @ Rinv == I2})
     if n >= 2:
         B, Binv = minor_braiding(n, 1, 2)
         findings.append({"name": "braid.minor_braiding_inverse",
-                         "ok": Binv @ B == QMat.eye(B.cols), "residual": None})
-    return emit_report({"command": "verify-algebra", "n": n}, findings, args.q, args.out)
+                         "ok": Binv @ B == QMat.eye(B.cols)})
+    return emit_report({"command": "verify-algebra", "n": n}, findings, args)
 
 
 def _spec_from_args(args):
@@ -146,50 +176,31 @@ def _spec_from_args(args):
 
 
 def cmd_rep_build(args):
-    spec = _spec_from_args(args)
-    mod = build_hw_module(spec, margin=args.margin)
-    doc = hw_module_to_json(mod)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc + "\n")
-    else:
-        print(doc)
+    mod = build_hw_module(_spec_from_args(args), margin=args.margin)
+    _write(hw_module_to_json(mod), args.out)
     return {"pass": True}
 
 
-def _rep_findings(rep, tol):
-    findings = verify_rep(rep, tol)
-    extra = {}
+def cmd_rep_verify(args):
+    rep = build_bigcell_rep(_spec_from_args(args), margin=args.margin)
+    findings = verify_rep(rep, args.tol)
+    inputs = {"command": "rep-verify", "n": args.n, "eps": list(args.eps),
+              "r": [str(x) for x in args.r], "depth": args.depth, "margin": args.margin}
     try:
         roots, sig, ext, rank = spectral_data(rep)
-        extra = {
-            "roots": [float(x) for x in roots],
-            "signature": list(sig),
-            "rank": rank,
-            "extsig": asdict(ext),
-        }
-        findings.append({"name": "spectral_admissible", "ok": True, "residual": None})
+        inputs.update(roots=[float(x) for x in roots], signature=list(sig), rank=rank,
+                      extsig=asdict(ext))
+        findings.append({"name": "spectral_admissible", "ok": True})
     except QreaError as exc:
-        findings.append({"name": "spectral_admissible", "ok": False,
-                         "residual": None, "detail": str(exc)})
-    return findings, extra
-
-
-def cmd_rep_verify(args):
-    spec = _spec_from_args(args)
-    rep = build_bigcell_rep(spec, margin=args.margin)
-    findings, extra = _rep_findings(rep, args.tol)
-    inputs = {"command": "rep-verify", "n": args.n, "eps": list(args.eps),
-              "r": [str(x) for x in args.r], "depth": args.depth,
-              "margin": args.margin, **extra}
-    return emit_report(inputs, findings, args.q, args.out)
+        findings.append({"name": "spectral_admissible", "ok": False, "detail": str(exc)})
+    return emit_report(inputs, findings, args)
 
 
 def cmd_classify_roots(args):
     roots = [_real(t) for t in args.roots.split(",")]
     q0 = args.q
     dec = admissible_roots(roots, q0)
-    findings = [{"name": "admissible", "ok": dec is not None, "residual": None}]
+    findings = [{"name": "admissible", "ok": dec is not None}]
     inputs = {"command": "classify-roots", "roots": roots}
     if dec is not None:
         ext = ext_signature(roots, q0)
@@ -200,7 +211,7 @@ def cmd_classify_roots(args):
         }
         if args.eps:
             inputs["canonical_weight"] = canonical_weight(roots, args.eps, q0)
-    return emit_report(inputs, findings, args.q, args.out)
+    return emit_report(inputs, findings, args)
 
 
 def cmd_characters(args):
@@ -212,8 +223,6 @@ def cmd_characters(args):
     for N in range(2, args.n + 1):
         for k in range(N + 1):
             for l in range((N - k) // 2 + 1):
-                if k + 2 * l > N:
-                    continue
                 for _ in range(args.samples):
                     a = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
                     c = Fraction(rng.randrange(1, 9), rng.randrange(1, 9))
@@ -226,45 +235,36 @@ def cmd_characters(args):
                     Z = star_character_exact(p, N)
                     ok = reflection_defect_exact(Z, N).is_zero()
                     count += 1
-                    findings.append({
-                        "name": f"char[N={N},k={k},l={l}]#{count}",
-                        "ok": ok, "residual": None,
-                    })
+                    findings.append({"name": f"char[N={N},k={k},l={l}]#{count}", "ok": ok})
     return emit_report({"command": "characters", "n": args.n, "seed": args.seed,
                         "samples": args.samples, "checked": count},
-                       findings, args.q, args.out)
+                       findings, args)
 
 
 def cmd_transport(args):
-    spec = _spec_from_args(args)
-    rep = build_bigcell_rep(spec, margin=args.margin)
-    roots0, sig0, ext0, rank0 = spectral_data(rep)
-    findings = []
-    q0 = args.q
-    mode = args.by
-    if mode.startswith("scale:"):
-        out = adjoint_transport_T(rep, *scaling_blocks(args.n, float(mode[6:])))
-    elif mode == "vector":
-        out = adjoint_transport_T(rep, *vector_trep(args.n, q0))
-    elif mode.startswith("uchar:"):
-        thetas = tuple(float(t) for t in mode[6:].split(","))
-        out = adjoint_transport_U(rep, *uchar_blocks(thetas))
-    elif mode == "s":
-        out = adjoint_transport_U(rep, *suq2_corep_blocks(args.depth, q0))
-    else:
-        raise DomainError(f"unknown transport {mode!r}")
+    rep = build_bigcell_rep(_spec_from_args(args), margin=args.margin)
+    ext0 = spectral_data(rep)[2]
+    by = args.by  # parsed by the table
+    if by.kind == "scale":
+        out = adjoint_transport_T(rep, *scaling_blocks(args.n, by.param))
+    elif by.kind == "vector":
+        out = adjoint_transport_T(rep, *vector_trep(args.n, args.q))
+    elif by.kind == "uchar":
+        out = adjoint_transport_U(rep, *uchar_blocks(by.param))
+    else:  # "s"
+        out = adjoint_transport_U(rep, *suq2_corep_blocks(args.depth, args.q))
     comps = spectral_components(out)
     ok_counts = all(ext.counts() == ext0.counts() for _, _, ext, _ in comps)
     ok_rmod = all(rmod1_equal(ext.rmod1, ext0.rmod1, 1e-8) for _, _, ext, _ in comps)
-    findings.append({"name": "components_found", "ok": bool(comps), "residual": None,
-                     "detail": f"{len(comps)} components"})
-    findings.append({"name": "extsig_counts_invariant", "ok": ok_counts, "residual": None})
-    findings.append({"name": "extsig_class_invariant", "ok": ok_rmod, "residual": None})
-    inputs = {"command": "transport", "by": mode, "n": args.n,
+    findings = [{"name": "components_found", "ok": bool(comps),
+                 "detail": f"{len(comps)} components"},
+                {"name": "extsig_counts_invariant", "ok": ok_counts},
+                {"name": "extsig_class_invariant", "ok": ok_rmod}]
+    inputs = {"command": "transport", "by": by.text, "n": args.n,
               "eps": list(args.eps), "r": [str(x) for x in args.r],
               "extsig_before": asdict(ext0),
               "components": len(comps)}
-    return emit_report(inputs, findings, args.q, args.out)
+    return emit_report(inputs, findings, args)
 
 
 def cmd_sweep(args):
@@ -275,35 +275,33 @@ def cmd_sweep(args):
     # a non-adapted cell always shows a negative norm inside the window
     L = max(1, (args.depth - args.n) // 2)
     findings = []
+    n_adapted = 0
     for _ in range(args.cells):
         eps = tuple(rng.choice((-1, 1)) for _ in range(args.n))
         dens = [rng.randrange(1, 5) for _ in range(args.n)]
         r = tuple(Fraction(rng.randrange(-L * d, L * d + 1), d) for d in dens)
-        spec = HWModuleSpec(N=args.n, eps=eps, r=r, D=args.depth, q0=args.q)
+        spec = HWModuleSpec(N=args.n, eps=eps, r=r, D=args.depth)
         adapted = eps_adapted(r, eps)
+        n_adapted += adapted
         nonneg = bool((gt_norm_signs(spec) >= 0).all())
         findings.append({
             "name": f"cell[eps={','.join(map(str, eps))};r={','.join(map(str, r))}]",
             "ok": nonneg == adapted,
-            "residual": None,
             "detail": f"adapted={adapted} all_nonneg={nonneg}",
         })
-    n_adapted = sum(1 for f in findings if "adapted=True" in f["detail"])
     return emit_report({"command": "sweep", "n": args.n, "cells": args.cells,
                         "seed": args.seed, "depth": args.depth,
                         "adapted_cells": n_adapted},
-                       findings, args.q, args.out)
+                       findings, args)
 
 
 # ---------------------------------------------------------------------------
 
 
-_COMMON = (
-    ("--q", {"type": _real, "default": "0.5",
-             "help": "deformation parameter, decimal or rational"}),
-    ("--out", {"type": str, "default": None}),
-)
-_REP = _COMMON + (
+_OUT = (("--out", {"type": str, "default": None}),)
+_Q = (("--q", {"type": _real, "default": "0.5",
+               "help": "deformation parameter, decimal or rational"}),)
+_REP = _Q + _OUT + (
     ("--n", {"type": int, "required": True}),
     ("--eps", {"type": _parse_eps, "required": True, "help": "comma signs, e.g. +,-"}),
     ("--r", {"type": _parse_reals, "required": True, "help": "comma reals, e.g. 0.3,0.8"}),
@@ -316,27 +314,27 @@ _REP = _COMMON + (
 # referenced: ``_main`` looks it up when it calls it.
 COMMANDS = (
     ("verify-algebra", "exact identity suites", "cmd_verify_algebra",
-     (("--n", {"type": int, "default": 2}),) + _COMMON),
+     (("--n", {"type": int, "default": 2}),) + _OUT),
     ("rep-build", "build a module and dump it as JSON", "cmd_rep_build", _REP),
     ("rep-verify", "residuals and spectral data of a build", "cmd_rep_verify",
      (("--tol", {"type": float, "default": 1e-9}),) + _REP),
     ("classify-roots", "admissibility and extended signature", "cmd_classify_roots",
      (("--roots", {"type": str, "required": True, "help": "comma reals"}),
-      ("--eps", {"type": _parse_eps, "default": None})) + _COMMON),
+      ("--eps", {"type": _parse_eps, "default": None})) + _Q + _OUT),
     ("characters", "exact reflection-equation check of the scalar character family",
      "cmd_characters",
      (("--n", {"type": int, "default": 4}),
       ("--samples", {"type": int, "default": 2}),
-      ("--seed", {"type": int, "default": 0})) + _COMMON),
+      ("--seed", {"type": int, "default": 0})) + _OUT),
     ("transport", "adjoint transport and invariance of the extended signature",
      "cmd_transport",
-     (("--by", {"type": str, "required": True,
+     (("--by", {"type": _parse_by, "required": True,
                 "help": "scale:<c> | vector | uchar:<t1,t2,...> | s"}),) + _REP),
     ("sweep", "norm-positivity vs adaptedness sweep", "cmd_sweep",
      (("--n", {"type": int, "default": 2}),
       ("--cells", {"type": int, "default": 100}),
       ("--depth", {"type": int, "default": 8}),
-      ("--seed", {"type": int, "default": 0})) + _COMMON),
+      ("--seed", {"type": int, "default": 0})) + _OUT),
 )
 
 
@@ -361,7 +359,7 @@ def parse_args(argv):
     ``DomainError``."""
     row = next((row for row in COMMANDS if argv[:1] == [row[0]]), None)
     if {"-h", "--help"} & set(argv if row else argv[:1]):
-        print(_help(row))
+        _write(_help(row))
         return None
     if row is None:
         raise DomainError(f"invalid choice: {argv[0]!r}" if argv else "a command is required")
@@ -400,7 +398,7 @@ def _main(argv):
     try:
         parsed = parse_args(sys.argv[1:] if argv is None else list(argv))
     except DomainError as exc:
-        print(f"{_USAGE}\nerror: {exc}", file=sys.stderr)
+        _write(f"{_USAGE}\nerror: {exc}", stream=sys.stderr)
         return 2
     if parsed is None:
         return 0
@@ -408,7 +406,7 @@ def _main(argv):
     try:
         doc = globals()[handler](args)
     except (QreaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(f"error: {exc}", stream=sys.stderr)
         return 2
     return 0 if doc.get("pass", False) else 1
 

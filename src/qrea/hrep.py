@@ -31,14 +31,8 @@ Z -> c^2 Z keeps it at any scale.  A margin of at least twice the word
 length keeps truncation junk out of them.  The quantum-SU(2)
 corepresentation needs only the word length, 2: in the words read here its
 letters reach at most one level per letter above the column they start
-from (``gtrep.suq2_corep_blocks``).  On big-cell builds of mixed sign the
-assembly of Z cancels summands of size q^{-2s}, where s is the top interior
-shell, down to bounded entries; it multiplies the nonzeros of each row of
-the module's Decimal T blocks in ``decimal``, at a precision derived from
-D, r and q (``gtrep._precision``), and is rounded to float64
-once, so the residuals stay near machine precision at any depth (about
-1e-15 at q=1/2 up to D=60 for N=2 and D=26 for N=3).  A build whose
-cancellation the precision does not cover raises ``PrecisionLoss``.
+from (``gtrep.suq2_corep_blocks``).  A big cell's Z is the Gram of its
+module (``gtrep.HWModule.gram``), in float64.
 
 One evaluator, ``eval_poly``, applies exact polynomials to the columns of
 a mask: REA polynomials (central elements, leading minors) on Z, and FRT
@@ -59,14 +53,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
 
 import numpy as np
 
 from . import classify as _classify
 from .braid import _leading_signs, build_rhat
-from .errors import BadCorep, DomainError, NotFactorial, PrecisionLoss
-from .gtrep import HWModule, HWModuleSpec, RowBlocks, _entries, build_hw_module
+from .errors import BadCorep, DomainError, NotFactorial
+from .gtrep import HWModuleSpec, RowBlocks, build_hw_module
 from .ncalg import NCPoly, central_sigma, leading_minor_Z, letter_indices
 
 __all__ = [
@@ -155,52 +148,6 @@ def _identity_entries(mask: np.ndarray):
 # constructions
 
 
-def _gram(mod: HWModule, lead) -> RowBlocks:
-    """Z_ij = sum over rows m <= min(i,j) of eps_[m] T[m,i]^T T[m,j].
-
-    The products of the nonzeros of each row of T[m,i] and T[m,j] are
-    summed in the module's decimal context, m by m and row by row, and Z_ij
-    (i <= j) is rounded once to float64; Z_ji = Z_ij^T.  Only the nonzeros
-    are kept.  Where verification reads Z (entries in an interior row or
-    column of Z_ij) the sums cancel summands far larger than the result, so
-    PrecisionLoss is raised when the largest such summand, at the context's
-    precision, could move an entry by more than 1e-17 of the largest such
-    entry.
-    """
-    N, dim, inner = mod.N, mod.dim, mod.interior
-    T, nz = mod.tri, mod.tri.vals != 0
-    rows, cols, vals = [], [], []   # the nonzeros of Z, at flat rows over (N, N, dim)
-    biggest = scale = Decimal(0)
-    with localcontext(mod.context):
-        for i in range(1, N + 1):
-            for j in range(i, N + 1):
-                a, b, p = [], [], []   # Z_ij[a, b] gets the summands p, m by m and row by row
-                for m in range(1, i + 1):
-                    X, Y = T[m - 1, i - 1], T[m - 1, j - 1]
-                    pairs = nz[m - 1, i - 1][:, :, None] & nz[m - 1, j - 1][:, None, :]
-                    r, t, s = np.nonzero(pairs & (lead[m - 1] != 0))
-                    a.append(X.cols[r, t])
-                    b.append(Y.cols[r, s])
-                    p.append(lead[m - 1] * X.vals[r, t] * Y.vals[r, s])
-                a, b, p = map(np.concatenate, (a, b, p))
-                biggest = np.abs(p[inner[a] | inner[b]]).max(initial=biggest)
-                a, b, v = _entries(RowBlocks.from_coo((dim,), a, b, p))
-                scale = np.abs(v[inner[a] | inner[b]]).max(initial=scale)
-                v = v.astype(float)
-                rows.append(((i - 1) * N + j - 1) * dim + a)
-                cols.append(b)
-                vals.append(v)
-                if i < j:
-                    rows.append(((j - 1) * N + i - 1) * dim + b)
-                    cols.append(a)
-                    vals.append(v)
-        if biggest.scaleb(-mod.context.prec) > scale * Decimal("1e-17"):
-            raise PrecisionLoss(
-                f"Z cancels summands up to {biggest:.2e} at {mod.context.prec} digits; "
-                f"its interior entries (up to {scale:.2e}) are not accurate to 1e-17")
-    return RowBlocks.from_coo((N, N, dim), *map(np.concatenate, (rows, cols, vals)))
-
-
 def build_bigcell_rep(spec: HWModuleSpec, margin: int | None = None) -> HermitianRep:
     """Z = T^dagger E_eps T on a truncated highest-weight module.
 
@@ -209,8 +156,7 @@ def build_bigcell_rep(spec: HWModuleSpec, margin: int | None = None) -> Hermitia
     ``spectral_data`` measures from Z.
     """
     mod = build_hw_module(spec, margin=margin)
-    lead = _leading_signs(spec.eps_padded)  # lead[m - 1] = eps_[m]
-    return HermitianRep(N=spec.N, Z=_gram(mod, lead), interior=mod.interior.copy(),
+    return HermitianRep(N=spec.N, Z=mod.gram(), interior=mod.interior.copy(),
                         q0=spec.q0, spec=spec)
 
 

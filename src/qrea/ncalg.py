@@ -337,8 +337,6 @@ class _BaseSystem:
             for coeff, repl in self._pair(mono[-1], g):
                 if len(repl) == 0:
                     parts = {head: ONE}
-                elif len(repl) == 1:
-                    parts = self._rightmul(head, repl[0])
                 else:  # replacements are two-letter words
                     parts = {}
                     for m1, c1 in self._rightmul(head, repl[0]).items():

@@ -112,6 +112,21 @@ def test_usage_error():
                  "--r", "0.3,0.8"]) == 2
 
 
+@pytest.mark.parametrize("by", ["bogus", "scale", "scale:abc", "uchar:0.1,x", "vector:1"])
+def test_bad_transport_is_refused_before_any_build(monkeypatch, capsys, by):
+    """--by is read into its kind and parameter with the rest of the command
+    line: a transport that cannot be read is a usage error before the big
+    cell is built."""
+    import qrea.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a big cell for an unreadable transport")
+
+    monkeypatch.setattr(qrea.cli, "build_bigcell_rep", refuse)
+    assert main(["transport", "--by", by, "--n", "2", "--eps", "+,-", "--r", "0.3,0.8"]) == 2
+    assert "error: argument --by:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [
     ["rep-verify", "--n", "2", "--eps", "+,-", "--r", "1/0,1"],
     ["classify-roots", "--roots", "1/0,1"],
@@ -150,10 +165,14 @@ def test_non_finite_transport_parameter_is_usage_error(capsys, by, message):
      "--tol", "1e-3"],
     ["rep-verify", "--n", "2", "--eps", "+,-", "--r", "0.3,0.8", "--seed", "3"],
     ["verify-algebra", "--tol", "1"],
-], ids=lambda args: args[0])
+    ["verify-algebra", "--q", "0.5"],
+    ["characters", "--q", "0.5"],
+    ["sweep", "--q", "0.5"],
+], ids=lambda args: args[0] + ("-q" if "--q" in args else ""))
 def test_unread_flags_are_usage_errors(capsys, args):
-    """--tol is declared only where it is read (rep-verify), and --seed only
-    where it is read (characters, sweep)."""
+    """--tol is declared only where it is read (rep-verify), --seed only
+    where it is read (characters, sweep), and --q only where q is read: the
+    exact checks hold for generic q, and sign patterns do not depend on it."""
     assert main(args) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -176,6 +195,22 @@ def test_module_entrypoint(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["pass"]
+
+
+def test_closed_stdout_is_not_an_error(tmp_path):
+    """A reader that closes stdout early (``qrea rep-build ... | head -c 10``)
+    gets no more: the run exits with its own code and writes nothing to
+    stderr.  The dump is far larger than a pipe's buffer, so the writer
+    meets the closed pipe."""
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "qrea.cli", "rep-build", "--n", "3",
+         "--eps", "+,-,+", "--r", "3/10,4/5,4/5", "--depth", "12", "--margin", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=child_env())
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), head, err) == (0, b'{"basis": ', b"")
 
 
 DEEP_ROWS = [(2, "+,-", "3/10,4/5", D, 8) for D in (14, 24, 34, 44, 54, 60)] \
@@ -294,16 +329,14 @@ def test_rep_verify_evaluates_central_elements_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("args", [
-    ["verify-algebra", "--n", "2"],
     ["rep-build", "--n", "2", "--eps", "+,-", "--r", "0.3,0.8", "--depth", "8"],
     ["rep-verify", "--n", "2", "--eps", "+,-", "--r", "0.3,0.8", "--depth", "12"],
     ["classify-roots", "--roots", "1,0.25"],
-    ["characters", "--n", "2", "--samples", "1"],
     ["transport", "--by", "scale:0.7", "--n", "2", "--eps", "+,-", "--r", "0.3,0.8",
      "--depth", "12", "--margin", "6"],
-    ["sweep", "--n", "2", "--cells", "4", "--depth", "5"],
 ], ids=lambda args: args[0])
 def test_q_accepts_rationals(tmp_path, args):
+    """Every command that reads q takes it as a decimal or a rational."""
     reports = []
     for q in ("1/2", "0.5"):
         out = tmp_path / f"{q.replace('/', '_')}.json"
@@ -354,15 +387,16 @@ def test_no_command_imports_numpy_random(tmp_path):
     assert result == {"codes": [0] * len(TINY_ARGVS), "numpy_random": False}
 
 
-REP_VALUES = {"n": 2, "eps": (1, -1), "r": (Fraction(3, 10), Fraction(4, 5)), "depth": 10,
-              "margin": 6}
+REP_VALUES = {"q": 0.5, "n": 2, "eps": (1, -1), "r": (Fraction(3, 10), Fraction(4, 5)),
+              "depth": 10, "margin": 6}
 TINY_VALUES = {
     "verify-algebra": ("cmd_verify_algebra", {"n": 2}),
     "rep-build": ("cmd_rep_build", REP_VALUES),
     "rep-verify": ("cmd_rep_verify", {**REP_VALUES, "tol": 1e-9}),
-    "classify-roots": ("cmd_classify_roots", {"roots": "1,0.25", "eps": None}),
+    "classify-roots": ("cmd_classify_roots", {"q": 0.5, "roots": "1,0.25", "eps": None}),
     "characters": ("cmd_characters", {"n": 2, "samples": 1, "seed": 0}),
-    "transport": ("cmd_transport", {**REP_VALUES, "by": "uchar:0.3,0.7"}),
+    "transport": ("cmd_transport", {**REP_VALUES, "by": SimpleNamespace(
+        kind="uchar", param=(0.3, 0.7), text="uchar:0.3,0.7")}),
     "sweep": ("cmd_sweep", {"n": 2, "cells": 3, "depth": 8, "seed": 0}),
 }
 
@@ -371,10 +405,10 @@ TINY_VALUES = {
 def test_single_command_parser(argv):
     """A command line parses to its handler's name and the value of every
     flag of that one command, defaults included (a string default such as
-    --q's "0.5" converted like a given value); a flag that only another
-    command declares is refused."""
+    --q's "0.5" converted like a given value, and --by read into its kind and
+    parameter); a flag that only another command declares is refused."""
     handler, values = TINY_VALUES[argv[0]]
-    assert parse_args(argv) == (handler, SimpleNamespace(q=0.5, out=None, **values))
+    assert parse_args(argv) == (handler, SimpleNamespace(out=None, **values))
     own = {flag for row in COMMANDS if row[0] == argv[0] for flag, _ in row[3]}
     other = next(flag for row in COMMANDS for flag, _ in row[3] if flag not in own)
     with pytest.raises(DomainError, match=f"unrecognized arguments: {other}"):
@@ -436,9 +470,12 @@ def test_flag_value_and_flag_equals_value_agree(tmp_path, argv):
     (["classify-roots", "--roots"], "argument --roots: expected a value"),
     (["sweep", "--n", "two"], "argument --n: invalid literal for int()"),
     (["rep-verify", "--n", "2", "--eps", "+,x", "--r", "0.3,0.8"], "argument --eps: bad sign 'x'"),
-    (["verify-algebra", "--q", "abc"], "argument --q: not a decimal or rational: 'abc'"),
+    (["classify-roots", "--roots", "1", "--q", "abc"],
+     "argument --q: not a decimal or rational: 'abc'"),
+    (["transport", "--by", "scale:abc", *TINY_REP], "argument --by: not a number in 'scale:abc'"),
+    (["transport", "--by", "bogus", *TINY_REP], "argument --by: unknown transport 'bogus'"),
 ], ids=["unknown-command", "no-command", "unknown-flag", "prefix", "positional",
-        "missing-required", "missing-value", "int", "eps", "q"])
+        "missing-required", "missing-value", "int", "eps", "q", "by-number", "by-kind"])
 def test_usage_errors_write_nothing(tmp_path, capsys, argv, message):
     """Every usage error exits 2 with a usage line that names every command
     and an error message, and writes no report."""
