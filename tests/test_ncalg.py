@@ -276,10 +276,13 @@ def _random_z_poly(rng, N, max_len):
     return p
 
 
-@pytest.mark.parametrize("N, eps, max_len", [
+EMBED_CASES = [
     (2, (1, -1), 4), (2, (-1,), 4), (2, (0, 1), 3),
     (3, (1, -1, 0), 3), (3, (-1, 1), 3), (3, (1, 0, -1), 3),
-])
+]
+
+
+@pytest.mark.parametrize("N, eps, max_len", EMBED_CASES)
 def test_memoised_embedding_matches_letter_by_letter(monkeypatch, N, eps, max_len):
     rng = random.Random(f"embed:{N}:{eps}")
     shared = {}
@@ -293,6 +296,49 @@ def test_memoised_embedding_matches_letter_by_letter(monkeypatch, N, eps, max_le
         assert warm == want and fresh == want, p
     (ts,) = shared.values()
     assert len(ts._images) > 1  # the shared system really served word images
+
+
+@pytest.mark.parametrize("N, eps, max_len", EMBED_CASES)
+def test_image_of_product_is_product_of_images(N, eps, max_len):
+    # the embedding is a homomorphism: the normal form of img(a) img(b) is
+    # the image of the product a b
+    rng = random.Random(f"product:{N}:{eps}")
+    ts = TriSystem(N, eps)
+    for _ in range(6):
+        a, b = _random_z_poly(rng, N, max_len), _random_z_poly(rng, N, max_len)
+        got = ts.straighten(embed_iT(a, eps, N) * embed_iT(b, eps, N))
+        assert got == embed_iT(a * b, eps, N), (a, b)
+
+
+def _qcomm_rows(N):
+    """(name, a, b, e) for every row of the suite decided as a b - q^e b a,
+    and for the centrality of every sigma_k."""
+    gens = {(i, j): P(Z(i, j)) for i in range(1, N + 1) for j in range(1, N + 1)}
+    for k in range(1, N + 1):
+        mk = leading_minor_Z(k, N)
+        for (i, j), g in gens.items():
+            yield f"minor_qcomm[{k},{i},{j}]", mk, g, 2 * ((i <= k) - (j <= k))
+            yield f"sigma_central[{k},{i},{j}]", central_sigma(k, N), g, 0
+        for l in range(1, k):
+            yield f"minor_commute[{k},{l}]", mk, leading_minor_Z(l, N), 0
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_qcomm_on_images_matches_expanded_zero_test(N):
+    # the suite's route (the normal form of a product of images) and the
+    # zero test of the expanded product agree on every row: true as stated,
+    # false with the exponent shifted by +-2
+    ts = TriSystem(N)
+
+    def on_images(a, b, e):
+        ia, ib = embed_iT(a, (1,) * N, N), embed_iT(b, (1,) * N, N)
+        return ts.straighten(ia * ib - (ib * ia).scale(qpow(e))).is_zero()
+
+    for name, a, b, e in _qcomm_rows(N):
+        for shift in (0, 2, -2):
+            want = shift == 0
+            assert on_images(a, b, e + shift) is want, (name, shift)
+            assert is_zero_rea(a * b - (b * a).scale(qpow(e + shift)), N) is want, (name, shift)
 
 
 def test_is_zero_rea_basics():
@@ -445,14 +491,16 @@ def test_laplace_small():
             assert fs.straighten(d).is_zero()
 
 
-def test_identity_suite_n2():
-    rep = identity_suite(2)
+@pytest.mark.parametrize("N", [2, 3])
+def test_identity_suite_passes(N):
+    rep = identity_suite(N)
     assert rep["pass"], [f for f in rep["findings"] if not f["ok"]]
 
 
 def test_identity_suite_bound():
-    with pytest.raises(DomainError):
-        identity_suite(5)
+    for N in (5, 0, -2):
+        with pytest.raises(DomainError):
+            identity_suite(N)
 
 
 # --------------------------------------------------------------------------
