@@ -40,6 +40,13 @@ class QMat:
                     self.entries[(i, j)] = v
 
     @staticmethod
+    def _of(rows: int, cols: int, entries: dict) -> "QMat":
+        """Wrap a dict of nonzero LaurentScalar entries without re-checking it."""
+        out = QMat.__new__(QMat)
+        out.rows, out.cols, out.entries = rows, cols, entries
+        return out
+
+    @staticmethod
     def eye(n: int) -> "QMat":
         return QMat(n, n, {(i, i): ONE for i in range(n)})
 
@@ -57,7 +64,7 @@ class QMat:
     def _entrywise(self, other, op) -> "QMat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DomainError("shape mismatch")
-        out = QMat(self.rows, self.cols, dict(self.entries))
+        out = QMat._of(self.rows, self.cols, dict(self.entries))
         for ij, v in other.entries.items():
             out[ij] = op(out[ij], v)
         return out
@@ -69,7 +76,10 @@ class QMat:
         return self._entrywise(other, operator.sub)
 
     def scale(self, s: LaurentScalar) -> "QMat":
-        return QMat(self.rows, self.cols, {ij: v * s for ij, v in self.entries.items()})
+        if not s:
+            return QMat(self.rows, self.cols)
+        # a product of nonzero Laurent polynomials is nonzero
+        return QMat._of(self.rows, self.cols, {ij: v * s for ij, v in self.entries.items()})
 
     def __matmul__(self, other: "QMat") -> "QMat":
         if self.cols != other.rows:
@@ -83,17 +93,17 @@ class QMat:
                 key = (i, j)
                 cur = acc.get(key)
                 acc[key] = a * b if cur is None else cur + a * b
-        return QMat(self.rows, other.cols, acc)
+        return QMat._of(self.rows, other.cols, {ij: v for ij, v in acc.items() if v})
 
     def kron(self, other: "QMat") -> "QMat":
         out = {}
         for (i, j), a in self.entries.items():
             for (k, l), b in other.entries.items():
                 out[(i * other.rows + k, j * other.cols + l)] = a * b
-        return QMat(self.rows * other.rows, self.cols * other.cols, out)
+        return QMat._of(self.rows * other.rows, self.cols * other.cols, out)
 
     def transpose(self) -> "QMat":
-        return QMat(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+        return QMat._of(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
 
     def is_zero(self) -> bool:
         return not self.entries

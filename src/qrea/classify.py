@@ -199,13 +199,6 @@ def star_character_exact(p: CharacterParams, N: int):
 _RHAT = {}
 
 
-def _denominator(c) -> int:
-    """Least common denominator of an exact coefficient's parts."""
-    if isinstance(c, GaussRational):
-        return math.lcm(c.re.denominator, c.im.denominator)
-    return c.denominator
-
-
 def reflection_defect_exact(Zmat, N: int):
     """R Z2 R Z2 - Z2 R Z2 R for a scalar-entry matrix, exactly.
 
@@ -218,7 +211,7 @@ def reflection_defect_exact(Zmat, N: int):
     R = _RHAT.get(N)
     if R is None:
         R = _RHAT[N] = build_rhat(N)[0]
-    d = math.lcm(1, *(_denominator(c) for v in Zmat.entries.values() for c in v.terms.values()))
+    d = math.lcm(1, *(v.denominator for v in Zmat.entries.values()))
     Z2 = QMat.eye(N).kron(Zmat.scale(laurent(d)))
     RZ2, Z2R = R @ Z2, Z2 @ R
     defect = RZ2 @ RZ2 - Z2R @ Z2R

@@ -51,6 +51,7 @@ below about ZERO_TOL of the scale reads as 0.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -84,6 +85,9 @@ TRANSPORT_DIM_CAP = 20000
 ZERO_TOL = 1e-8    # zero decisions, relative to znorm**k at degree k
 EXACT_TOL = 1e-7   # joint eigenvector defects, relative to znorm**k
 CHUNK_FLOATS = 1 << 18  # numbers in the largest temporary of a chunk of block products
+# Verification squares quantities of degree N in Z, so a Z of scale s
+# meets s**(2N); the scales kept are those with s**(2N) in [2**-1000, 2**1000].
+SCALE_EXP2 = 1000
 
 
 @dataclass
@@ -458,6 +462,15 @@ def adjoint_transport_T(rep: HermitianRep, W: np.ndarray, interior: np.ndarray) 
     newdim = rep.dim * m
     if newdim > TRANSPORT_DIM_CAP:
         raise DomainError(f"transport dimension {newdim} exceeds cap {TRANSPORT_DIM_CAP}")
+    # Z' is Z times W twice: its scale is about znorm * max|W|**2 (exactly,
+    # for a scaling), taken in log2 so that the estimate cannot overflow
+    znorm, wmax = rep.znorm(), float(np.abs(W).max(initial=0.0))
+    if znorm and wmax:
+        exp2, limit = math.log2(znorm) + 2 * math.log2(wmax), SCALE_EXP2 / (2 * N)
+        if abs(exp2) > limit:
+            raise DomainError(
+                f"transport takes the scale of Z to 2^{exp2:.1f}, outside [2^-{limit:.4g}, "
+                f"2^{limit:.4g}], where its degree-{2 * N} products stay inside float64")
     C = RowBlocks.from_dense(np.einsum("kiba,ljbc->klijac", W.conj(), W))
     # axes (k, l, i, j, a, c, t, s): the t-th nonzero of row a of Z_kl times
     # the s-th nonzero of row c of C_klij, at row (a, c) of Z'_ij

@@ -368,11 +368,17 @@ class _BaseSystem:
 
 
 def _acc(d, m, c):
-    s = d.get(m, ZERO) + c
+    """Add c to d[m], dropping the entry if it cancels; c is nonzero, as
+    every product of nonzero coefficients is."""
+    cur = d.get(m)
+    if cur is None:
+        d[m] = c
+        return
+    s = cur + c
     if s:
         d[m] = s
     else:
-        d.pop(m, None)
+        del d[m]
 
 
 def _exchange(a, b, corner):
@@ -503,25 +509,21 @@ class TriSystem(_BaseSystem):
         if i == j and k != l:
             # T*[l,j] T[k,j] = q^-1 T[k,j] T*[l,j] + q^-1 (1-q^2) sum_{m<j} T[k,m] T*[l,m]
             out = [(qpow(-1), (b, a))]
-            for m in range(max(k, l), j):
+            for m in range(max(k, l), j):  # m >= k, l: both letters exist
                 t1 = self._plain_or_diag(k, m)
                 t2 = self._star_or_diag(l, m)
-                if t1 is None or t2 is None:
-                    continue
                 out.append((qpow(-1) * one_minus_q2, (t1, t2)))
             return out
         if k == l and i != j:
             # T*[k,i] T[k,j] = q T[k,j] T*[k,i]
             #                  - (1-q^2) sum_{k<m<=min(i,j)} eps_(k,m] T*[m,i] T[m,j]
             out = [(qpow(1), (b, a))]
-            for m in range(k + 1, min(i, j) + 1):
+            for m in range(k + 1, min(i, j) + 1):  # m <= i, j: both letters exist
                 e = _eps_interval(self.eps, k, m)
                 if not e:
                     continue
                 t1 = self._star_or_diag(m, i)
                 t2 = self._plain_or_diag(m, j)
-                if t1 is None or t2 is None:
-                    continue
                 out.append((laurent(-e) * one_minus_q2, (t1, t2)))
             return out
         # k == l, i == j:
@@ -566,8 +568,9 @@ class TriSystem(_BaseSystem):
             for t1, t2, e in letter:
                 ce = c * e
                 for m1, c1 in self._rightmul(mono, t1).items():
+                    ce1 = ce * c1
                     for m2, c2 in self._rightmul(m1, t2).items():
-                        _acc(img, m2, ce * c1 * c2)
+                        _acc(img, m2, ce1 * c2)
         return img
 
 

@@ -160,6 +160,26 @@ def test_non_finite_transport_parameter_is_usage_error(capsys, by, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c,code", [
+    ("1e300", 2), ("1e-160", 2), ("1e150", 2), ("1e-300", 2), ("1e37", 0), ("1e-37", 0),
+])
+def test_transport_scale_outside_float_range_is_refused(tmp_path, capsys, c, code):
+    """A scaling whose transported Z would take verification's degree-2N
+    products out of float64 is refused up front, naming the range, with no
+    NumPy warning; scalings just inside the range pass."""
+    out = tmp_path / "out.json"
+    assert main(["transport", "--by", f"scale:{c}", "--n", "2", "--eps", "+,-",
+                 "--r", "3/10,4/5", "--depth", "14", "--margin", "6",
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "outside [2^-250, 2^250]" in err and "degree-4" in err, err
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_text())["pass"] is True
+
+
 @pytest.mark.parametrize("args", [
     ["transport", "--by", "scale:0.7", "--n", "2", "--eps", "+,-", "--r", "0.3,0.8",
      "--tol", "1e-3"],

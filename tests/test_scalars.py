@@ -96,9 +96,11 @@ def test_divide_exact_stays_rational():
 
 def test_int_and_fraction_forms_agree():
     as_int = LaurentScalar({-2: 3, 0: -1, 1: Fraction(1, 2)})
-    as_fraction = LaurentScalar._of({-2: Fraction(3), 0: Fraction(-1), 1: Fraction(1, 2)})
-    assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
-    assert as_int.render() == as_fraction.render() == "3*q^-2 - 1 + 1/2*q"
+    as_fraction = LaurentScalar({-2: Fraction(3), 0: Fraction(-1), 1: Fraction(1, 2)})
+    as_sum = laurent(Fraction(6, 2), -2) - ONE + laurent(Fraction(1, 2), 1)
+    for other in (as_fraction, as_sum):
+        assert as_int == other and hash(as_int) == hash(other)
+        assert as_int.render() == other.render() == "3*q^-2 - 1 + 1/2*q"
 
 
 def test_gauss_division_stays_exact():
@@ -199,3 +201,133 @@ def test_gauss_render_parse():
     a = laurent(y, 1) + ONE
     assert a.render() == "1 + (4/5+3/5i)*q"
     assert a.conjugate().render() == "1 + (4/5-3/5i)*q"
+
+
+def test_unimodular_point_at_zero_is_one():
+    y = unimodular_point(0)
+    assert y == 1 and hash(y) == hash(1)
+    one = LaurentScalar({0: y})
+    assert {one, ONE} == {ONE} and one.render() == "1"
+    assert laurent(y, 2).terms == {2: 1} and type(laurent(y, 2).terms[2]) is int
+
+
+# -- the packed form against a dict reference ---------------------------------
+#
+# A reference value maps exponent -> (real part, imaginary part), both
+# Fractions, with no zero entry; it is the dict arithmetic that the packed
+# form must agree with, coefficient by coefficient.
+
+
+def _ref(s):
+    return {k: (c.re, c.im) if isinstance(c, GaussRational) else (Fraction(c), Fraction(0))
+            for k, c in s.terms.items()}
+
+
+def _scalar(ref):
+    return LaurentScalar({k: GaussRational(re, im) if im else re for k, (re, im) in ref.items()})
+
+
+def _ref_clean(d):
+    return {k: c for k, c in d.items() if c != (0, 0)}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for k, (re, im) in b.items():
+        r0, i0 = out.get(k, (0, 0))
+        out[k] = (r0 + sign * re, i0 + sign * im)
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for k1, (r1, i1) in a.items():
+        for k2, (r2, i2) in b.items():
+            r0, i0 = out.get(k1 + k2, (0, 0))
+            out[k1 + k2] = (r0 + r1 * r2 - i1 * i2, i0 + r1 * i2 + i1 * r2)
+    return _ref_clean(out)
+
+
+_parts = st.one_of(
+    st.integers(-20, 20),
+    st.integers(-(2 ** 70), 2 ** 70),   # past half of a 64-bit slot
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+)
+refs = st.dictionaries(
+    st.integers(-12, 12), st.tuples(_parts, st.one_of(st.just(0), _parts)), max_size=5,
+).map(lambda d: _ref_clean({k: (Fraction(re), Fraction(im)) for k, (re, im) in d.items()}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(refs, refs)
+def test_packed_arithmetic_matches_dict_reference(ra, rb):
+    a, b = _scalar(ra), _scalar(rb)
+    assert _ref(a) == ra and _ref(b) == rb
+    assert _ref(a + b) == _ref_add(ra, rb)
+    assert _ref(a - b) == _ref_add(ra, rb, -1)
+    assert _ref(a * b) == _ref_mul(ra, rb)
+    assert _ref(-a) == {k: (-re, -im) for k, (re, im) in ra.items()}
+    assert _ref(a.conjugate()) == {k: (re, -im) for k, (re, im) in ra.items()}
+    assert (a == b) == (ra == rb)
+    # the same value reached by another route (other widths and carried
+    # bounds) is equal and hashes alike
+    again = (a * b + a) - a * b
+    assert again == a and hash(again) == hash(a)
+    q0 = 0.37
+    ref_eval = sum(complex(float(re), float(im)) * q0 ** k for k, (re, im) in ra.items())
+    scale = sum(abs(complex(float(re), float(im))) * q0 ** k for k, (re, im) in ra.items())
+    assert abs(a.eval(q0) - ref_eval) <= 1e-14 * max(scale, 1.0)
+
+
+def test_product_crosses_the_slot_width():
+    # (1 + q)^70 has the coefficient C(70, 35) > 2^66, past a 64-bit slot;
+    # every intermediate power is exact
+    p = ONE
+    for n in range(1, 71):
+        p = p * (ONE + Q)
+        assert p.terms == {k: math.comb(n, k) for k in range(n + 1)}
+    assert p.degree() == 70 and p.valuation() == 0
+    # and back down: dividing out (1 + q) repeatedly returns to 1
+    for _ in range(70):
+        p = p.divide_exact(ONE + Q)
+    assert p == ONE
+
+
+def test_sum_crosses_the_slot_width_and_cancels():
+    big = laurent(2 ** 62 - 1, 1) + laurent(-(2 ** 62) + 3, 4)
+    total = big
+    for _ in range(5):
+        total = total + big
+    assert total.terms == {1: 6 * (2 ** 62 - 1), 4: 6 * (-(2 ** 62) + 3)}
+    assert (total - big * 6).is_zero()
+    # the lowest coefficient cancels: the valuation moves up
+    assert (total - laurent(6 * (2 ** 62 - 1), 1)).terms == {4: 6 * (-(2 ** 62) + 3)}
+
+
+def test_huge_coefficients_stay_exact():
+    h = laurent(2 ** 200, 3)
+    assert (h * laurent(3, -1)).terms == {2: 3 * 2 ** 200}
+    assert ((h + ONE) - h) == ONE
+    assert (h * h).terms == {6: 2 ** 400}
+    assert (h + QQI) * (h - QQI) == h * h - QQI * QQI
+    g = laurent(GaussRational(2 ** 200, -(2 ** 199)), -2)
+    assert (g * g.conjugate()).terms == {-4: 2 ** 400 + 2 ** 398}
+    assert h.render() == f"{2 ** 200}*q^3"
+
+
+def test_fraction_and_gauss_round_trips():
+    terms = {-3: Fraction(1, 3), 0: 2, 2: GaussRational(Fraction(1, 2), Fraction(-3, 4)),
+             5: GaussRational(0, 7), 7: Fraction(-5, 6)}
+    s = LaurentScalar(terms)
+    assert s.terms == terms
+    assert [type(c) for c in s.terms.values()] == [Fraction, int, GaussRational,
+                                                    GaussRational, Fraction]
+    assert s.denominator == 12
+    assert (s * 12).denominator == 1
+    # a common factor of the numerators and the denominator cancels
+    half = laurent(Fraction(1, 2)) + laurent(Fraction(1, 2), 1)
+    assert half.denominator == 2 and (half + half).terms == {0: 1, 1: 1}
+    assert ((half * 2) - ONE).terms == {1: 1}
+    z = laurent(GaussRational(Fraction(3, 5), Fraction(4, 5)), 1)
+    assert (z * z.conjugate()) == qpow(2) and type((z * z.conjugate()).terms[2]) is int
+    assert z.inv() * z == ONE
