@@ -15,9 +15,10 @@ Every subcommand writes a report with the stable schema
 to stdout or --out, through one writer (``_write``; q0 is null where q is
 not read); the exit code is 0 exactly when the report passes (and
 after help), 1 on a failed check, and 2 on usage errors and on refusals (a
-``QreaError`` such as ``PrecisionLoss`` or ``TruncationTooSmall``), which
-print ``error: ...`` and write no report.  Randomized sweeps take --seed and
-record it, so identical invocations produce byte-identical reports.
+``QreaError`` such as ``PrecisionLoss`` or ``TruncationTooSmall``, or an
+--out that cannot be written), which print ``error: ...`` and write no
+report.  Randomized sweeps take --seed and record it, so identical
+invocations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -116,11 +117,15 @@ def _parse_by(text):
 
 def _write(text: str, out_path=None, stream=None) -> None:
     """Write text and a newline to the file ``out_path``, else to ``stream``
-    (stdout by default).  Once a reader closes the stream, the rest goes to
+    (stdout by default).  A file that cannot be written is a refusal
+    (``DomainError``).  Once a reader closes the stream, the rest goes to
     the null device: the run keeps its exit code."""
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise DomainError(f"cannot write {out_path}: {exc.strerror}") from None
         return
     try:
         print(text, file=stream, flush=True)

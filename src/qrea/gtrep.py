@@ -74,6 +74,9 @@ __all__ = [
 ]
 
 GTPattern = tuple  # tuple of rows, row k (1-based) has length k
+# Verification squares quantities of degree N in Z, so a Z of scale s
+# meets s**(2N); the scales kept are those with s**(2N) in [2**-1000, 2**1000].
+SCALE_EXP2 = 1000
 
 
 def _slot(i: int, k: int) -> int:
@@ -629,6 +632,13 @@ def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
         raise NegativeNorm(
             f"weight {spec.r} is not adapted to eps={spec.eps}; no unitary module"
         )
+    # the exact spectral roots eps_[k] q^(2(r_k + k) - 2) set the scale of Z
+    limit = SCALE_EXP2 / (2 * N)
+    for k, (e, r) in enumerate(zip(_leading_signs(spec.eps), spec.r), 1):
+        if e and abs(2 * (r + k) - 2) > limit / -math.log2(spec.q0):
+            raise DomainError(
+                f"root {k} of the weight is q^({2 * (r + k) - 2}), outside [2^-{limit:.4g}, "
+                f"2^{limit:.4g}], where verification's degree-{2 * N} products stay inside float64")
 
     # The basis and every sign come from integer comparisons.  The values
     # are Decimals at the precision that the Gram's cancellation needs

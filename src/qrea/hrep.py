@@ -60,7 +60,7 @@ import numpy as np
 from . import classify as _classify
 from .braid import _leading_signs, build_rhat
 from .errors import BadCorep, DomainError, NotFactorial
-from .gtrep import HWModuleSpec, RowBlocks, build_hw_module
+from .gtrep import SCALE_EXP2, HWModuleSpec, RowBlocks, build_hw_module
 from .ncalg import NCPoly, central_sigma, leading_minor_Z, letter_indices
 
 __all__ = [
@@ -85,9 +85,6 @@ TRANSPORT_DIM_CAP = 20000
 ZERO_TOL = 1e-8    # zero decisions, relative to znorm**k at degree k
 EXACT_TOL = 1e-7   # joint eigenvector defects, relative to znorm**k
 CHUNK_FLOATS = 1 << 18  # numbers in the largest temporary of a chunk of block products
-# Verification squares quantities of degree N in Z, so a Z of scale s
-# meets s**(2N); the scales kept are those with s**(2N) in [2**-1000, 2**1000].
-SCALE_EXP2 = 1000
 
 
 @dataclass

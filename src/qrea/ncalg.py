@@ -26,6 +26,10 @@ Letters are packed ints; monomials are tuples of letters; a polynomial maps
 monomials to exact Laurent coefficients.  Straightening folds letters into
 an already normal polynomial one at a time, with a memo on (monomial,
 letter) pairs; the per-call rule budget guards against a broken rule set.
+``_pair(a, b)`` owns a letter pair: its rule, or None when ``a b`` is normal;
+each system builds each rule once, in a table.  The star reverses words and
+keeps TRI normal order, so a starred pair whose right letter is not plain
+gets the *-mirror of the rule of ``b* a*``.
 """
 
 from __future__ import annotations
@@ -224,12 +228,7 @@ class NCPoly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = m1 + m2
-                s = out.get(m, ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                _acc(out, m1 + m2, c1 * c2)
         return NCPoly(self.algebra, out)
 
     def __rmul__(self, other):
@@ -309,23 +308,32 @@ def _star_letter(code):
 
 
 class _BaseSystem:
-    """Shared fold-and-memoize straightening machinery."""
+    """Shared fold-and-memoize straightening machinery.  Subclasses define
+    ``_pair(a, b)``: None when ``a b`` is normal, else its rule, a list of
+    (coeff, word of at most two letters); TRI's is the *-mirror of the rule
+    of ``b* a*`` for a starred ``a`` and a non-plain ``b``.  ``_rule`` builds
+    each pair's rule once per system, in the table ``_rules``."""
 
     algebra = ""
     step_bound = 10 ** 7
 
     def __init__(self):
         self._memo = {}
+        self._rules = {}
         self._steps = 0
 
-    # subclasses: _bad(a, b) -> bool, _pair(a, b) -> list[(coeff, letters)]
+    def _rule(self, a, b):
+        if (a, b) not in self._rules:
+            self._rules[a, b] = self._pair(a, b)
+        return self._rules[a, b]
 
     def _rightmul(self, mono, g):
         key = (mono, g)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if not mono or not self._bad(mono[-1], g):
+        rule = self._rule(mono[-1], g) if mono else None
+        if rule is None:
             res = {mono + (g,): ONE}
         else:
             self._steps += 1
@@ -335,16 +343,14 @@ class _BaseSystem:
                 )
             res = {}
             head = mono[:-1]
-            for coeff, repl in self._pair(mono[-1], g):
-                if len(repl) == 0:
-                    parts = {head: ONE}
-                else:  # replacements are two-letter words
-                    parts = {}
-                    for m1, c1 in self._rightmul(head, repl[0]).items():
-                        for mm, cc in self._rightmul(m1, repl[1]).items():
-                            _acc(parts, mm, c1 * cc)
-                for mm, cc in parts.items():
-                    _acc(res, mm, coeff * cc)
+            for coeff, repl in rule:
+                if not repl:
+                    _acc(res, head, coeff)
+                    continue
+                for m1, c1 in self._rightmul(head, repl[0]).items():
+                    c1 = coeff * c1
+                    for mm, cc in self._rightmul(m1, repl[1]).items():
+                        _acc(res, mm, c1 * cc)
         self._memo[key] = res
         return res
 
@@ -382,12 +388,14 @@ def _acc(d, m, c):
 
 
 def _exchange(a, b, corner):
-    """The quantum-matrix exchange rule for an out-of-order pair of plain
-    letters a = X[i,j], b = X[k,l] (i > k, or i == k and j > l).
+    """The quantum-matrix exchange rule for a pair of plain letters
+    a = X[i,j], b = X[k,l], None when a b is in row-major order (a <= b).
 
     ``corner(i, l)`` is the letter X[i,l] of the correction term, or None
     where that generator vanishes (below the diagonal of TRI).
     """
+    if a <= b:
+        return None
     i, j = (a >> 10) & 0x3FF, a & 0x3FF
     k, l = (b >> 10) & 0x3FF, b & 0x3FF
     if i == k or j == l:
@@ -410,9 +418,6 @@ class FrtSystem(_BaseSystem):
     def __init__(self, N: int):
         super().__init__()
         self.N = N
-
-    def _bad(self, a, b):
-        return a > b
 
     def _pair(self, a, b):
         return _exchange(a, b, _plain)
@@ -440,50 +445,32 @@ class TriSystem(_BaseSystem):
         self.eps = _padded_eps((1,) * N if eps is None else eps, N)
         self._images = {(): {(): ONE}}
 
-    def _bad(self, a, b):
-        za, zb = _zone(a), _zone(b)
-        if za > zb:
-            return True
-        if za < zb:
-            return False
-        if za == _DIAG:
-            ra, sa = (a >> 10) & 0x3FF, a & 0x3FF
-            rb, sb = (b >> 10) & 0x3FF, b & 0x3FF
-            return a > b or (ra == rb and sa != sb)
-        return a > b
-
     # -- pair rules -------------------------------------------------------
 
     def _pair(self, a, b):
         za, zb = _zone(a), _zone(b)
-        if za == _DIAG and zb == _DIAG:
-            ra, sa = (a >> 10) & 0x3FF, a & 0x3FF
-            rb, sb = (b >> 10) & 0x3FF, b & 0x3FF
-            if ra == rb and sa != sb:
-                return [(ONE, ())]
-            return [(ONE, (b, a))]
-        if za == _DIAG and zb == _PLAIN:
+        if za < zb:
+            return None
+        if za == _STAR and zb != _PLAIN:
+            # the *-mirror of the rule of b* a*, whose left letter is plain
+            # or diagonal
+            rule = self._rule(_star_letter(b), _star_letter(a))
+            return rule and [(c.conjugate(), tuple(map(_star_letter, reversed(w))))
+                             for c, w in rule]
+        if za == _PLAIN:
+            return _exchange(a, b, self._plain_or_diag)
+        if za == _STAR:
+            return self._pair_cross(a, b)
+        if zb == _PLAIN:
+            # T[i]^s T[k,l] = q^(s((i == k) - (i == l))) T[k,l] T[i]^s
             i = (a >> 10) & 0x3FF
             s = 1 if (a & 0x3FF) == 0 else -1
             k, l = (b >> 10) & 0x3FF, b & 0x3FF
             return [(qpow(s * ((i == k) - (i == l))), (b, a))]
-        if za == _STAR and zb == _DIAG:
-            kind, k, l = _decode(a)
-            i = (b >> 10) & 0x3FF
-            s = 1 if (b & 0x3FF) == 0 else -1
-            return [(qpow(s * ((i == k) - (i == l))), (b, a))]
-        if za == _PLAIN and zb == _PLAIN:
-            return _exchange(a, b, self._plain_or_diag)
-        if za == _STAR and zb == _STAR:
-            # un-star, reuse the plain rule on the reversed pair, star back
-            _, ai, aj = _decode(a)
-            _, bi, bj = _decode(b)
-            out = []
-            for coeff, repl in _exchange(_plain(bi, bj), _plain(ai, aj), self._plain_or_diag):
-                out.append((coeff, tuple(_star_letter(c) for c in reversed(repl))))
-            return out
-        # za == _STAR, zb == _PLAIN: the cross rules
-        return self._pair_cross(a, b)
+        # two diagonals: same-row opposite powers cancel, the rest commute
+        if a >> 10 == b >> 10 and a != b:
+            return [(ONE, ())]
+        return [(ONE, (b, a))] if a > b else None
 
     def _plain_or_diag(self, i, j):
         """T[i,j] as a letter, the diagonal when i == j, None when lower."""
@@ -493,55 +480,27 @@ class TriSystem(_BaseSystem):
             return _diag(i, +1)
         return None
 
-    def _star_or_diag(self, i, j):
-        if i < j:
-            return _star(i, j)
-        if i == j:
-            return _diag(i, +1)
-        return None
-
     def _pair_cross(self, a, b):
         _, l, i = _decode(a)    # T*[l, i] with l < i
         k, j = (b >> 10) & 0x3FF, b & 0x3FF  # T[k, j] with k < j
-        one_minus_q2 = ONE - qpow(2)
-        if i != j and k != l:
-            return [(ONE, (b, a))]
-        if i == j and k != l:
-            # T*[l,j] T[k,j] = q^-1 T[k,j] T*[l,j] + q^-1 (1-q^2) sum_{m<j} T[k,m] T*[l,m]
-            out = [(qpow(-1), (b, a))]
-            for m in range(max(k, l), j):  # m >= k, l: both letters exist
-                t1 = self._plain_or_diag(k, m)
-                t2 = self._star_or_diag(l, m)
-                out.append((qpow(-1) * one_minus_q2, (t1, t2)))
-            return out
-        if k == l and i != j:
-            # T*[k,i] T[k,j] = q T[k,j] T*[k,i]
-            #                  - (1-q^2) sum_{k<m<=min(i,j)} eps_(k,m] T*[m,i] T[m,j]
-            out = [(qpow(1), (b, a))]
-            for m in range(k + 1, min(i, j) + 1):  # m <= i, j: both letters exist
-                e = _eps_interval(self.eps, k, m)
-                if not e:
-                    continue
-                t1 = self._star_or_diag(m, i)
-                t2 = self._plain_or_diag(m, j)
-                out.append((laurent(-e) * one_minus_q2, (t1, t2)))
-            return out
-        # k == l, i == j:
-        # T*[k,j] T[k,j] = T[k,j] T*[k,j]
-        #                  - (1-q^2) ( sum_{k<m<=j} eps_(k,m] T*[m,j] T[m,j]
-        #                            - sum_{k<=m<j} T[k,m] T*[k,m] )
-        out = [(ONE, (b, a))]
-        for m in range(k + 1, j + 1):
+        P, c = self._plain_or_diag, ONE - qpow(2)
+        if k != l:
+            if i != j:
+                return [(ONE, (b, a))]
+            # T*[l,j] T[k,j] = q^-1 T[k,j] T*[l,j] + q^-1 (1-q^2) sum_{m<j} T[k,m] T*[l,m],
+            # where m >= k, l: both letters exist
+            return [(qpow(-1), (b, a))] + [(qpow(-1) * c, (P(k, m), _star_letter(P(l, m))))
+                                           for m in range(max(k, l), j)]
+        # T*[k,i] T[k,j] = q^(i != j) T[k,j] T*[k,i]
+        #                  - (1-q^2) sum_{k<m<=min(i,j)} eps_(k,m] T*[m,i] T[m,j]
+        #                  + (1-q^2) sum_{k<=m<j} T[k,m] T*[k,m]   (the last only if i == j)
+        out = [(qpow(int(i != j)), (b, a))]
+        for m in range(k + 1, min(i, j) + 1):  # m <= i, j: both letters exist
             e = _eps_interval(self.eps, k, m)
-            if not e:
-                continue
-            t1 = self._star_or_diag(m, j)
-            t2 = self._plain_or_diag(m, j)
-            out.append((laurent(-e) * one_minus_q2, (t1, t2)))
-        for m in range(k, j):
-            t1 = self._plain_or_diag(k, m)
-            t2 = self._star_or_diag(k, m)
-            out.append((one_minus_q2, (t1, t2)))
+            if e:
+                out.append((laurent(-e) * c, (_star_letter(P(m, i)), P(m, j))))
+        if i == j:
+            out += [(c, (P(k, m), _star_letter(P(k, m)))) for m in range(k, j)]
         return out
 
     # -- the embedding of the Z generators ----------------------------------
@@ -562,7 +521,8 @@ class TriSystem(_BaseSystem):
         for m in range(1, min(i, j) + 1):
             e = _eps_interval(self.eps, 0, m)
             if e:
-                letter.append((self._star_or_diag(m, i), self._plain_or_diag(m, j), laurent(e)))
+                letter.append((_star_letter(self._plain_or_diag(m, i)), self._plain_or_diag(m, j),
+                               laurent(e)))
         img = {}
         for mono, c in head.items():
             for t1, t2, e in letter:

@@ -180,6 +180,30 @@ def test_transport_scale_outside_float_range_is_refused(tmp_path, capsys, c, cod
         assert json.loads(out.read_text())["pass"] is True
 
 
+@pytest.mark.parametrize("r,exp2", [("1e20,4/5", "200000000000000000000"), ("600,4/5", "1200"),
+                                    ("-126,4/5", "-252")], ids=["1e20", "600", "-126"])
+@pytest.mark.parametrize("args", [["rep-verify"], ["rep-build"], ["transport", "--by", "vector"]],
+                         ids=lambda args: args[0])
+def test_weight_with_roots_outside_float_range_is_refused(monkeypatch, tmp_path, capsys,
+                                                          args, r, exp2):
+    """A weight whose exact root eps_[k] q^(2(r_k + k) - 2) leaves the scales
+    at which verification's degree-2N products stay in float64 is refused
+    before any pattern array or Decimal context is made; at r_1 = 600 the
+    root q^1200 would underflow to 0 and misread the rank."""
+    import qrea.gtrep
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("made a pattern array for a refused weight")
+
+    monkeypatch.setattr(qrea.gtrep, "_pattern_array", refuse)
+    out = tmp_path / "out.json"
+    assert main([*args, "--n", "2", "--eps", "+,-", "--r", r, "--depth", "14", "--margin", "6",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"root 1 of the weight is q^({exp2}), outside [2^-250, 2^250]" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["transport", "--by", "scale:0.7", "--n", "2", "--eps", "+,-", "--r", "0.3,0.8",
      "--tol", "1e-3"],
@@ -507,6 +531,19 @@ def test_usage_errors_write_nothing(tmp_path, capsys, argv, message):
     usage, error = captured.err.splitlines()
     assert all(name in usage for name, *_ in COMMANDS)
     assert error.startswith("error: ") and message in error
+
+
+@pytest.mark.parametrize("argv", TINY_ARGVS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_is_refused(tmp_path, capsys, argv, where):
+    """An --out that cannot be opened for writing is a refusal: exit 2, one
+    error line that names the path, and no file written."""
+    out = tmp_path / "missing" / "out.json" if where == "missing-directory" else tmp_path
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error: ") and str(out) in error
 
 
 @pytest.mark.parametrize("name,options", [(row[0], row[3]) for row in COMMANDS],

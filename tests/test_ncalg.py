@@ -204,6 +204,67 @@ def test_tri_zone_order():
 
 
 # --------------------------------------------------------------------------
+# the rule set's certificate (Bergman's diamond lemma): normal forms are
+# unique once every overlap ambiguity resolves
+
+
+def tri_letters(N):
+    """The packed letters of TRI at size N: plain, star and both diagonal powers."""
+    out = []
+    for i in range(1, N + 1):
+        out += [Tdiag(i, 1).code, Tdiag(i, -1).code]
+        out += [g(i, j).code for j in range(i + 1, N + 1) for g in (Tplain, Tstar)]
+    return out
+
+
+def frt_letters(N):
+    return [X(i, j).code for i in range(1, N + 1) for j in range(1, N + 1)]
+
+
+def resolved_overlaps(system, letters):
+    """The number of overlaps a b c on ``letters``, where ``a b`` and ``b c``
+    both have rules, once each is checked to resolve: straightening
+    rule(ab)·c and a·rule(bc) gives one normal form.  Also checks that a
+    two-letter word is its own normal form exactly when ``_pair`` gives it
+    no rule."""
+    alg = system.algebra
+    rules = {(a, b): system._pair(a, b) for a in letters for b in letters}
+
+    def expand(rule, left=(), right=()):
+        out = NCPoly.zero(alg)
+        for coeff, word in rule:
+            out = out + NCPoly.word(alg, left + tuple(word) + right, coeff)
+        return system.straighten(out)
+
+    count = 0
+    for (a, b), rule in rules.items():
+        word = NCPoly.word(alg, (a, b))
+        assert (system.straighten(word) == word) == (rule is None), (a, b)
+        for c in letters if rule is not None else ():
+            if rules[b, c] is not None:
+                assert expand(rule, right=(c,)) == expand(rules[b, c], left=(a,)), (a, b, c)
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("algebra, N, epss, overlaps", [
+    ("TRI", 2, list(itertools.product((-1, 0, 1), repeat=2)), 9 * 32),
+    ("TRI", 3, list(itertools.product((-1, 0, 1), repeat=3)), 27 * 256),
+    ("TRI", 4, [(1, 1, 1, 1)], 1220),
+    ("FRT", 4, None, 0 + 4 + 84 + 560),
+], ids=["tri2", "tri3", "tri4-undeformed", "frt1-4"])
+def test_every_overlap_resolves(algebra, N, epss, overlaps):
+    """eps = (1,1,1,1) at N = 4 reaches the lower corner (None) of
+    ``_plain_or_diag``, which smaller N do not; CI runs every eps at N = 4
+    through ``resolved_overlaps``."""
+    if algebra == "FRT":
+        got = sum(resolved_overlaps(FrtSystem(n), frt_letters(n)) for n in range(1, N + 1))
+    else:
+        got = sum(resolved_overlaps(TriSystem(N, eps), tri_letters(N)) for eps in epss)
+    assert got == overlaps
+
+
+# --------------------------------------------------------------------------
 # the embedding and the zero test
 
 
@@ -251,7 +312,8 @@ def _embed_letter_by_letter(p, eps, N):
                     e = _eps_interval(ts.eps, 0, m)
                     if not e:
                         continue
-                    for m1, c1 in ts._rightmul(mono, ts._star_or_diag(m, i)).items():
+                    t1 = ncalg._star_letter(ts._plain_or_diag(m, i))
+                    for m1, c1 in ts._rightmul(mono, t1).items():
                         for m2, c2 in ts._rightmul(m1, ts._plain_or_diag(m, j)).items():
                             nxt[m2] = nxt.get(m2, ZERO) + c * c1 * c2 * laurent(e)
             cur = nxt
