@@ -34,6 +34,7 @@ gets the *-mirror of the rule of ``b* a*``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -656,15 +657,16 @@ def _laplace_defect(I, J, K, Kp, minor) -> NCPoly:
     return out
 
 
-def laplace_row_defect(I, J, K, Kp) -> NCPoly:
-    """delta_{K,K'} X_{I,J} - sum_P (-q)^{wt(P)-wt(K)} X_{I_K,J_P} X_{I^{K'},J^P}."""
-    return _laplace_defect(I, J, K, Kp, frt_minor)
+def laplace_row_defect(I, J, K, Kp, minor=frt_minor) -> NCPoly:
+    """delta_{K,K'} X_{I,J} - sum_P (-q)^{wt(P)-wt(K)} X_{I_K,J_P} X_{I^{K'},J^P};
+    ``minor(I, J)`` is X_{I,J} or any polynomial equal to it in FRT."""
+    return _laplace_defect(I, J, K, Kp, minor)
 
 
-def laplace_column_defect(I, J, K, Kp) -> NCPoly:
+def laplace_column_defect(I, J, K, Kp, minor=frt_minor) -> NCPoly:
     """delta_{K,K'} X_{I,J} - sum_P (-q)^{wt(P)-wt(K)} X_{I_P,J_K} X_{I^P,J^{K'}}."""
     # the row expansion with the roles of rows and columns exchanged
-    return _laplace_defect(J, I, K, Kp, lambda cols, rows: frt_minor(rows, cols))
+    return _laplace_defect(J, I, K, Kp, lambda cols, rows: minor(rows, cols))
 
 
 def rea_entrywise_defect(i: int, j: int, k: int, l: int, N: int) -> NCPoly:
@@ -741,9 +743,26 @@ def cayley_hamilton_entries(N: int):
     return out
 
 
-# The largest N whose suite is run (CI runs N=4); the memo tables of a
-# larger suite may not fit in memory.
-IDENTITY_SUITE_MAX_N = 4
+def _cayley_hamilton_on_images(ts, gens, sigmas) -> dict:
+    """TRI normal forms of the entries of sum_k (-1)^k sigma_k Z^{N-k}, from
+    the images ``gens[i, j]`` of Z[i,j] and ``sigmas[k]`` of sigma_k, by
+    Horner's rule from the right: H = Z - sigma_1, then H <- H Z +
+    (-1)^k sigma_k for k = 2..N.  Each sigma_k stays left of Z^{N-k}, so no
+    step uses its centrality."""
+    idx = range(1, len(sigmas) + 1)
+    H = {(i, j): gens[i, j] - sigmas[1] if i == j else gens[i, j] for i in idx for j in idx}
+    for k in idx[1:]:
+        H = {(i, j): ts.straighten(sum((H[i, t] * gens[t, j] for t in idx), NCPoly.zero("TRI")))
+             for i in idx for j in idx}
+        for i in idx:
+            H[i, i] = H[i, i] + sigmas[k].scale((-1) ** k)
+    return H
+
+
+# The largest N whose suite is run (CI runs N=4 and N=5); the zero-test
+# memo grows about twentyfold from N=4 to N=5, so a larger suite may not fit
+# in memory.
+IDENTITY_SUITE_MAX_N = 5
 
 
 def identity_suite(N: int) -> dict:
@@ -753,10 +772,13 @@ def identity_suite(N: int) -> dict:
     Laplace expansions for all index data, (c) the q-commutation of the
     leading minors with the generators and with each other, and (d) the
     centrality of the quantum determinant in the quantum matrix algebra.
-    Rows (c) embed each leading minor and each generator once and
-    straighten products of those images (a leading minor's image is one
-    monomial), instead of embedding every word of the expanded product.
-    Failures are report rows, never exceptions.
+    Rows (a) and (c) embed each generator, sigma_k and leading minor once
+    and straighten products of those images, instead of embedding every
+    word of an expanded polynomial: (a) by Horner's rule on the images
+    (``_cayley_hamilton_on_images``), (c) as a product of two images (a
+    leading minor's image is one monomial).  Rows (b) straighten each
+    quantum minor once and expand on those normal forms.  Failures are
+    report rows, never exceptions.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
@@ -767,10 +789,16 @@ def identity_suite(N: int) -> dict:
     def row(name, ok, detail=""):
         findings.append({"name": name, "ok": bool(ok), "detail": detail})
 
-    for (i, j), p in cayley_hamilton_entries(N).items():
-        row(f"cayley_hamilton[{i},{j}]", is_zero_rea(p, N))
+    ones = (1,) * N
+    ts = _zero_test_system(N, ones)
+    idx = range(1, N + 1)
+    gens = {(i, j): embed_iT(NCPoly.gen(Z(i, j)), ones, N) for i in idx for j in idx}
+    sigmas = {k: embed_iT(central_sigma(k, N), ones, N) for k in idx}
+    for (i, j), h in _cayley_hamilton_on_images(ts, gens, sigmas).items():
+        row(f"cayley_hamilton[{i},{j}]", h.is_zero())
 
     fs = FrtSystem(N)
+    nf_minor = functools.cache(lambda I, J: fs.straighten(frt_minor(I, J)))
     for k in range(1, N + 1):
         checked = 0
         all_ok = True
@@ -779,8 +807,8 @@ def identity_suite(N: int) -> dict:
                 for l in range(1, k + 1):
                     for K in itertools.combinations(range(1, k + 1), l):
                         for Kp in itertools.combinations(range(1, k + 1), l):
-                            dr = fs.straighten(laplace_row_defect(I, J, K, Kp))
-                            dc = fs.straighten(laplace_column_defect(I, J, K, Kp))
+                            dr = fs.straighten(laplace_row_defect(I, J, K, Kp, nf_minor))
+                            dc = fs.straighten(laplace_column_defect(I, J, K, Kp, nf_minor))
                             ok = dr.is_zero() and dc.is_zero()
                             checked += 1
                             if not ok:
@@ -788,11 +816,7 @@ def identity_suite(N: int) -> dict:
                                 row(f"laplace[I={I},J={J},K={K},K'={Kp}]", False)
         row(f"laplace[k={k}]", all_ok, f"{checked} index tuples")
 
-    ones = (1,) * N
-    ts = _zero_test_system(N, ones)
-    gens = {(i, j): embed_iT(NCPoly.gen(Z(i, j)), ones, N)
-            for i in range(1, N + 1) for j in range(1, N + 1)}
-    minors = {k: embed_iT(leading_minor_Z(k, N), ones, N) for k in range(1, N + 1)}
+    minors = {k: embed_iT(leading_minor_Z(k, N), ones, N) for k in idx}
 
     def q_commute(a, b, e):
         """a b = q^e b a, for the images a and b of two Z-polynomials."""

@@ -329,8 +329,8 @@ def test_transport_keeps_class_at_any_scale(tmp_path, args):
 
 
 def test_verify_algebra_refuses_n_above_limit(capsys):
-    assert main(["verify-algebra", "--n", "5"]) == 2
-    assert "limit N=4" in capsys.readouterr().err
+    assert main(["verify-algebra", "--n", "6"]) == 2
+    assert "limit N=5" in capsys.readouterr().err
 
 
 def test_rep_build_refuses_non_finite_norms(tmp_path, capsys):

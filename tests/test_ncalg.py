@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -29,7 +30,7 @@ from qrea.ncalg import (
     quantum_trace_Z,
     rea_entrywise_defect,
 )
-from qrea.scalars import QQI, ZERO, laurent, qpow
+from qrea.scalars import ONE, QQI, ZERO, laurent, qpow
 
 
 def P(g):
@@ -247,20 +248,25 @@ def resolved_overlaps(system, letters):
     return count
 
 
-@pytest.mark.parametrize("algebra, N, epss, overlaps", [
-    ("TRI", 2, list(itertools.product((-1, 0, 1), repeat=2)), 9 * 32),
-    ("TRI", 3, list(itertools.product((-1, 0, 1), repeat=3)), 27 * 256),
-    ("TRI", 4, [(1, 1, 1, 1)], 1220),
-    ("FRT", 4, None, 0 + 4 + 84 + 560),
-], ids=["tri2", "tri3", "tri4-undeformed", "frt1-4"])
-def test_every_overlap_resolves(algebra, N, epss, overlaps):
+def _tri_systems(N, epss):
+    return [TriSystem(N, eps) for eps in epss]
+
+
+@pytest.mark.parametrize("systems, overlaps", [
+    (_tri_systems(2, itertools.product((-1, 0, 1), repeat=2)), 9 * 32),
+    (_tri_systems(3, itertools.product((-1, 0, 1), repeat=3)), 27 * 256),
+    (_tri_systems(4, [(1, 1, 1, 1)]), 1220),
+    (_tri_systems(5, [(1, 1, 1, 1, 1)]), 4210),
+    ([FrtSystem(n) for n in range(1, 5)], 0 + 4 + 84 + 560),
+    ([FrtSystem(5)], 2300),
+], ids=["tri2", "tri3", "tri4-undeformed", "tri5-undeformed", "frt1-4", "frt5"])
+def test_every_overlap_resolves(systems, overlaps):
     """eps = (1,1,1,1) at N = 4 reaches the lower corner (None) of
     ``_plain_or_diag``, which smaller N do not; CI runs every eps at N = 4
-    through ``resolved_overlaps``."""
-    if algebra == "FRT":
-        got = sum(resolved_overlaps(FrtSystem(n), frt_letters(n)) for n in range(1, N + 1))
-    else:
-        got = sum(resolved_overlaps(TriSystem(N, eps), tri_letters(N)) for eps in epss)
+    through ``resolved_overlaps``.  N = 5 certifies the two systems of the
+    identity suite's largest N."""
+    letters = {"TRI": tri_letters, "FRT": frt_letters}
+    got = sum(resolved_overlaps(s, letters[s.algebra](s.N)) for s in systems)
     assert got == overlaps
 
 
@@ -401,6 +407,56 @@ def test_qcomm_on_images_matches_expanded_zero_test(N):
             want = shift == 0
             assert on_images(a, b, e + shift) is want, (name, shift)
             assert is_zero_rea(a * b - (b * a).scale(qpow(e + shift)), N) is want, (name, shift)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_cayley_hamilton_on_images_matches_expanded(N):
+    # Horner's rule on images (the suite's route) and the embedding of the
+    # expanded sum_k (-1)^k sigma_k Z^{N-k} give one normal form per entry:
+    # zero as stated, and the same nonzero form with sigma_k -> q^2 sigma_k
+    ones, idx = (1,) * N, range(1, N + 1)
+    ts = TriSystem(N)
+    gens = {(i, j): embed_iT(P(Z(i, j)), ones, N) for i in idx for j in idx}
+    sigmas = {k: central_sigma(k, N) for k in idx}
+    images = {k: embed_iT(s, ones, N) for k, s in sigmas.items()}
+    expanded = cayley_hamilton_entries(N)
+    for (i, j), h in ncalg._cayley_hamilton_on_images(ts, gens, images).items():
+        assert h.is_zero() and h == embed_iT(expanded[i, j], ones, N), (i, j)
+    for k in idx:
+        power = ncalg._matrix_power_Z(N, N - k)
+        shifted = {**images, k: images[k].scale(qpow(2))}
+        for (i, j), h in ncalg._cayley_hamilton_on_images(ts, gens, shifted).items():
+            extra = (sigmas[k] * power[i, j]).scale((-1) ** k * (qpow(2) - ONE))
+            assert h == embed_iT(expanded[i, j] + extra, ones, N), (k, i, j)
+            assert h.is_zero() is (k == N and i != j), (k, i, j)
+
+
+def test_laplace_on_memoised_minors_matches_expanded():
+    # the suite's route (each minor straightened once, the defect expanded
+    # on those normal forms) and the straightened defect of frt_minor agree
+    # on every index tuple at N = 3, and on a tuple with one minor's
+    # coefficient shifted by q^2, where both are nonzero
+    N = 3
+    fs = FrtSystem(N)
+    nf_minor = functools.cache(lambda I, J: fs.straighten(frt_minor(I, J)))
+    defects = (laplace_row_defect, laplace_column_defect)
+    for k in range(1, N + 1):
+        for I, J in itertools.product(itertools.combinations(range(1, N + 1), k), repeat=2):
+            for l in range(1, k + 1):
+                for K, Kp in itertools.product(itertools.combinations(range(1, k + 1), l),
+                                               repeat=2):
+                    for defect in defects:
+                        got = fs.straighten(defect(I, J, K, Kp, nf_minor))
+                        assert got.is_zero(), (defect, I, J, K, Kp)
+                        assert got == fs.straighten(defect(I, J, K, Kp)), (defect, I, J, K, Kp)
+
+    def shifted(minor):
+        return lambda I, J: minor(I, J).scale(qpow(2)) if (I, J) == ((1,), (2,)) else minor(I, J)
+
+    for defect in defects:
+        got = fs.straighten(defect((1, 3), (2, 3), (1,), (1,), shifted(nf_minor)))
+        assert not got.is_zero(), defect
+        assert got == fs.straighten(defect((1, 3), (2, 3), (1,), (1,), shifted(frt_minor)))
 
 
 def test_is_zero_rea_basics():
@@ -553,14 +609,14 @@ def test_laplace_small():
             assert fs.straighten(d).is_zero()
 
 
-@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("N", [2, 3, 4])
 def test_identity_suite_passes(N):
     rep = identity_suite(N)
     assert rep["pass"], [f for f in rep["findings"] if not f["ok"]]
 
 
 def test_identity_suite_bound():
-    for N in (5, 0, -2):
+    for N in (6, 0, -2):
         with pytest.raises(DomainError):
             identity_suite(N)
 
