@@ -443,10 +443,18 @@ class RowBlocks:
     the values ``vals[..., a, :]``, and is padded with value 0 (at column 0)
     to the width w of the widest row.  Indexing the leading axes gives the
     layout of those blocks, so ``Z[i - 1, j - 1]`` is the block Z_ij.
+    ``widths`` holds the slots that each block's rows use, recorded when the
+    layout is built and indexed along with it.
     """
 
     cols: np.ndarray
     vals: np.ndarray
+    widths: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.widths is None:
+            used = np.count_nonzero((self.vals != 0).any(axis=-2), axis=-1)
+            object.__setattr__(self, "widths", used)
 
     @classmethod
     def from_coo(cls, shape, rows, cols, vals) -> RowBlocks:
@@ -476,7 +484,8 @@ class RowBlocks:
         C = np.zeros((len(count), width), dtype=np.intp)
         V = np.zeros((len(count), width), dtype=vals.dtype)
         C[row, at], V[row, at] = col, vals
-        return cls(C.reshape(*shape, width), V.reshape(*shape, width))
+        return cls(C.reshape(*shape, width), V.reshape(*shape, width),
+                   count.reshape(shape).max(axis=-1, initial=0))
 
     @classmethod
     def from_dense(cls, Z) -> RowBlocks:
@@ -486,7 +495,7 @@ class RowBlocks:
         return cls.from_coo(Z.shape[:-1], np.ravel_multi_index(rows, Z.shape[:-1]), col, Z[nz])
 
     def __getitem__(self, key) -> RowBlocks:
-        return RowBlocks(self.cols[key], self.vals[key])
+        return RowBlocks(self.cols[key], self.vals[key], self.widths[key])
 
     @property
     def dim(self) -> int:
@@ -496,7 +505,7 @@ class RowBlocks:
         """Z @ M for one block Z and a dense (dim, k) matrix M, row by row:
         sum_t vals[:, t] * M[cols[:, t]], over the slots t of this block's
         widest row (rows hold their nonzeros first)."""
-        width = np.count_nonzero(self.vals.any(axis=0))
+        width = self.widths
         return np.einsum("rt,rtk->rk", self.vals[:, :width], M[self.cols[:, :width]])
 
     def columns(self, mask: np.ndarray) -> np.ndarray:
@@ -556,24 +565,53 @@ class HWModule:
 
     @property
     def T(self) -> RowBlocks:
-        return RowBlocks(self.tri.cols, self.tri.vals.astype(float))
+        return RowBlocks(self.tri.cols, self.tri.vals.astype(float), self.tri.widths)
 
     @property
     def f(self) -> RowBlocks:
         """The lowering operators f_i; the raising ones are e_i = f_i^T."""
-        return RowBlocks(self.lower.cols, self.lower.vals.astype(float))
+        return RowBlocks(self.lower.cols, self.lower.vals.astype(float), self.lower.widths)
 
-    def gram(self) -> RowBlocks:
-        """Z_ij = sum over rows m <= min(i,j) of eps_[m] T[m,i]^T T[m,j],
-        summed in ``context`` m by m and row by row, and rounded once to
-        float64 for i <= j (Z_ji = Z_ij^T); only the nonzeros are kept.
-        Where verification reads Z (an interior row or column of Z_ij) the
-        sums cancel summands far larger than the result: PrecisionLoss is
+    def gram(self, keep: np.ndarray | None = None) -> tuple[RowBlocks, np.ndarray]:
+        """Z_ij = sum over rows m <= min(i,j) of eps_[m] T[m,i]^T T[m,j] on the
+        basis vectors that the bool mask ``keep`` selects, and that mask.
+
+        By default ``keep`` is the reach: the vectors within N steps of the
+        interior in the graph of the summands' index pairs (a, b), those that
+        share a row of T[m,i] and T[m,j] with eps_[m] != 0.  Verification's
+        words of at most N letters on interior columns read Z on reach x
+        reach only.  The reach is found before any Decimal product, and only
+        the summands with a and b kept are formed; an all-true mask gives Z on
+        the whole module.  Z is summed in ``context`` m by m and row by row,
+        each kept entry in the order it has on the whole module, and rounded
+        once to float64 for i <= j (Z_ji = Z_ij^T); only the nonzeros are
+        kept.  Where verification reads Z (an interior row or column of Z_ij)
+        the sums cancel summands far larger than the result: PrecisionLoss is
         raised when the largest such summand, at the context's precision,
         could move an entry by more than 1e-17 of the largest such entry."""
-        N, dim, inner = self.N, self.dim, self.interior
-        T, nz = self.tri, self.tri.vals != 0
+        N, T, nz = self.N, self.tri, self.tri.vals != 0
         lead = _leading_signs(self.spec.eps_padded)  # lead[m - 1] = eps_[m]
+        # the summands of Z_ij, i <= j, by m: the slots t of T[m,i] and s of
+        # T[m,j] in one row r
+        pairs = {}
+        for i in range(1, N + 1):
+            for j in range(i, N + 1):
+                for m in range(1, i + 1):
+                    both = nz[m - 1, i - 1][:, :, None] & nz[m - 1, j - 1][:, None, :]
+                    pairs[i, j, m] = np.nonzero(both & (lead[m - 1] != 0))
+
+        def ends(i, j, m):
+            """The index pair (a, b) of each summand of Z_ij from row m."""
+            r, t, s = pairs[i, j, m]
+            return T.cols[m - 1, i - 1, r, t], T.cols[m - 1, j - 1, r, s]
+
+        if keep is None:
+            a, b = map(np.concatenate, zip(*(ends(*key) for key in pairs)))
+            keep = self.interior.copy()
+            for _ in range(N):  # one step: the new ends are found before any is set
+                keep[np.concatenate((b[keep[a]], a[keep[b]]))] = True
+        inner, new = self.interior[keep], np.cumsum(keep) - 1
+        dim = len(inner)
         rows, cols, vals = [], [], []   # the nonzeros of Z, at flat rows over (N, N, dim)
         biggest = scale = Decimal(0)
         with localcontext(self.context):
@@ -581,12 +619,14 @@ class HWModule:
                 for j in range(i, N + 1):
                     a, b, p = [], [], []   # Z_ij[a, b] gets the summands p, m by m and row by row
                     for m in range(1, i + 1):
-                        X, Y = T[m - 1, i - 1], T[m - 1, j - 1]
-                        pairs = nz[m - 1, i - 1][:, :, None] & nz[m - 1, j - 1][:, None, :]
-                        r, t, s = np.nonzero(pairs & (lead[m - 1] != 0))
-                        a.append(X.cols[r, t])
-                        b.append(Y.cols[r, s])
-                        p.append(lead[m - 1] * X.vals[r, t] * Y.vals[r, s])
+                        r, t, s = pairs[i, j, m]
+                        x, y = ends(i, j, m)
+                        use = keep[x] & keep[y]
+                        r, t, s = r[use], t[use], s[use]
+                        a.append(new[x[use]])
+                        b.append(new[y[use]])
+                        p.append(lead[m - 1] * T.vals[m - 1, i - 1, r, t]
+                                 * T.vals[m - 1, j - 1, r, s])
                     a, b, p = map(np.concatenate, (a, b, p))
                     biggest = np.abs(p[inner[a] | inner[b]]).max(initial=biggest)
                     a, b, v = _entries(RowBlocks.from_coo((dim,), a, b, p))
@@ -603,7 +643,7 @@ class HWModule:
                 raise PrecisionLoss(
                     f"Z cancels summands up to {biggest:.2e} at {self.context.prec} digits; "
                     f"its interior entries (up to {scale:.2e}) are not accurate to 1e-17")
-        return RowBlocks.from_coo((N, N, dim), *map(np.concatenate, (rows, cols, vals)))
+        return RowBlocks.from_coo((N, N, dim), *map(np.concatenate, (rows, cols, vals))), keep
 
 
 def _per_exponent(f, u: np.ndarray) -> np.ndarray:
@@ -684,13 +724,13 @@ def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
         # the diagonal factors acting first (they scale columns); then
         # T[i,j] = [T[i,i+1], T[i+1,j]] / (q - q^{-1}) K_{i+1}
         blocks = {(i, i): RowBlocks(np.arange(dim)[:, None],
-                                    _per_exponent(num.power, -ku[i - 1])[:, None])
+                                    _per_exponent(num.power, -ku[i - 1])[:, None], 1)
                   for i in range(1, N + 1)}
         for i in range(1, N):
             s = _per_exponent(lambda u: -num.qdiff * num.power(u),
                               (num.L2 - ku[i - 1] - ku[i]) // 2)
             F = lower[i - 1]
-            blocks[(i, i + 1)] = RowBlocks(F.cols, F.vals * s[F.cols])
+            blocks[(i, i + 1)] = RowBlocks(F.cols, F.vals * s[F.cols], F.widths)
         for span in range(2, N):
             for i in range(1, N - span + 1):
                 A1, A2 = blocks[(i, i + 1)], blocks[(i + 1, i + span)]
@@ -698,9 +738,9 @@ def build_hw_module(spec: HWModuleSpec, margin: int | None = None) -> HWModule:
                 # order fixes the rounding of each entry
                 AB, BA = _product(A1, A2), _product(A2, A1)
                 C = RowBlocks.from_coo((dim,), *map(np.concatenate, zip(
-                    _entries(AB), _entries(RowBlocks(BA.cols, -BA.vals)))))
+                    _entries(AB), _entries(RowBlocks(BA.cols, -BA.vals, BA.widths)))))
                 s = _per_exponent(lambda u: num.power(u) / num.qdiff, ku[i])
-                blocks[(i, i + span)] = RowBlocks(C.cols, C.vals * s[C.cols])
+                blocks[(i, i + span)] = RowBlocks(C.cols, C.vals * s[C.cols], C.widths)
         tri = RowBlocks.from_coo((N, N, dim), *map(np.concatenate, zip(
             *(_entries(X, (i - 1) * N + j - 1) for (i, j), X in blocks.items()))))
 

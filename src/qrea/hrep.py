@@ -13,9 +13,11 @@ column indices and values of its nonzeros, padded with value 0 to the
 width of the widest row, in two (N, N, dim, w) arrays.  A block acts on
 a dense (dim, k) matrix by gathering the rows of the matrix that its
 nonzeros name (``RowBlocks.__matmul__``).  Dense arrays are made only of
-interior columns, and the block products of ``re_residual`` and of the
-Cayley-Hamilton check are formed a chunk of interior columns at a time, so
-that their temporaries stay near CHUNK_FLOATS numbers.
+interior columns: ``HermitianRep.interior_columns`` forms them once and
+keeps them, and every check starts from that copy.  The block products of
+``re_residual`` and of the Cayley-Hamilton check are formed a chunk of
+interior columns at a time, so that their temporaries stay near
+CHUNK_FLOATS numbers.
 
 A transport parameter is a small dense (N, N, m, m) block array W and the
 bool mask of its interior basis vectors (``gtrep.scaling_blocks``,
@@ -32,7 +34,12 @@ length keeps truncation junk out of them.  The quantum-SU(2)
 corepresentation needs only the word length, 2: in the words read here its
 letters reach at most one level per letter above the column they start
 from (``gtrep.suq2_corep_blocks``).  A big cell's Z is the Gram of its
-module (``gtrep.HWModule.gram``), in float64.
+module (``gtrep.HWModule.gram``), in float64, held on the reach of the
+interior only: the basis vectors within N steps of it in Z's sparsity
+graph.  Every check applies words of at most N letters to interior
+columns, so it reads no entry outside reach x reach, and those entries are
+the module's own, bit for bit.  A transport of such a Z is built on the
+reach too, and ``TRANSPORT_DIM_CAP`` counts its reach rows times m.
 
 One evaluator, ``eval_poly``, applies exact polynomials to the columns of
 a mask: REA polynomials (central elements, leading minors) on Z, and FRT
@@ -104,6 +111,7 @@ class HermitianRep:
     spec: HWModuleSpec | None = None   # present for big-cell builds
     _znorm: float | None = field(default=None, init=False, repr=False, compare=False)
     _sigma: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _inner: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.Z, RowBlocks):
@@ -116,15 +124,21 @@ class HermitianRep:
     def block(self, i: int, j: int) -> np.ndarray:
         return self.Z[i - 1, j - 1].columns(np.ones(self.dim, dtype=bool))
 
+    def interior_columns(self) -> np.ndarray:
+        """``Z.columns(interior)``, the (N, N, dim, interior.sum()) array of
+        every block's interior columns.  Formed on the first call and kept,
+        since Z and ``interior`` do not change."""
+        if self._inner is None:
+            self._inner = self.Z.columns(self.interior)
+        return self._inner
+
     def znorm(self) -> float:
         """Largest block norm measured on interior columns (the boundary of
         a truncation carries unbounded triangular junk by design), from the
-        nonzero rows of each block.  Computed on the first call and kept,
-        since Z and ``interior`` do not change."""
+        nonzero rows of each block.  Computed on the first call and kept."""
         if self._znorm is None:
-            inner = self.Z.columns(self.interior)
             self._znorm = max(np.linalg.norm(blk[blk.any(axis=1)], 2)
-                              for line in inner for blk in line)
+                              for line in self.interior_columns() for blk in line)
         return self._znorm
 
 
@@ -150,15 +164,17 @@ def _identity_entries(mask: np.ndarray):
 
 
 def build_bigcell_rep(spec: HWModuleSpec, margin: int | None = None) -> HermitianRep:
-    """Z = T^dagger E_eps T on a truncated highest-weight module.
+    """Z = T^dagger E_eps T on a truncated highest-weight module, held on the
+    reach of the interior (``gtrep.HWModule.gram``): the basis vectors within
+    N steps of it, in module order, with the interior re-indexed to them.
 
     Entrywise Z_ij = sum over rows m <= min(i,j) of eps_[m] T[m,i]* T[m,j];
     its rank is M and its signature eta_k = eps_[k], k <= M, which
     ``spectral_data`` measures from Z.
     """
     mod = build_hw_module(spec, margin=margin)
-    return HermitianRep(N=spec.N, Z=mod.gram(), interior=mod.interior.copy(),
-                        q0=spec.q0, spec=spec)
+    Z, reach = mod.gram()
+    return HermitianRep(N=spec.N, Z=Z, interior=mod.interior[reach], q0=spec.q0, spec=spec)
 
 
 def zero_rep(N: int, q0: float = 0.5) -> HermitianRep:
@@ -237,9 +253,11 @@ def n2_family(kind: str, D: int = 40, q0: float = 0.5, margin: int = 8, **params
 # evaluation of symbolic polynomials on blocks
 
 
-def eval_poly(p: NCPoly, blocks: RowBlocks, q0: float, cols: np.ndarray) -> np.ndarray:
+def eval_poly(p: NCPoly, blocks: RowBlocks, q0: float, cols: np.ndarray,
+              first: np.ndarray | None = None) -> np.ndarray:
     """Evaluate an REA or FRT polynomial on the columns that the bool mask
-    ``cols`` selects, for an (N, N, dim, w) ``RowBlocks`` layout.
+    ``cols`` selects, for an (N, N, dim, w) ``RowBlocks`` layout;
+    ``first`` is ``blocks.columns(cols)`` where the caller holds it.
 
     The generator Z[i,j] or X[i,j] acts as ``blocks[i - 1, j - 1]`` (Z, or
     the stacked T blocks of a module) and coefficients are evaluated at q0.
@@ -251,7 +269,8 @@ def eval_poly(p: NCPoly, blocks: RowBlocks, q0: float, cols: np.ndarray) -> np.n
     if p.algebra not in ("REA", "FRT"):
         raise DomainError(f"cannot evaluate a {p.algebra} polynomial on blocks")
     terms = [(word, coeff.eval(q0)) for word, coeff in p.terms.items()]
-    first = blocks.columns(cols)
+    if first is None:
+        first = blocks.columns(cols)
     out = np.zeros(first.shape[2:], dtype=np.result_type(first, *(c for _, c in terms)))
     for word, c in terms:
         M = None
@@ -286,7 +305,7 @@ def re_residual(rep: HermitianRep) -> float:
     # (Z2 R Z2 R)[(x, X), y] = sum Z_Xc R[(x, c), (v, f)] Z_fh R[(v, h), y]
     rhs = np.einsum("xcvf,vhyz,Xb->xXyzbcfh", R, R, one)
     coeff = (lhs - rhs).reshape(N ** 4, N ** 4)
-    inner = rep.Z.columns(rep.interior)  # Z_fh[:, interior]
+    inner = rep.interior_columns()  # Z_fh[:, interior]
     total = 0.0
     for part in _column_chunks(inner.shape[-1], N ** 4 * dim):
         M = inner[..., part].transpose(2, 0, 1, 3).reshape(dim, -1)
@@ -302,7 +321,7 @@ def re_residual(rep: HermitianRep) -> float:
 
 def selfadj_residual(rep: HermitianRep) -> float:
     """Relative residual of Z_ij - Z_ji^dagger on interior rows and columns."""
-    inner = rep.Z.columns(rep.interior)[:, :, rep.interior]
+    inner = rep.interior_columns()[:, :, rep.interior]
     return _relative(np.linalg.norm(inner - inner.transpose(1, 0, 3, 2).conj()), rep.znorm(), 1)
 
 
@@ -322,7 +341,7 @@ def sigma_scalars(rep: HermitianRep):
     rows, cols = _identity_entries(mask)
     scalars, defects, ops = [], [], []
     for k in range(1, N + 1):
-        op = eval_poly(central_sigma(k, N), rep.Z, rep.q0, mask)
+        op = eval_poly(central_sigma(k, N), rep.Z, rep.q0, mask, rep.interior_columns())
         s = op[rows[0], 0]
         defect = op.copy()
         defect[rows, cols] -= s
@@ -377,7 +396,7 @@ def spectral_data(rep: HermitianRep):
     mask = rep.interior
     minor_sign = []
     for k in range(1, rank + 1):
-        op = eval_poly(leading_minor_Z(k, N), rep.Z, rep.q0, mask)
+        op = eval_poly(leading_minor_Z(k, N), rep.Z, rep.q0, mask, rep.interior_columns())
         nrm = float(np.linalg.norm(op, 2))
         if _relative(nrm, znorm, k) <= ZERO_TOL:
             minor_sign.append(0)
@@ -530,18 +549,19 @@ def verify_rep(rep: HermitianRep, tol: float = 1e-9) -> list:
 
     # Cayley-Hamilton with the measured scalars, by Horner's rule on the
     # interior columns of Z as one N x N block operator, a chunk of them at a
-    # time: ch[i] is block row i, and column q of the identity is 1 in block
-    # row blk[q] at row row_of[q]
-    Z, dim = rep.Z, rep.dim
+    # time: ch[i] is block row i, column q is interior column pos[q] of
+    # block column blk[q], and column q of the identity is 1 in block row
+    # blk[q] at row row_of[q]
+    Z, dim, inner = rep.Z, rep.dim, rep.interior_columns()
     idx = np.flatnonzero(rep.interior)
     n = len(idx)
-    blk, row_of = np.repeat(np.arange(N), n), np.tile(idx, N)
+    blk, pos, row_of = np.repeat(np.arange(N), n), np.tile(np.arange(n), N), np.tile(idx, N)
     sigma = np.array(scalars)
     sigma = sigma if sigma.imag.any() else sigma.real  # real Z: real arrays
-    columns = Z.columns(rep.interior).transpose(0, 2, 1, 3).reshape(N, dim, N * n)
     total = 0.0
     for part in _column_chunks(N * n, N * dim):
-        ch = columns[..., part].astype(np.result_type(Z.vals, sigma))
+        ch = inner[:, blk[part], :, pos[part]].transpose(1, 2, 0).astype(
+            np.result_type(Z.vals, sigma), order="C")
         eye = (blk[part], row_of[part], np.arange(ch.shape[-1]))
         ch[eye] -= sigma[0]
         for k in range(2, N + 1):

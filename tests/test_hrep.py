@@ -40,9 +40,17 @@ from qrea.ncalg import NCPoly, Z, central_sigma, frt_minor, leading_minor_Z
 Q0 = 0.5
 
 
-def gt_rep(N=2, eps=(1, -1), r=(0.3, 0.8), D=12, margin=None):
+def gt_rep(N=2, eps=(1, -1), r=(0.3, 0.8), D=12, margin=None, full=False):
+    """A big cell on the reach of its interior, or on its whole module."""
     spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
-    return build_bigcell_rep(spec, margin=margin)
+    return module_rep(spec, margin) if full else build_bigcell_rep(spec, margin=margin)
+
+
+def module_rep(spec, margin):
+    """A big cell on its whole module: Z through the Gram's all-true mask."""
+    mod = build_hw_module(spec, margin=margin)
+    Z, _ = mod.gram(np.ones(mod.dim, dtype=bool))
+    return HermitianRep(N=spec.N, Z=Z, interior=mod.interior, q0=spec.q0, spec=spec)
 
 
 def module_T(rep):
@@ -133,7 +141,7 @@ def test_gram_matches_dense_products(N, eps, r, D, margin):
     """The sparse decimal assembly equals sum_m eps_[m] T[m,i]^T T[m,j] formed
     from the dense float64 T blocks, where that sum cancels little."""
     spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
-    rep = build_bigcell_rep(spec, margin=margin)
+    rep = module_rep(spec, margin)
     lead = np.cumprod(spec.eps_padded)
     T = build_hw_module(spec, margin=margin).T.columns(np.ones(rep.dim, dtype=bool))
     for i in range(1, N + 1):
@@ -200,7 +208,7 @@ def test_sparse_sums_match_row_dict_loops(N, eps, r, D, margin):
                 for a, row in enumerate(acc):
                     for b, v in row.items():
                         Z[i - 1, j - 1, a, b] = Z[j - 1, i - 1, b, a] = float(v)
-    rep = build_bigcell_rep(spec, margin=margin)
+    rep = module_rep(spec, margin)
     assert np.array_equal(rep.Z.columns(np.ones(mod.dim, dtype=bool)), Z)
 
 
@@ -228,7 +236,7 @@ def test_gt_rank_deficient_build():
 
 def test_z11_spectrum_matches_t1():
     alpha = 0.3
-    rep = gt_rep(eps=(1, -1), r=(alpha, 0.8), D=12, margin=4)
+    rep = gt_rep(eps=(1, -1), r=(alpha, 0.8), D=12, margin=4, full=True)
     eigs = sorted(np.linalg.eigvalsh(rep.block(1, 1)))
     want = sorted(Q0 ** (2 * (alpha + m)) for m in range(13))
     assert np.allclose(eigs, want)
@@ -285,7 +293,7 @@ def test_minor_vs_symbolic_word():
     """On the interior columns the k-th leading minor word in the Z blocks
     is eps_[1] ... eps_[k] times the product of the squared diagonal
     generators T[m,m], m <= k."""
-    rep = gt_rep(eps=(1, -1), r=(0.25, 0.75), D=12, margin=6)
+    rep = gt_rep(eps=(1, -1), r=(0.25, 0.75), D=12, margin=6, full=True)
     mask = rep.interior
     for k in (1, 2):
         want = _leading_minor_formula(rep, k)[:, mask]
@@ -479,7 +487,7 @@ def op_minor_blocks(rep, k):
 
 def test_minor_qcommutation_operators():
     # Z_[k] Z_{I,J} = q^{2|I cap [k]| - 2|J cap [k]|} Z_{I,J} Z_[k]
-    rep = gt_rep(N=3, eps=(1, -1, 1), r=(0.3, 0.8, 1.8), D=9, margin=5)
+    rep = gt_rep(N=3, eps=(1, -1, 1), r=(0.3, 0.8, 1.8), D=9, margin=5, full=True)
     mask = rep.interior
     scale = max(1.0, rep.znorm() ** 3)
     blocks = {size: op_minor_blocks(rep, size) for size in (1, 2, 3)}
@@ -493,7 +501,7 @@ def test_minor_qcommutation_operators():
 
 
 def test_minor_blocks_match_leading():
-    rep = gt_rep(N=3, eps=(1, -1, 1), r=(0.3, 0.8, 1.8), D=8, margin=4)
+    rep = gt_rep(N=3, eps=(1, -1, 1), r=(0.3, 0.8, 1.8), D=8, margin=4, full=True)
     mask = rep.interior
     for k in (1, 2, 3):
         blocks = op_minor_blocks(rep, k)
@@ -501,6 +509,77 @@ def test_minor_blocks_match_leading():
         assert np.linalg.norm(blocks[(I, I)] - _leading_minor_formula(rep, k)) < 1e-9
         lead = eval_poly(leading_minor_Z(k, 3), rep.Z, rep.q0, mask)
         assert np.linalg.norm(blocks[(I, I)][:, mask] - lead) < 1e-9
+
+
+# --------------------------------------------------------------------------
+# Z on the reach of the interior
+
+CI_CELL = (HWModuleSpec(N=4, eps=(1, 1, -1, -1), r=(Fraction(1, 10),) * 4, D=16, q0=Q0), 8)
+REACH_CELLS = [
+    (HWModuleSpec(N=2, eps=(1, -1), r=(Fraction(3, 10), Fraction(4, 5)), D=14, q0=Q0), 8),
+    (HWModuleSpec(N=3, eps=(1, -1, 1), r=(Fraction(3, 10), Fraction(4, 5), Fraction(4, 5)),
+                  D=24, q0=Q0), 12),
+    CI_CELL,
+]
+
+
+@pytest.mark.parametrize("spec,margin", REACH_CELLS, ids=["N2", "N3", "N4"])
+def test_reach_is_a_sub_block_with_the_same_findings(spec, margin):
+    """Z on the reach is the reach x reach sub-block of Z on the whole module,
+    entry for entry, with the interior re-indexed; both give the same
+    findings, central scalars, roots, signature and class, and residuals
+    that differ at most in their last bits."""
+    mod = build_hw_module(spec, margin=margin)
+    Zf, every = mod.gram(np.ones(mod.dim, dtype=bool))
+    rep = build_bigcell_rep(spec, margin=margin)
+    _, reach = mod.gram()
+    assert every.all() and rep.dim == reach.sum() < mod.dim
+    assert np.array_equal(rep.interior, mod.interior[reach])
+    whole = Zf.columns(every)[:, :, reach][..., reach]
+    assert np.array_equal(rep.Z.columns(np.ones(rep.dim, dtype=bool)), whole)
+
+    full = HermitianRep(N=spec.N, Z=Zf, interior=mod.interior, q0=Q0, spec=spec)
+    got, want = verify_rep(rep), verify_rep(full)
+    assert [(f["name"], f["ok"]) for f in got] == [(f["name"], f["ok"]) for f in want]
+    for f, g in zip(got, want):
+        assert f["residual"] == pytest.approx(g["residual"], rel=1e-6, abs=1e-20), f["name"]
+    assert sigma_scalars(rep)[0] == sigma_scalars(full)[0]
+    assert spectral_data(rep) == spectral_data(full)
+
+
+@pytest.mark.parametrize("spec,margin,count", [
+    CI_CELL + (1308,),
+    (HWModuleSpec(N=4, eps=(1, -1, 1, -1), r=(Fraction(1, 10),) * 4, D=20, q0=Q0), 16, 2125),
+], ids=["D16", "D20"])
+def test_reach_holds_the_numeric_reach(spec, margin, count):
+    """The reach, found from the T blocks' pattern, holds every row within N
+    steps of the interior in the graph of Z's nonzeros on the whole module
+    (a breadth-first search), and here it is no larger."""
+    mod = build_hw_module(spec, margin=margin)
+    _, reach = mod.gram()
+    Zf, _ = mod.gram(np.ones(mod.dim, dtype=bool))
+    i, j, a, t = np.nonzero(Zf.vals)
+    b = Zf.cols[i, j, a, t]   # Z_ij[a, b] != 0, and Z_ji[b, a] too
+    seen = mod.interior.copy()
+    for _ in range(spec.N):
+        seen[b[seen[a]]] = True
+    assert not (seen & ~reach).any()
+    assert seen.sum() == reach.sum() == count
+
+
+def test_vector_transport_of_the_reach():
+    """A transport of the big cell on the reach by the vector representation
+    has the components and classes of a transport of it on the whole module."""
+    spec = HWModuleSpec(N=3, eps=(1, -1, 1), r=(Fraction(3, 10), Fraction(4, 5), Fraction(4, 5)),
+                        D=14, q0=Q0)
+    rep, full = build_bigcell_rep(spec, margin=6), module_rep(spec, 6)
+    assert rep.dim < full.dim
+    got = spectral_components(adjoint_transport_T(rep, *vector_trep(3, Q0)))
+    want = spectral_components(adjoint_transport_T(full, *vector_trep(3, Q0)))
+    assert len(got) == len(want) >= 2
+    for (sig, roots, ext, mult), (sig0, roots0, ext0, mult0) in zip(got, want):
+        assert (roots, ext, mult) == (roots0, ext0, mult0)
+        assert sig == pytest.approx(sig0, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -585,17 +664,20 @@ def verify_peak(built):
 
 
 def test_verify_rep_memory():
-    """verify_rep's temporaries stay a few times the size of a dense Z,
-    8 N^2 dim^2 bytes: only interior columns are made dense."""
+    """verify_rep's temporaries stay a few times the size of a dense Z on the
+    module, 8 N^2 dim^2 bytes: only interior columns are made dense."""
     rep = scaled_cell(SCALED_CELLS[3][0])
-    assert verify_peak(rep) <= 7 * 8 * rep.N ** 2 * rep.dim ** 2
+    dim = build_hw_module(rep.spec, margin=SCALED_CELLS[3][0][4]).dim
+    assert verify_peak(rep) <= 7 * 8 * rep.N ** 2 * dim ** 2
 
 
 def test_verify_rep_memory_n4():
-    """At N=4, dim 1,405, verify_rep peaks below what a dense Z alone takes."""
+    """At N=4, module dim 1,405, verify_rep peaks below what a dense Z on
+    the module alone takes."""
     rep = gt_rep(N=4, eps=(1, 1, -1, -1), r=(Fraction(1, 10),) * 4, D=16, margin=8)
-    assert rep.dim == 1405
-    assert verify_peak(rep) < 8 * rep.N ** 2 * rep.dim ** 2
+    dim = build_hw_module(rep.spec, margin=8).dim
+    assert dim == 1405
+    assert verify_peak(rep) < 8 * rep.N ** 2 * dim ** 2
 
 
 @pytest.mark.parametrize("t", [1e-4, 1e4])
@@ -750,7 +832,7 @@ def test_minor_braiding_exchange_with_operator_powers(N, eps, r, k, l):
 
     D, margin = (12, 6) if N == 2 else (8, 4)
     spec = HWModuleSpec(N=N, eps=eps, r=r, D=D, q0=Q0)
-    rep = build_bigcell_rep(spec, margin=margin)
+    rep = module_rep(spec, margin)
     T = build_hw_module(spec, margin=margin).T
     bk, bl = exterior_power(N, k).basis, exterior_power(N, l).basis
     every = np.ones(rep.dim, dtype=bool)
