@@ -8,6 +8,7 @@ is fixed once and used everywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -17,7 +18,8 @@ import numpy as np
 from .errors import DomainError
 from .scalars import ONE, ZERO, LaurentScalar, laurent, qpow
 
-__all__ = ["QMat", "build_rhat", "exterior_power", "minor_braiding", "ExtBasis"]
+__all__ = ["QMat", "build_rhat", "re_tensor", "exact_re_tensor", "exterior_power",
+           "minor_braiding", "ExtBasis"]
 
 
 class QMat:
@@ -195,6 +197,32 @@ def build_rhat(N: int, eps=None):
                     R[(idx(k, l), idx(k, l))] = laurent(e, -1) - laurent(e, 1)
                     Rinv[(idx(l, k), idx(l, k))] = laurent(e, 1) - laurent(e, -1)
     return R, Rinv
+
+
+def re_tensor(R: np.ndarray) -> np.ndarray:
+    """Coefficient tensor C of the reflection equation for R[x, X, y, z] =
+    R[(x, X), (y, z)], of floats or LaurentScalars: entry ((x, X), (y, z)) of
+    R Z2 R Z2 - Z2 R Z2 R, Z2 = 1 ox Z, is the sum of C[x, X, y, z, b, c, f, h]
+    Z_bc Z_fh.  Path optimisation costs floats more than it saves at small
+    N, but contracts LaurentScalars pairwise, several times faster."""
+    N = R.shape[0]
+    one = np.eye(N, dtype=R.dtype)
+    optimize = R.dtype == object
+    # (R Z2 R Z2)[x, (e, g)] = sum R[x, (a, b)] Z_bc R[(a, c), (e, f)] Z_fg
+    lhs = np.einsum("xXab,acef,gh->xXegbcfh", R, R, one, optimize=optimize)
+    # (Z2 R Z2 R)[(x, X), y] = sum Z_Xc R[(x, c), (v, f)] Z_fh R[(v, h), y]
+    rhs = np.einsum("xcvf,vhyz,Xb->xXyzbcfh", R, R, one, optimize=optimize)
+    return lhs - rhs
+
+
+@functools.cache
+def exact_re_tensor(N: int) -> np.ndarray:
+    """``re_tensor`` of the exact R at size N; kept per N, read only."""
+    R = build_rhat(N)[0]
+    C = re_tensor(np.array([[R[a, b] for b in range(N * N)] for a in range(N * N)],
+                           dtype=object).reshape(N, N, N, N))
+    C.setflags(write=False)
+    return C
 
 
 def _embedded_factor(N: int, total: int, pos: int, R: QMat) -> QMat:

@@ -117,10 +117,10 @@ def _parse_by(text):
 
 def _write(text: str, out_path=None, stream=None) -> None:
     """Write text and a newline to the file ``out_path``, else to ``stream``
-    (stdout by default).  A file that cannot be written is a refusal
-    (``DomainError``).  Once a reader closes the stream, the rest goes to
-    the null device: the run keeps its exit code."""
-    if out_path:
+    (stdout by default).  A file that cannot be written, the empty path
+    included, is a refusal (``DomainError``).  Once a reader closes the
+    stream, the rest goes to the null device: the run keeps its exit code."""
+    if out_path is not None:
         try:
             with open(out_path, "w") as fh:
                 fh.write(text + "\n")

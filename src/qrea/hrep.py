@@ -17,7 +17,7 @@ interior columns: ``HermitianRep.interior_columns`` forms them once and
 keeps them, and every check starts from that copy.  The block products of
 ``re_residual`` and of the Cayley-Hamilton check are formed a chunk of
 interior columns at a time, so that their temporaries stay near
-CHUNK_FLOATS numbers.
+CHUNK_FLOATS numbers; ``braid.re_tensor`` weighs those of ``re_residual``.
 
 A transport parameter is a small dense (N, N, m, m) block array W and the
 bool mask of its interior basis vectors (``gtrep.scaling_blocks``,
@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classify as _classify
-from .braid import _leading_signs, build_rhat
+from .braid import _leading_signs, build_rhat, re_tensor
 from .errors import BadCorep, DomainError, NotFactorial
 from .gtrep import SCALE_EXP2, HWModuleSpec, RowBlocks, build_hw_module
 from .ncalg import NCPoly, central_sigma, leading_minor_Z, letter_indices
@@ -291,20 +291,15 @@ def eval_poly(p: NCPoly, blocks: RowBlocks, q0: float, cols: np.ndarray,
 def re_residual(rep: HermitianRep) -> float:
     """Relative interior residual of R Z2 R Z2 - Z2 R Z2 R, Z2 = 1 ox Z.
 
-    Block (x, y) of either side, with x and y row-major index pairs, is a
-    fixed combination of the N^4 products Z_bc Z_fh whose coefficients are
-    quadratic in R; the products are formed on a chunk of interior columns
-    at a time and combined by one (N^4, N^4) coefficient matrix, and only
-    the squared norm of the result is kept.
+    Block (x, y) of the defect, with x and y row-major index pairs, is a
+    fixed combination of the N^4 products Z_bc Z_fh, with the coefficients
+    of ``braid.re_tensor`` at R evaluated at q0; the products are formed on
+    a chunk of interior columns at a time and combined by that tensor as one
+    (N^4, N^4) matrix, and only the squared norm of the result is kept.
     """
     N, dim = rep.N, rep.dim
     R = build_rhat(N)[0].to_numpy(rep.q0).real.reshape(N, N, N, N)
-    one = np.eye(N)
-    # (R Z2 R Z2)[x, (e, g)] = sum R[x, (a, b)] Z_bc R[(a, c), (e, f)] Z_fg
-    lhs = np.einsum("xXab,acef,gh->xXegbcfh", R, R, one)
-    # (Z2 R Z2 R)[(x, X), y] = sum Z_Xc R[(x, c), (v, f)] Z_fh R[(v, h), y]
-    rhs = np.einsum("xcvf,vhyz,Xb->xXyzbcfh", R, R, one)
-    coeff = (lhs - rhs).reshape(N ** 4, N ** 4)
+    coeff = re_tensor(R).reshape(N ** 4, N ** 4)
     inner = rep.interior_columns()  # Z_fh[:, interior]
     total = 0.0
     for part in _column_chunks(inner.shape[-1], N ** 4 * dim):

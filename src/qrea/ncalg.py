@@ -23,9 +23,10 @@ Three algebras share one polynomial container:
   image of a product is the normal form of the product of its factors' images.
 
 Letters are packed ints; monomials are tuples of letters; a polynomial maps
-monomials to exact Laurent coefficients.  Straightening folds letters into
-an already normal polynomial one at a time, with a memo on (monomial,
-letter) pairs; the per-call rule budget guards against a broken rule set.
+monomials to exact Laurent coefficients.  One fold (``_BaseSystem._fold``)
+multiplies a normal form by a word a letter at a time, with a memo on
+(monomial, letter) pairs, for straightening, rule replacement and word
+images; the per-call rule budget guards against a broken rule set.
 ``_pair(a, b)`` owns a letter pair: its rule, or None when ``a b`` is normal;
 each system builds each rule once, in a table.  The star reverses words and
 keeps TRI normal order, so a starred pair whose right letter is not plain
@@ -39,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .braid import _eps_interval, _inversions, _q_antisymmetrizer
+from .braid import _eps_interval, _inversions, _q_antisymmetrizer, exact_re_tensor
 from .errors import AlgebraMismatch, DomainError, NonterminationGuard
 from .scalars import ONE, QQI, ZERO, LaurentScalar, laurent, qpow
 
@@ -309,7 +310,8 @@ def _star_letter(code):
 
 
 class _BaseSystem:
-    """Shared fold-and-memoize straightening machinery.  Subclasses define
+    """Shared fold-and-memoize straightening machinery (``_fold``, on the
+    memoised letter product ``_rightmul``).  Subclasses define
     ``_pair(a, b)``: None when ``a b`` is normal, else its rule, a list of
     (coeff, word of at most two letters); TRI's is the *-mirror of the rule
     of ``b* a*`` for a starred ``a`` and a non-plain ``b``.  ``_rule`` builds
@@ -343,17 +345,24 @@ class _BaseSystem:
                     f"rule applications exceeded {self.step_bound}; rule set is broken"
                 )
             res = {}
-            head = mono[:-1]
             for coeff, repl in rule:
-                if not repl:
-                    _acc(res, head, coeff)
-                    continue
-                for m1, c1 in self._rightmul(head, repl[0]).items():
-                    c1 = coeff * c1
-                    for mm, cc in self._rightmul(m1, repl[1]).items():
-                        _acc(res, mm, c1 * cc)
+                self._fold({mono[:-1]: coeff}, repl, res)
         self._memo[key] = res
         return res
+
+    def _fold(self, nf: dict, word, out: dict) -> None:
+        """Add nf times word to out, both normal forms (monomial ->
+        coefficient): the letters of the word are folded into nf one at a
+        time, the last one into out."""
+        for k, g in enumerate(word, 1):
+            nxt = out if k == len(word) else {}
+            for m, c in nf.items():
+                for m2, c2 in self._rightmul(m, g).items():
+                    _acc(nxt, m2, c * c2)
+            nf = nxt
+        if not word:
+            for m, c in nf.items():
+                _acc(out, m, c)
 
     def straighten(self, p: NCPoly) -> NCPoly:
         """Normal form of p; a linear projection fixing normal monomials."""
@@ -362,15 +371,7 @@ class _BaseSystem:
         self._steps = 0
         out = {}
         for word, coeff in p.terms.items():
-            cur = {(): ONE}
-            for g in word:
-                nxt = {}
-                for m, c in cur.items():
-                    for m2, c2 in self._rightmul(m, g).items():
-                        _acc(nxt, m2, c * c2)
-                cur = nxt
-            for m, c in cur.items():
-                _acc(out, m, coeff * c)
+            self._fold({(): coeff}, word, out)
         return NCPoly(self.algebra, out)
 
 
@@ -518,20 +519,12 @@ class TriSystem(_BaseSystem):
             return img
         head = self._images[word[:-1]] = self.z_image(word[:-1])
         i, j = letter_indices(word[-1])
-        letter = []
-        for m in range(1, min(i, j) + 1):
-            e = _eps_interval(self.eps, 0, m)
-            if e:
-                letter.append((_star_letter(self._plain_or_diag(m, i)), self._plain_or_diag(m, j),
-                               laurent(e)))
         img = {}
-        for mono, c in head.items():
-            for t1, t2, e in letter:
-                ce = c * e
-                for m1, c1 in self._rightmul(mono, t1).items():
-                    ce1 = ce * c1
-                    for m2, c2 in self._rightmul(m1, t2).items():
-                        _acc(img, m2, ce1 * c2)
+        for m in range(1, min(i, j) + 1):
+            e = laurent(_eps_interval(self.eps, 0, m))
+            if e:
+                pair = (_star_letter(self._plain_or_diag(m, i)), self._plain_or_diag(m, j))
+                self._fold({h: c * e for h, c in head.items()}, pair, img)
         return img
 
 
@@ -670,34 +663,12 @@ def laplace_column_defect(I, J, K, Kp, minor=frt_minor) -> NCPoly:
 
 
 def rea_entrywise_defect(i: int, j: int, k: int, l: int, N: int) -> NCPoly:
-    """Left minus right side of the entrywise reflection-equation relation."""
-
-    def d(a, b):
-        return 1 if a == b else 0
-
-    def zz(a, b, c, e):
-        return NCPoly.word("REA", ((a << 10) | b, (c << 10) | e))
-
-    qm = -QQI  # q^{-1} - q
-    lhs = zz(i, j, k, l).scale(qpow(-d(i, k) - d(j, k)))
-    if k < i:
-        lhs = lhs + zz(k, j, i, l).scale(qm * qpow(-d(i, j)))
-    if j == k:
-        for p in range(1, j):
-            lhs = lhs + zz(i, p, p, l).scale(qm * qpow(-d(i, j)))
-    if i == j and k < i:
-        for p in range(1, i):
-            lhs = lhs + zz(k, p, p, l).scale(qm * qm)
-    rhs = zz(k, l, i, j).scale(qpow(-d(i, l) - d(j, l)))
-    if l < j:
-        rhs = rhs + zz(k, j, i, l).scale(qm * qpow(-d(i, j)))
-    if i == l:
-        for p in range(1, i):
-            rhs = rhs + zz(k, p, p, j).scale(qm * qpow(-d(i, j)))
-    if i == j and l < j:
-        for p in range(1, j):
-            rhs = rhs + zz(k, p, p, l).scale(qm * qm)
-    return lhs - rhs
+    """Left minus right side of the entrywise reflection-equation relation:
+    entry ((i, k), (j, l)) of R Z2 R Z2 - Z2 R Z2 R, read off the exact
+    coefficient tensor ``braid.exact_re_tensor(N)``."""
+    C = exact_re_tensor(N)[i - 1, k - 1, j - 1, l - 1]
+    return NCPoly("REA", {((b << 10) | c, (f << 10) | h): C[b - 1, c - 1, f - 1, h - 1]
+                          for b, c, f, h in itertools.product(range(1, N + 1), repeat=4)})
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qrea.braid import QMat, build_rhat
+from qrea.braid import QMat, build_rhat, exact_re_tensor
 from qrea.classify import (
     CharacterParams,
     admissible_roots,
@@ -192,6 +192,19 @@ def test_reflection_defect_matches_textbook(N):
     for Z in characters + perturbed + others:
         assert reflection_defect_exact(Z, N) == _textbook_defect(Z, N)
     assert all(_textbook_defect(Z, N).is_zero() for Z in characters)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_reflection_defect_is_the_re_tensor(N):
+    """The RE tensor contracted with Z ox Z is the matrix form of the defect,
+    entry for entry: on characters (defect zero) and random exact matrices."""
+    rng = random.Random(2000 + N)
+    C = exact_re_tensor(N).reshape(N * N, N * N, N ** 4)
+    for Z in [_character(rng, N), _random_z(rng, N, 0.5), _random_z(rng, N, 1.0)]:
+        z = np.array([[Z[(b, c)] for c in range(N)] for b in range(N)], dtype=object)
+        got = C @ np.multiply.outer(z, z).reshape(N ** 4)
+        want = reflection_defect_exact(Z, N)
+        assert all(got[x, y] == want[(x, y)] for x in range(N * N) for y in range(N * N))
 
 
 def test_weight_roundtrip_through_spectral_data():

@@ -45,6 +45,20 @@ def test_classify_roots(tmp_path):
     assert (e["rmod1"], e["nplus"], e["nminus"], e["nzero"]) == (0.0, 2, 0, 1)
 
 
+@pytest.mark.parametrize("roots,eps", [("1,0.25", "+,+"), ("1,-0.25", "+,-")])
+def test_classify_roots_canonical_weight(tmp_path, roots, eps):
+    code, doc = run_cli(["classify-roots", "--roots", roots, "--eps", eps], tmp_path)
+    assert code == 0 and doc["inputs"]["canonical_weight"] == [0.0, 0.0]
+
+
+def test_classify_roots_eps_must_match_the_roots(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["classify-roots", "--roots", "1,0.25", "--eps", "+,-", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: positive-root count does not match eps leading products\n"
+
+
 def test_classify_roots_inadmissible(tmp_path):
     code, doc = run_cli(["classify-roots", "--roots", "1,1,0"], tmp_path)
     assert code == 1
@@ -544,6 +558,19 @@ def test_unwritable_out_is_refused(tmp_path, capsys, argv, where):
     assert captured.out == "" and list(tmp_path.iterdir()) == []
     (error,) = captured.err.splitlines()
     assert error.startswith("error: ") and str(out) in error
+
+
+@pytest.mark.parametrize("argv", TINY_ARGVS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("spelling", [["--out", ""], ["--out="]], ids=["separate", "joined"])
+def test_empty_out_is_refused(tmp_path, capsys, monkeypatch, argv, spelling):
+    """An empty --out, which a script passes for an unset variable, names no
+    file: a refusal like any unwritable path, not a report on stdout."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + spelling) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error: cannot write ")
 
 
 @pytest.mark.parametrize("name,options", [(row[0], row[3]) for row in COMMANDS],

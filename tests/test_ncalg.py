@@ -466,8 +466,9 @@ def test_is_zero_rea_basics():
     assert is_zero_rea(d, 2)
 
 
-def test_rea_entrywise_relations_n2_n3():
-    for N in (2, 3):
+def test_rea_entrywise_relations_n2_to_n4():
+    # CI runs N = 5
+    for N in (2, 3, 4):
         for i, j, k, l in itertools.product(range(1, N + 1), repeat=4):
             assert is_zero_rea(rea_entrywise_defect(i, j, k, l, N), N), (i, j, k, l)
 
@@ -629,6 +630,14 @@ def test_render_deterministic():
     p = quantum_det_Z(2)
     assert p.render() == p.render()
     assert "Z[2,2]*Z[1,1]" in p.render()
+
+
+def test_render_tri_golden():
+    # a straightened TRI polynomial with plain, diagonal, inverse diagonal
+    # and starred letters
+    p = TriSystem(2).straighten(NCPoly.word("TRI", (Tstar(1, 2), Tplain(1, 2), Tdiag(1, -1))))
+    assert p.render() == ("(q^-1)·T[1,2]*T[1]^-1*T*[1,2] + (1 - q^2)·T[1]"
+                          " + (-1 + q^2)·T[1]^-1*T[2]*T[2]")
 
 
 def test_nontermination_guard():
