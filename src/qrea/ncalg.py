@@ -17,16 +17,17 @@ Three algebras share one polynomial container:
       Z[i,j] -> sum over rows m <= min(i,j) of eps_[m] T[m,i]* T[m,j],
 
   so a Z-polynomial is zero exactly when its image straightens to zero.
-  The map is a homomorphism: the image of a Z-word is the memoised image
-  of its longest proper prefix times the image of its last letter, on one
-  system per (N, eps) that lives as long as the process.  Likewise the
-  image of a product is the normal form of the product of its factors' images.
+  The map is a homomorphism: for each last letter, the image of the prefixes
+  of the words ending in it, embedded the same way, is multiplied by the
+  image of that letter, so shared prefixes cancel before they grow and no
+  word's own image is held.  Likewise the image of a product is the normal
+  form of the product of its factors' images.
 
 Letters are packed ints; monomials are tuples of letters; a polynomial maps
 monomials to exact Laurent coefficients.  One fold (``_BaseSystem._fold``)
 multiplies a normal form by a word a letter at a time, with a memo on
-(monomial, letter) pairs, for straightening, rule replacement and word
-images; the per-call rule budget guards against a broken rule set.
+(monomial, letter) pairs, for straightening, rule replacement and the
+embedding; the per-call rule budget guards against a broken rule set.
 ``_pair(a, b)`` owns a letter pair: its rule, or None when ``a b`` is normal;
 each system builds each rule once, in a table.  The star reverses words and
 keeps TRI normal order, so a starred pair whose right letter is not plain
@@ -445,7 +446,6 @@ class TriSystem(_BaseSystem):
         super().__init__()
         self.N = N
         self.eps = _padded_eps((1,) * N if eps is None else eps, N)
-        self._images = {(): {(): ONE}}
 
     # -- pair rules -------------------------------------------------------
 
@@ -507,25 +507,25 @@ class TriSystem(_BaseSystem):
 
     # -- the embedding of the Z generators ----------------------------------
 
-    def z_image(self, word) -> dict:
-        """TRI normal form (monomial -> coefficient; do not mutate) of the
-        image of a Z-word: the image of its longest proper prefix times the
-        image of its last letter.  Prefix images are memoised; a word's own
-        image is kept only once asked for as a prefix, because keeping every
-        whole word's image raises the N=4 suite's peak memory by two thirds
-        for no gain in speed."""
-        img = self._images.get(word)
-        if img is not None:
-            return img
-        head = self._images[word[:-1]] = self.z_image(word[:-1])
-        i, j = letter_indices(word[-1])
-        img = {}
-        for m in range(1, min(i, j) + 1):
-            e = laurent(_eps_interval(self.eps, 0, m))
-            if e:
-                pair = (_star_letter(self._plain_or_diag(m, i)), self._plain_or_diag(m, j))
-                self._fold({h: c * e for h, c in head.items()}, pair, img)
-        return img
+    def embed(self, terms: dict, out: dict) -> None:
+        """Add the TRI normal form of the image of a Z-polynomial (word ->
+        coefficient) to out: the image of each last letter's group of
+        prefixes, embedded the same way, times the image of that letter."""
+        groups = {}
+        for word, coeff in terms.items():
+            if word:
+                groups.setdefault(word[-1], {})[word[:-1]] = coeff
+            else:
+                _acc(out, (), coeff)
+        for letter, prefixes in groups.items():
+            head = {}
+            self.embed(prefixes, head)
+            i, j = letter_indices(letter)
+            for m in range(1, min(i, j) + 1):
+                e = laurent(_eps_interval(self.eps, 0, m))
+                if e:
+                    pair = (_star_letter(self._plain_or_diag(m, i)), self._plain_or_diag(m, j))
+                    self._fold({h: c * e for h, c in head.items()}, pair, out)
 
 
 # ---------------------------------------------------------------------------
@@ -536,21 +536,19 @@ def embed_iT(p: NCPoly, eps, N: int) -> NCPoly:
     """Image of a Z-polynomial in the deformed triangular algebra, straightened.
 
     Each Z[i,j] becomes  sum_{m <= min(i,j)} eps_[m] T[m,i]* T[m,j]  with
-    eps zero-padded to length N; the result is the TRI normal form.  The
-    word images are memoised on one system per (N, eps).
+    eps zero-padded to length N; the result is the TRI normal form, built by
+    ``TriSystem.embed`` on one system per (N, eps), whose straightening memo
+    lives as long as the process.
     """
     if p.algebra != "REA":
         raise AlgebraMismatch("embed_iT expects a Z-polynomial")
-    sys = _zero_test_system(N, eps)
     out = {}
-    for word, coeff in p.terms.items():
-        for mono, c in sys.z_image(word).items():
-            _acc(out, mono, coeff * c)
+    _zero_test_system(N, eps).embed(p.terms, out)
     return NCPoly("TRI", out)
 
 
-# one system per (N, zero-padded eps); each keeps its straightening memo and
-# its word images for the life of the process
+# one system per (N, zero-padded eps); each keeps its straightening memo for
+# the life of the process
 _ZERO_TEST_SYSTEMS: dict[tuple, TriSystem] = {}
 
 
@@ -730,9 +728,8 @@ def _cayley_hamilton_on_images(ts, gens, sigmas) -> dict:
     return H
 
 
-# The largest N whose suite is run (CI runs N=4 and N=5); the zero-test
-# memo grows about twentyfold from N=4 to N=5, so a larger suite may not fit
-# in memory.
+# The largest N whose suite is run (CI runs N=4 and N=5, and embeds sigma_6
+# at N=6); the cost of the N=6 Laplace and leading-minor rows is not profiled.
 IDENTITY_SUITE_MAX_N = 5
 
 
@@ -744,12 +741,12 @@ def identity_suite(N: int) -> dict:
     leading minors with the generators and with each other, and (d) the
     centrality of the quantum determinant in the quantum matrix algebra.
     Rows (a) and (c) embed each generator, sigma_k and leading minor once
-    and straighten products of those images, instead of embedding every
-    word of an expanded polynomial: (a) by Horner's rule on the images
-    (``_cayley_hamilton_on_images``), (c) as a product of two images (a
-    leading minor's image is one monomial).  Rows (b) straighten each
-    quantum minor once and expand on those normal forms.  Failures are
-    report rows, never exceptions.
+    (``embed_iT``, words grouped by shared suffix) and straighten products
+    of those images, instead of embedding an expanded polynomial: (a) by
+    Horner's rule on the images (``_cayley_hamilton_on_images``), (c) as a
+    product of two images (a leading minor's image is one monomial).  Rows
+    (b) straighten each quantum minor once and expand on those normal
+    forms.  Failures are report rows, never exceptions.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")

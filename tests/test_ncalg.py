@@ -305,7 +305,7 @@ def test_embed_signs():
 
 def _embed_letter_by_letter(p, eps, N):
     """Reference embedding: each word expanded letter by letter on a fresh
-    system, with no memo of word images."""
+    system, one word at a time."""
     ts = TriSystem(N, eps)
     out = {}
     for word, coeff in p.terms.items():
@@ -350,20 +350,20 @@ EMBED_CASES = [
 ]
 
 
-@pytest.mark.parametrize("N, eps, max_len", EMBED_CASES)
-def test_memoised_embedding_matches_letter_by_letter(monkeypatch, N, eps, max_len):
+@pytest.mark.parametrize("N, eps, max_len", EMBED_CASES + [(4, (1, 1, 1, 1), 3)])
+def test_embedding_matches_letter_by_letter(monkeypatch, N, eps, max_len):
+    # random polynomials, whose words share prefixes, and every sigma_k,
+    # on one system shared by all inputs and on a fresh one
     rng = random.Random(f"embed:{N}:{eps}")
     shared = {}
-    for _ in range(8):
-        p = _random_z_poly(rng, N, max_len)
+    inputs = [_random_z_poly(rng, N, max_len) for _ in range(8)]
+    for p in inputs + [central_sigma(k, N) for k in range(1, N + 1)]:
         want = _embed_letter_by_letter(p, eps, N)
         monkeypatch.setattr(ncalg, "_ZERO_TEST_SYSTEMS", shared)
         warm = embed_iT(p, eps, N)
         monkeypatch.setattr(ncalg, "_ZERO_TEST_SYSTEMS", {})
         fresh = embed_iT(p, eps, N)
         assert warm == want and fresh == want, p
-    (ts,) = shared.values()
-    assert len(ts._images) > 1  # the shared system really served word images
 
 
 @pytest.mark.parametrize("N, eps, max_len", EMBED_CASES)
@@ -521,7 +521,7 @@ def test_leading_minors():
 
 def test_det_form_under_embedding():
     # the k-th leading minor embeds to T_1^2 ... T_k^2
-    for N in (2, 3):
+    for N in (2, 3, 4, 5):
         for k in range(1, N + 1):
             img = embed_iT(leading_minor_Z(k, N), (1,) * N, N)
             word = tuple(Tdiag(i) for i in range(1, k + 1) for _ in range(2))
