@@ -58,6 +58,7 @@ from .hrep import (
     adjoint_transport_T,
     adjoint_transport_U,
     build_bigcell_rep,
+    central_class,
     spectral_components,
     spectral_data,
     uchar_blocks,
@@ -248,7 +249,7 @@ def cmd_characters(args):
 
 def cmd_transport(args):
     rep = build_bigcell_rep(_spec_from_args(args), margin=args.margin)
-    ext0 = spectral_data(rep)[2]
+    ext0 = central_class(rep)[2]
     by = args.by  # parsed by the table
     if by.kind == "scale":
         out = adjoint_transport_T(rep, *scaling_blocks(args.n, by.param))

@@ -49,6 +49,7 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -106,6 +107,16 @@ def _pattern_array(N: int, D: int) -> np.ndarray:
         A = np.column_stack([A[parent], value])
         left = left[parent] - value
     return A[np.argsort(A.sum(axis=1), kind="stable")]
+
+
+@lru_cache(maxsize=1)
+def _kept_pattern_array(N: int, D: int) -> np.ndarray:
+    """``_pattern_array(N, D)``, read-only, kept for the last (N, D) asked,
+    so that a sweep over cells of one size enumerates their patterns once.
+    Module builds do not keep theirs."""
+    A = _pattern_array(N, D)
+    A.setflags(write=False)
+    return A
 
 
 def patterns(N: int, D: int):
@@ -431,7 +442,7 @@ def gt_norm_sign(P: GTPattern, spec: HWModuleSpec) -> int:
 
 def gt_norm_signs(spec: HWModuleSpec) -> np.ndarray:
     """Exact signs of c_P for every pattern of ``patterns(spec.N, spec.D)``."""
-    return _signs(_pattern_array(spec.N, spec.D), spec)
+    return _signs(_kept_pattern_array(spec.N, spec.D), spec)
 
 
 @dataclass(frozen=True)

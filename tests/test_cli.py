@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,6 +13,8 @@ import pytest
 
 from qrea.cli import COMMANDS, main, parse_args
 from qrea.errors import DomainError
+from qrea.gtrep import HWModuleSpec
+from qrea.hrep import build_bigcell_rep, spectral_data
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -109,6 +112,22 @@ def test_sweep_deterministic(tmp_path):
     assert code1 == code2 == 0
     assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
     assert doc1["inputs"]["adapted_cells"] >= 1
+
+
+def test_sweep_enumerates_patterns_once(monkeypatch, tmp_path):
+    """A sweep reads the patterns of its (N, D) once, as one read-only array,
+    for all of its cells."""
+    import qrea.gtrep
+
+    made, enumerate_patterns = [], qrea.gtrep._pattern_array
+    monkeypatch.setattr(qrea.gtrep, "_pattern_array",
+                        lambda N, D: made.append((N, D)) or enumerate_patterns(N, D))
+    qrea.gtrep._kept_pattern_array.cache_clear()
+    code, doc = run_cli(["sweep", "--n", "3", "--cells", "20", "--seed", "1", "--depth", "8"],
+                        tmp_path)
+    assert code == 0 and len(doc["findings"]) == 20
+    assert made == [(3, 8)]
+    assert not qrea.gtrep._kept_pattern_array(3, 8).flags.writeable
 
 
 def test_report_schema_roundtrip(tmp_path):
@@ -340,6 +359,24 @@ def test_transport_keeps_class_at_any_scale(tmp_path, args):
     code, doc = run_cli(["transport", *args, "--margin", "6"], tmp_path)
     assert code == 0 and doc["pass"] is True, doc["findings"]
     assert doc["inputs"]["components"] == 1
+
+
+@pytest.mark.parametrize("n,eps,r,by", [
+    (3, "+,-,+", "3/10,4/5,9/5", "scale:0.7"),
+    (3, "+,-,+", "3/10,4/5,9/5", "vector"),
+    (3, "+,-,+", "3/10,4/5,9/5", "uchar:0.2,0.7,0.4"),
+    (2, "+,-", "3/10,4/5", "s"),
+], ids=["N3-scale", "N3-vector", "N3-uchar", "N2-s"])
+def test_transport_reports_the_class_of_spectral_data(tmp_path, n, eps, r, by):
+    """transport reads the input's class without its signature; the class it
+    reports is the extended signature of spectral_data on the same cell."""
+    code, doc = run_cli(["transport", "--by", by, "--n", str(n), "--eps", eps, "--r", r,
+                         "--depth", "12", "--margin", "6"], tmp_path)
+    assert code == 0 and doc["pass"] is True, doc["findings"]
+    spec = HWModuleSpec(N=n, eps=tuple(1 if s == "+" else -1 for s in eps.split(",")),
+                        r=tuple(Fraction(x) for x in r.split(",")), D=12, q0=0.5)
+    ext = spectral_data(build_bigcell_rep(spec, margin=6))[2]
+    assert doc["inputs"]["extsig_before"] == asdict(ext)
 
 
 def test_verify_algebra_refuses_n_above_limit(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -24,6 +25,7 @@ from qrea.hrep import (
     adjoint_transport_T,
     adjoint_transport_U,
     build_bigcell_rep,
+    central_class,
     eval_poly,
     n2_family,
     re_residual,
@@ -459,6 +461,8 @@ def test_not_factorial_on_direct_sum():
     from qrea.hrep import HermitianRep
     rep = HermitianRep(N=2, Z=Zs, interior=np.array([True, True]), q0=Q0)
     with pytest.raises(NotFactorial):
+        central_class(rep)
+    with pytest.raises(NotFactorial):
         spectral_data(rep)
     comps = spectral_components(rep)
     assert len(comps) == 2
@@ -690,6 +694,8 @@ def test_not_factorial_at_any_scale(t):
         for j in range(2):
             Z[i, j] = np.diag([a.block(i + 1, j + 1)[0, 0].real, b.block(i + 1, j + 1)[0, 0].real])
     rep = HermitianRep(N=2, Z=Z, interior=np.array([True, True]), q0=Q0)
+    with pytest.raises(NotFactorial):
+        central_class(rep)
     with pytest.raises(NotFactorial):
         spectral_data(rep)
     assert len(spectral_components(rep)) == 2
@@ -953,3 +959,141 @@ def test_znorm_is_computed_once():
     rep = gt_rep(eps=(1, -1), r=(0.3, 0.8), D=12, margin=4)
     assert rep.znorm() is rep.znorm()
     assert sigma_scalars(rep) is sigma_scalars(rep)
+
+
+# --------------------------------------------------------------------------
+# the block scale, and the class without the signature
+
+
+def scanned_znorm(rep):
+    """The largest block norm by a full scan: one SVD of the nonzero
+    interior rows of every block."""
+    return max(np.linalg.norm(blk[blk.any(axis=1)], 2)
+               for line in rep.interior_columns() for blk in line)
+
+
+def fresh(rep):
+    """A copy of a representation with nothing computed yet."""
+    return HermitianRep(N=rep.N, Z=rep.Z, interior=rep.interior, q0=rep.q0, spec=rep.spec)
+
+
+# A big cell of every eps at N=2 and one of every sign class at N=3 (the
+# leading sign products up to overall sign): (N, eps, r, D, margin).
+SIGN_CELLS = [
+    (2, (1, 1), (Fraction(1, 5), Fraction(6, 5)), 14, 6),
+    (2, (1, -1), (Fraction(3, 10), Fraction(4, 5)), 14, 6),
+    (2, (-1, 1), (Fraction(-4, 5), Fraction(1, 5)), 14, 6),
+    (2, (-1, -1), (Fraction(-2, 5), Fraction(-1, 2)), 14, 6),
+    (3, (1, 1, 1), (Fraction(3, 10), Fraction(13, 10), Fraction(33, 10)), 12, 6),
+    (3, (1, 1, -1), (Fraction(0), Fraction(1), Fraction(1, 3)), 12, 6),
+    (3, (1, -1, 1), (Fraction(3, 10), Fraction(4, 5), Fraction(9, 5)), 12, 6),
+    (3, (1, -1, -1), (Fraction(3, 10), Fraction(4, 5), Fraction(13, 10)), 12, 6),
+]
+SIGN_IDS = ["N{}{}".format(N, "".join("+" if e > 0 else "-" for e in eps))
+            for N, eps, *_ in SIGN_CELLS]
+
+
+@functools.lru_cache(maxsize=None)
+def sign_cell(cell):
+    N, eps, r, D, margin = cell
+    return gt_rep(N=N, eps=eps, r=r, D=D, margin=margin)
+
+
+def transported(N, kind):
+    """A transport of each kind of the command line, of the (+,-) or (+,-,+)
+    big cell."""
+    rep = sign_cell(SIGN_CELLS[1] if N == 2 else SIGN_CELLS[6])
+    W, interior = {"scale": lambda: scaling_blocks(N, 0.7),
+                   "vector": lambda: vector_trep(N, Q0),
+                   "uchar": lambda: uchar_blocks((0.2, 0.7, 0.4)[:N]),
+                   "s": lambda: suq2_corep_blocks(8, q0=Q0)}[kind]()
+    transport = adjoint_transport_T if kind in ("scale", "vector") else adjoint_transport_U
+    return transport(rep, W, interior)
+
+
+@pytest.mark.parametrize("cell", SIGN_CELLS, ids=SIGN_IDS)
+def test_znorm_of_big_cells_is_the_full_scan(cell):
+    rep = fresh(sign_cell(cell))
+    assert rep.znorm() == scanned_znorm(rep)
+
+
+@pytest.mark.parametrize("N,kind", [(2, "scale"), (2, "vector"), (2, "uchar"), (2, "s"),
+                                    (3, "scale"), (3, "vector"), (3, "uchar")])
+def test_znorm_of_transports_is_the_full_scan(N, kind):
+    out = transported(N, kind)
+    assert out.znorm() == scanned_znorm(out)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("S_pos", {"c": 1.0, "n": 2}), ("S_pos", {"c": -0.7, "n": 1}), ("S_zero", {"lam": 1.3}),
+    ("S_neg+", {"c": 1.0, "a": 2.0}), ("S_neg-", {"c": 1.0, "a": 2.0}),
+    ("char", {"theta": 0.2, "c": 1.0, "a": 2.0}), ("zero", {}),
+])
+def test_znorm_of_n2_families_is_the_full_scan(kind, params):
+    rep = n2_family(kind, D=40, q0=Q0, margin=8, **params)
+    assert rep.znorm() == scanned_znorm(rep)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_znorm_of_zero_rep(N):
+    rep = zero_rep(N)
+    assert rep.znorm() == scanned_znorm(rep) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e150])
+def test_znorm_where_squares_leave_the_float_range(scale):
+    """Random blocks scaled so that the squares of their entries underflow
+    (1e-170) or overflow (1e150): the bounds are taken on B / max|B|, so no
+    block is skipped on a bound of 0 or measured on one of inf."""
+    rng = np.random.default_rng(3)
+    Z = rng.standard_normal((3, 3, 6, 6)) * scale
+    Z[1, 2] *= 7.0
+    rep = HermitianRep(N=3, Z=Z, interior=np.arange(6) < 4, q0=Q0)
+    assert rep.znorm() == scanned_znorm(rep) > 0.0
+
+
+def outcome(f):
+    """The value of f(), or the type and text of what it raised."""
+    try:
+        return repr(f())
+    except Exception as exc:  # any error is an outcome
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_znorm_of_a_block_that_is_not_finite(bad):
+    """Where a block has an entry that is not finite, znorm scans every block,
+    with the same value or error as the full scan."""
+    rep = sign_cell(SIGN_CELLS[1])
+    Z = np.array([[rep.block(i, j) for j in (1, 2)] for i in (1, 2)])
+    Z[1, 0, 3, 2] = bad
+    got = outcome(HermitianRep(N=2, Z=Z, interior=rep.interior, q0=Q0).znorm)
+    want = outcome(lambda: scanned_znorm(HermitianRep(N=2, Z=Z, interior=rep.interior, q0=Q0)))
+    assert got == want
+
+
+def test_znorm_skips_blocks_whose_bound_is_below_the_maximum(monkeypatch):
+    """On the N=3 vector transport (9 blocks of 327 rows) znorm takes fewer
+    SVDs than there are blocks."""
+    out = transported(3, "vector")
+    out.interior_columns()
+    module = inspect.unwrap(np.linalg.norm).__globals__  # where norm finds svd
+    svd, calls = module["svd"], []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setitem(module, "svd", counted)
+    out.znorm()
+    assert 1 <= len(calls) < out.N ** 2, calls
+
+
+@pytest.mark.parametrize("cell", SIGN_CELLS + [c for c, _ in SCALED_CELLS],
+                         ids=SIGN_IDS + ["N2-r14", "N3-r5", "N3-r9", "N3-D26"])
+def test_central_class_is_the_head_of_spectral_data(cell):
+    """central_class gives spectral_data's rank, roots and extended signature
+    without the leading minors."""
+    rep = sign_cell(cell)
+    roots, _, ext, rank = spectral_data(fresh(rep))
+    assert central_class(fresh(rep)) == (rank, roots, ext)
