@@ -18,8 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .scalars import ONE, ZERO, LaurentScalar, laurent, qpow
 
-__all__ = ["QMat", "build_rhat", "re_tensor", "exact_re_tensor", "exterior_power",
-           "minor_braiding", "ExtBasis"]
+__all__ = ["QMat", "build_rhat", "re_table", "exterior_power", "minor_braiding", "ExtBasis"]
 
 
 class QMat:
@@ -199,30 +198,39 @@ def build_rhat(N: int, eps=None):
     return R, Rinv
 
 
-def re_tensor(R: np.ndarray) -> np.ndarray:
-    """Coefficient tensor C of the reflection equation for R[x, X, y, z] =
-    R[(x, X), (y, z)], of floats or LaurentScalars: entry ((x, X), (y, z)) of
-    R Z2 R Z2 - Z2 R Z2 R, Z2 = 1 ox Z, is the sum of C[x, X, y, z, b, c, f, h]
-    Z_bc Z_fh.  Path optimisation costs floats more than it saves at small
-    N, but contracts LaurentScalars pairwise, several times faster."""
-    N = R.shape[0]
-    one = np.eye(N, dtype=R.dtype)
-    optimize = R.dtype == object
-    # (R Z2 R Z2)[x, (e, g)] = sum R[x, (a, b)] Z_bc R[(a, c), (e, f)] Z_fg
-    lhs = np.einsum("xXab,acef,gh->xXegbcfh", R, R, one, optimize=optimize)
-    # (Z2 R Z2 R)[(x, X), y] = sum Z_Xc R[(x, c), (v, f)] Z_fh R[(v, h), y]
-    rhs = np.einsum("xcvf,vhyz,Xb->xXyzbcfh", R, R, one, optimize=optimize)
-    return lhs - rhs
-
-
 @functools.cache
-def exact_re_tensor(N: int) -> np.ndarray:
-    """``re_tensor`` of the exact R at size N; kept per N, read only."""
-    R = build_rhat(N)[0]
-    C = re_tensor(np.array([[R[a, b] for b in range(N * N)] for a in range(N * N)],
-                           dtype=object).reshape(N, N, N, N))
-    C.setflags(write=False)
-    return C
+def re_table(N: int, q0=None) -> tuple:
+    """The product of R-hat with itself through which both sides of the
+    reflection equation factor, built from R-hat's nonzeros; kept per
+    (N, q0), read only.
+
+    With R[(x, X), (y, z)] the entries of R-hat and Z2 = 1 ox Z,
+
+        R Z2 R = sum over (s, t) of P_st Z_st,
+        P_st[(u, v), (y, w)] = sum_a R[(u, v), (a, s)] R[(a, t), (y, w)],
+
+    and the defect R Z2 R Z2 - Z2 R Z2 R is the commutator of R Z2 R with
+    Z2.  So the coefficient of Z_bc Z_fh in entry ((x, X), (y, z)) is
+    P_bc[(x, X), (y, f)] when h = z, minus P_fh[(x, c), (y, z)] when b = X.
+    Entry s*N + t of the table lists the nonzeros of P_st as (u, v, y, w, p),
+    0-based.  A row of R-hat holds at most two nonzeros, in columns with
+    distinct second legs, so each p is one product: of exact
+    ``LaurentScalar`` entries when q0 is None, else of their floats at q0.
+    """
+    R = build_rhat(N)[0].entries
+    if q0 is not None:
+        R = {ij: v.eval(q0) for ij, v in R.items()}
+    rows = {}
+    for (i, j), r in R.items():
+        rows.setdefault(i, []).append((j, r))
+    table = [[] for _ in range(N * N)]
+    for (row, col), r in R.items():
+        u, v = divmod(row, N)
+        a, s = divmod(col, N)
+        for t in range(N):
+            for yw, r2 in rows.get(a * N + t, ()):
+                table[s * N + t].append((u, v, *divmod(yw, N), r * r2))
+    return tuple(map(tuple, table))
 
 
 def _embedded_factor(N: int, total: int, pos: int, R: QMat) -> QMat:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .braid import QMat, _leading_signs, build_rhat
+from .braid import QMat, _leading_signs, re_table
 from .errors import DomainError, NotAdmissible, SignMismatch
 from .scalars import GaussRational, laurent
 
@@ -195,26 +195,45 @@ def star_character_exact(p: CharacterParams, N: int):
     return M.scale(laurent(c))
 
 
-# R-hat by N, built once per process; only ever read (QMat is mutable).
-_RHAT = {}
-
-
 def reflection_defect_exact(Zmat, N: int):
     """R Z2 R Z2 - Z2 R Z2 R for a scalar-entry matrix, exactly.
 
-    The products run on Gaussian integers: with d the least common
-    denominator of every coefficient of ``Zmat``, they are taken on d*Z.
-    The defect is homogeneous of degree 2 in Z and R has integer
-    coefficients, so the defect of d*Z is d^2 times that of Z; a nonzero
-    result is scaled back by 1/d^2.
+    The defect is the commutator of A = R Z2 R with Z2 = 1 ox Z: A is summed
+    from ``braid.re_table`` over the nonzero entries of Z, and each nonzero
+    entry of A meets only the nonzero entries of Z in its column leg (A Z2)
+    and in its row leg (Z2 A).  The products run on Gaussian integers: with d
+    the least common denominator of every coefficient of ``Zmat``, they are
+    taken on d*Z.  The defect is homogeneous of degree 2 in Z and R has
+    integer coefficients, so the defect of d*Z is d^2 times that of Z; a
+    nonzero result is scaled back by 1/d^2.
     """
-    R = _RHAT.get(N)
-    if R is None:
-        R = _RHAT[N] = build_rhat(N)[0]
     d = math.lcm(1, *(v.denominator for v in Zmat.entries.values()))
-    Z2 = QMat.eye(N).kron(Zmat.scale(laurent(d)))
-    RZ2, Z2R = R @ Z2, Z2 @ R
-    defect = RZ2 @ RZ2 - Z2R @ Z2R
+    Z = Zmat.entries
+    if d != 1:
+        dz = laurent(d)
+        Z = {ij: v * dz for ij, v in Z.items()}
+    table = re_table(N)
+    A = {}
+    for (s, t), z in Z.items():
+        for u, v, y, w, p in table[s * N + t]:
+            key = (u, v, y, w)
+            prev = A.get(key)
+            A[key] = p * z if prev is None else prev + p * z
+    rows, cols_neg = {}, {}  # Z by rows, and -Z by columns
+    for (i, j), z in Z.items():
+        rows.setdefault(i, []).append((j, z))
+        cols_neg.setdefault(j, []).append((i, -z))
+    out = {}
+    for (u, v, y, w), a in A.items():
+        for j, z in rows.get(w, ()):  # A Z2 at ((u, v), (y, j))
+            key = (u * N + v, y * N + j)
+            prev = out.get(key)
+            out[key] = a * z if prev is None else prev + a * z
+        for i, z in cols_neg.get(v, ()):  # -Z2 A at ((u, i), (y, w))
+            key = (u * N + i, y * N + w)
+            prev = out.get(key)
+            out[key] = a * z if prev is None else prev + a * z
+    defect = QMat._of(N * N, N * N, {ij: x for ij, x in out.items() if x})
     if d == 1 or defect.is_zero():
         return defect
     return defect.scale(laurent(Fraction(1, d * d)))

@@ -248,9 +248,15 @@ def cmd_characters(args):
 
 
 def cmd_transport(args):
+    by = args.by  # parsed by the table
+    if by.kind == "s" and args.n != 2:
+        raise DomainError(f"--by s is the quantum-SU(2) corepresentation, whose blocks are "
+                          f"2 x 2: it needs --n 2, got --n {args.n}")
+    if by.kind == "uchar" and len(by.param) != args.n:
+        raise DomainError(f"--by uchar: needs one angle per row of Z, {args.n} for "
+                          f"--n {args.n}, got {len(by.param)}")
     rep = build_bigcell_rep(_spec_from_args(args), margin=args.margin)
     ext0 = central_class(rep)[2]
-    by = args.by  # parsed by the table
     if by.kind == "scale":
         out = adjoint_transport_T(rep, *scaling_blocks(args.n, by.param))
     elif by.kind == "vector":

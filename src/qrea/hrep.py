@@ -17,7 +17,8 @@ interior columns: ``HermitianRep.interior_columns`` forms them once and
 keeps them, and every check starts from that copy.  The block products of
 ``re_residual`` and of the Cayley-Hamilton check are formed a chunk of
 interior columns at a time, so that their temporaries stay near
-CHUNK_FLOATS numbers; ``braid.re_tensor`` weighs those of ``re_residual``.
+CHUNK_FLOATS numbers; ``re_residual`` weighs its products by the reflection
+equation's coefficients, scattered from ``braid.re_table``.
 
 A transport parameter is a small dense (N, N, m, m) block array W and the
 bool mask of its interior basis vectors (``gtrep.scaling_blocks``,
@@ -65,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classify as _classify
-from .braid import _leading_signs, build_rhat, re_tensor
+from .braid import _leading_signs, re_table
 from .errors import BadCorep, DomainError, NotFactorial
 from .gtrep import SCALE_EXP2, HWModuleSpec, RowBlocks, build_hw_module
 from .ncalg import NCPoly, central_sigma, leading_minor_Z, letter_indices
@@ -328,18 +329,34 @@ def eval_poly(p: NCPoly, blocks: RowBlocks, q0: float, cols: np.ndarray,
 # residuals
 
 
+def _re_coefficients(N: int, q0: float) -> np.ndarray:
+    """The reflection equation's coefficients at q0 as one (N^4, N^4)
+    matrix: row (x, X, y, z) and column (b, c, f, h) hold the coefficient of
+    Z_bc Z_fh in entry ((x, X), (y, z)) of the defect, scattered from
+    ``braid.re_table(N, q0)`` (P_bc[(x, X), (y, f)] where h = z, minus
+    P_fh[(x, c), (y, z)] where b = X).  No two entries of one side share a
+    place, so each coefficient is 0, p, -p or p - p' in float, the same as
+    the difference of the sides' dense contractions of R with itself."""
+    coeff = np.zeros((N ** 4, N ** 4))
+    for st, entries in enumerate(re_table(N, q0)):
+        for u, v, y, w, p in entries:
+            for k in range(N):  # h = z on the left side, b = X on the right
+                coeff[((u * N + v) * N + y) * N + k, (st * N + w) * N + k] += p
+                coeff[((u * N + k) * N + y) * N + w, (k * N + v) * N * N + st] -= p
+    return coeff
+
+
 def re_residual(rep: HermitianRep) -> float:
     """Relative interior residual of R Z2 R Z2 - Z2 R Z2 R, Z2 = 1 ox Z.
 
     Block (x, y) of the defect, with x and y row-major index pairs, is a
     fixed combination of the N^4 products Z_bc Z_fh, with the coefficients
-    of ``braid.re_tensor`` at R evaluated at q0; the products are formed on
-    a chunk of interior columns at a time and combined by that tensor as one
+    of ``_re_coefficients`` at q0; the products are formed on a chunk of
+    interior columns at a time and combined by those coefficients as one
     (N^4, N^4) matrix, and only the squared norm of the result is kept.
     """
     N, dim = rep.N, rep.dim
-    R = build_rhat(N)[0].to_numpy(rep.q0).real.reshape(N, N, N, N)
-    coeff = re_tensor(R).reshape(N ** 4, N ** 4)
+    coeff = _re_coefficients(N, rep.q0)
     inner = rep.interior_columns()  # Z_fh[:, interior]
     total = 0.0
     for part in _column_chunks(inner.shape[-1], N ** 4 * dim):

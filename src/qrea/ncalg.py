@@ -41,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .braid import _eps_interval, _inversions, _q_antisymmetrizer, exact_re_tensor
+from .braid import _eps_interval, _inversions, _q_antisymmetrizer, re_table
 from .errors import AlgebraMismatch, DomainError, NonterminationGuard
 from .scalars import ONE, QQI, ZERO, LaurentScalar, laurent, qpow
 
@@ -663,10 +663,25 @@ def laplace_column_defect(I, J, K, Kp, minor=frt_minor) -> NCPoly:
 def rea_entrywise_defect(i: int, j: int, k: int, l: int, N: int) -> NCPoly:
     """Left minus right side of the entrywise reflection-equation relation:
     entry ((i, k), (j, l)) of R Z2 R Z2 - Z2 R Z2 R, read off the exact
-    coefficient tensor ``braid.exact_re_tensor(N)``."""
-    C = exact_re_tensor(N)[i - 1, k - 1, j - 1, l - 1]
-    return NCPoly("REA", {((b << 10) | c, (f << 10) | h): C[b - 1, c - 1, f - 1, h - 1]
-                          for b, c, f, h in itertools.product(range(1, N + 1), repeat=4)})
+    table ``braid.re_table(N)``: P_bc[(i, k), (j, f)] on Z_bc Z_fl, and
+    -P_fh[(i, c), (j, l)] on Z_kc Z_fh."""
+    def z(a, b):  # the packed letter Z_ab, for 0-based a and b
+        return ((a + 1) << 10) | (b + 1)
+
+    i, j, k, l = i - 1, j - 1, k - 1, l - 1
+    terms = {}
+    for st, entries in enumerate(re_table(N)):
+        s, t = divmod(st, N)
+        for u, v, y, w, p in entries:
+            if u != i or y != j:
+                continue
+            if v == k:
+                key = (z(s, t), z(w, l))
+                terms[key] = terms.get(key, ZERO) + p
+            if w == l:
+                key = (z(k, v), z(s, t))
+                terms[key] = terms.get(key, ZERO) - p
+    return NCPoly("REA", terms)
 
 
 # ---------------------------------------------------------------------------

@@ -544,8 +544,11 @@ class LaurentScalar:
 
 def laurent(c=1, k: int = 0) -> LaurentScalar:
     """Convenience constructor: c*q^k."""
-    if c.__class__ is Fraction and c.denominator == 1:
-        c = c.numerator
+    if c.__class__ is Fraction:  # in lowest terms: numerator over denominator
+        n, d = c.numerator, c.denominator
+        if d == 1:
+            return _monomial(n, k)
+        return _make(k, n, 0, d, abs(n), _width(abs(n)))
     if c.__class__ is int:
         return _monomial(c, k)
     return LaurentScalar({k: c})

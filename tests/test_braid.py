@@ -7,9 +7,11 @@ from qrea.braid import (
     exterior_power,
     minor_braiding,
     minor_braiding_entry,
+    re_table,
 )
 from qrea.errors import DomainError
 from qrea.scalars import ONE, QINV, ZERO, qpow
+from re_oracle import dense_sides, rhat_array, table_sides
 
 
 def tensor_idx(word, N):
@@ -61,6 +63,26 @@ def test_hecke_relation_exact(N):
     I = QMat.eye(N * N)
     lhs = (R - I.scale(qpow(-1))) @ (R + I.scale(qpow(1)))
     assert lhs.is_zero()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_re_table_sides_match_the_dense_contraction(N):
+    """Both sides of the reflection equation, spread from the exact table,
+    equal the dense einsum of R-hat with itself entry by entry."""
+    want = dense_sides(rhat_array(N))
+    got = table_sides(re_table(N), N)
+    for w, g in zip(want, got):
+        assert all(a == b for a, b in zip(w.ravel(), g.ravel()))
+
+
+def test_re_table_is_kept_and_sparse():
+    """One table per N, of tuples, with at most 4 N^3 entries (a row and a
+    column of R-hat hold at most two nonzeros each)."""
+    for N in range(1, 7):
+        table = re_table(N)
+        assert table is re_table(N) and isinstance(table, tuple)
+        assert len(table) == N * N and all(isinstance(e, tuple) for e in table)
+        assert sum(map(len, table)) <= 4 * N ** 3
 
 
 def test_eps_deformed_rhat_inverse():

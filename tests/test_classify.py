@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qrea.braid import QMat, build_rhat, exact_re_tensor
+from qrea.braid import QMat, build_rhat, re_table
 from qrea.classify import (
     CharacterParams,
     admissible_roots,
@@ -16,6 +16,7 @@ from qrea.classify import (
 )
 from qrea.errors import DomainError, NotAdmissible, SignMismatch
 from qrea.scalars import GaussRational, laurent, unimodular_point
+from re_oracle import table_sides
 
 Q0 = 0.5
 
@@ -196,10 +197,12 @@ def test_reflection_defect_matches_textbook(N):
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_reflection_defect_is_the_re_tensor(N):
-    """The RE tensor contracted with Z ox Z is the matrix form of the defect,
-    entry for entry: on characters (defect zero) and random exact matrices."""
+    """The RE tensor spread from ``re_table``, contracted with Z ox Z, is
+    the matrix form of the defect, entry for entry: on characters (defect
+    zero) and random exact matrices."""
     rng = random.Random(2000 + N)
-    C = exact_re_tensor(N).reshape(N * N, N * N, N ** 4)
+    lhs, rhs = table_sides(re_table(N), N)
+    C = (lhs - rhs).reshape(N * N, N * N, N ** 4)
     for Z in [_character(rng, N), _random_z(rng, N, 0.5), _random_z(rng, N, 1.0)]:
         z = np.array([[Z[(b, c)] for c in range(N)] for b in range(N)], dtype=object)
         got = C @ np.multiply.outer(z, z).reshape(N ** 4)

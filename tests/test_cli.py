@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -96,6 +97,15 @@ def test_characters_cmd(tmp_path):
     assert doc["pass"]
 
 
+def test_characters_report_is_pinned(tmp_path):
+    """The N <= 6 character checks, 94 of them, give the same report byte
+    for byte, pinned by its sha256."""
+    out = tmp_path / "out.json"
+    assert main(["characters", "--n", "6", "--samples", "2", "--seed", "7", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "9ab79de3ee3ca9e1285202e529b59d596df6d4aef1bded295ecfc232b14d1195", digest
+
+
 @pytest.mark.parametrize("args", [["--n", "1"], ["--samples", "0"], ["--samples", "-1"]],
                          ids=lambda args: "".join(args))
 def test_characters_needs_a_check(capsys, args):
@@ -158,6 +168,28 @@ def test_bad_transport_is_refused_before_any_build(monkeypatch, capsys, by):
     monkeypatch.setattr(qrea.cli, "build_bigcell_rep", refuse)
     assert main(["transport", "--by", by, "--n", "2", "--eps", "+,-", "--r", "0.3,0.8"]) == 2
     assert "error: argument --by:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("by,n,eps,r,message", [
+    ("s", "3", "+,-,+", "3/10,4/5,9/5", "2 x 2: it needs --n 2, got --n 3"),
+    ("s", "1", "+", "3/10", "2 x 2: it needs --n 2, got --n 1"),
+    ("uchar:0.1,0.2", "3", "+,-,+", "3/10,4/5,9/5", "one angle per row of Z, 3 for --n 3, got 2"),
+    ("uchar:0.1,0.2,0.3", "2", "+,-", "3/10,4/5", "one angle per row of Z, 2 for --n 2, got 3"),
+], ids=["s-n3", "s-n1", "uchar-short", "uchar-long"])
+def test_transport_of_another_size_is_refused_before_any_build(monkeypatch, capsys, by, n,
+                                                               eps, r, message):
+    """A transport whose blocks cannot act on an N x N Z (the quantum-SU(2)
+    corepresentation at N != 2, a character with other than N angles) is
+    refused by its reason before the big cell is built."""
+    import qrea.cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a big cell for a transport of another size")
+
+    monkeypatch.setattr(qrea.cli, "build_bigcell_rep", refuse)
+    assert main(["transport", "--by", by, "--n", n, "--eps", eps, "--r", r,
+                 "--depth", "12", "--margin", "6"]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

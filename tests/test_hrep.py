@@ -22,6 +22,7 @@ from qrea.gtrep import (
 from qrea.hrep import (
     HermitianRep,
     RowBlocks,
+    _re_coefficients,
     adjoint_transport_T,
     adjoint_transport_U,
     build_bigcell_rep,
@@ -38,6 +39,7 @@ from qrea.hrep import (
     zero_rep,
 )
 from qrea.ncalg import NCPoly, Z, central_sigma, frt_minor, leading_minor_Z
+from re_oracle import dense_sides, rhat_array
 
 Q0 = 0.5
 
@@ -101,6 +103,17 @@ def _rhat_textbook(N, q):
             if l < k:
                 R[k * N + l, k * N + l] += 1 / q - q
     return R
+
+
+@pytest.mark.parametrize("q0", [0.05, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_re_coefficients_are_the_dense_floats(N, q0):
+    """The coefficient matrix of ``re_residual``, scattered from the float
+    table, is the dense float einsum's sides, lhs - rhs, bit for bit, so the
+    residual's BLAS product reads the same numbers."""
+    lhs, rhs = dense_sides(rhat_array(N, q0))
+    want = (lhs - rhs).reshape(N ** 4, N ** 4)
+    assert np.array_equal(_re_coefficients(N, q0).view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("N,dim,seed", [(2, 3, 1), (2, 6, 2), (3, 4, 3), (3, 5, 4), (4, 3, 5)])

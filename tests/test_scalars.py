@@ -103,6 +103,17 @@ def test_int_and_fraction_forms_agree():
         assert as_int.render() == other.render() == "3*q^-2 - 1 + 1/2*q"
 
 
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(-7), Fraction(12, 4), Fraction(-3, 8),
+                               Fraction(5, 9), Fraction(2 ** 70 + 1, 3), Fraction(-1, 2 ** 70)])
+@pytest.mark.parametrize("k", [-3, 0, 2])
+def test_laurent_of_a_fraction_is_the_generic_value(c, k):
+    """``laurent`` packs a Fraction's numerator over its denominator itself;
+    the value is the generic constructor's in every stored field."""
+    got, want = laurent(c, k), LaurentScalar({k: c})
+    assert got == want and hash(got) == hash(want)
+    assert all(getattr(got, f) == getattr(want, f) for f in LaurentScalar.__slots__)
+
+
 def test_gauss_division_stays_exact():
     z = GaussRational(1, 1)
     assert type(z.re) is int and type(z.im) is int
